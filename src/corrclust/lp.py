@@ -6,6 +6,15 @@ Feasibility is decided by HiGHS; when a program with parameter columns is
 infeasible, an auxiliary LP recovers a Farkas combination, which projects to
 a hyperplane separating the input x from the convex hull of good clusterings.
 
+:func:`solve` hands the model to the HiGHS class that scipy bundles
+(``scipy.optimize._highspy._core._Highs``) as arrays, with exactly the
+options ``linprog(method="highs-ds")`` sets, and maps the model status the
+way scipy does.  HiGHS therefore receives the same model it would receive
+through ``linprog``, without linprog's input cleaning and result packaging.
+That class is private scipy API: it is checked once, at import, by solving a
+one-column probe, and if the check fails every solve goes through
+``linprog`` instead.  The auxiliary Farkas LP always uses ``linprog``.
+
 Three builders are provided:
 
 * :func:`build_triangle_lp`   - the plain metric LP over x itself,
@@ -21,7 +30,9 @@ required to be nonnegative.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -67,12 +78,13 @@ class LinearProgram:
     def __init__(self, name: str):
         self.name = name
         self.var_keys: list[tuple] = []
-        self.lb: list[float] = []
-        self.ub: list[float] = []
+        self.lb = np.zeros(0)
+        self.ub = np.zeros(0)
         self._entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._pentries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.senses: list[str] = []
-        self.rhs0: list[float] = []
+        self._rhs0: list[np.ndarray] = []  # one array per add_rows call
+        self._senses: list[np.ndarray] = []
+        self._num_rows = 0
         self.param_pairs: list[Pair] = []
         self._param_index: dict[Pair, int] = {}
         self.param_values: list[float] = []
@@ -84,8 +96,9 @@ class LinearProgram:
     def add_vars(self, keys: Sequence[tuple], lb: float = 0.0, ub: float = 1.0) -> np.ndarray:
         base = len(self.var_keys)
         self.var_keys.extend(keys)
-        self.lb.extend([lb] * len(keys))
-        self.ub.extend([ub] * len(keys))
+        self.lb = np.concatenate([self.lb, np.full(len(keys), lb, dtype=float)])
+        self.ub = np.concatenate([self.ub, np.full(len(keys), ub, dtype=float)])
+        self._mats = None
         return np.arange(base, base + len(keys))
 
     @property
@@ -94,17 +107,15 @@ class LinearProgram:
 
     @property
     def num_rows(self) -> int:
-        return len(self.senses)
+        return self._num_rows
 
     def set_bounds(self, cols, lb=None, ub=None) -> None:
-        cols = np.atleast_1d(np.asarray(cols, dtype=int))
-        lbs = np.broadcast_to(np.asarray(lb, dtype=float), cols.shape) if lb is not None else None
-        ubs = np.broadcast_to(np.asarray(ub, dtype=float), cols.shape) if ub is not None else None
-        for i, c in enumerate(cols):
-            if lbs is not None:
-                self.lb[c] = float(lbs[i])
-            if ubs is not None:
-                self.ub[c] = float(ubs[i])
+        cols = np.asarray(cols, dtype=int)
+        if lb is not None:
+            self.lb[cols] = lb
+        if ub is not None:
+            self.ub[cols] = ub
+        self._mats = None
 
     def fix_vars(self, cols, values) -> None:
         self.set_bounds(cols, lb=values, ub=values)
@@ -138,9 +149,9 @@ class LinearProgram:
         flip = -1.0 if sense == ">" else 1.0
         norm_sense = "<" if sense in "<>" else "="
         base = self.num_rows
-        rhs_arr = np.broadcast_to(np.asarray(rhs, dtype=float), (count,))
-        self.rhs0.extend((flip * rhs_arr).tolist())
-        self.senses.extend([norm_sense] * count)
+        self._rhs0.append(flip * np.broadcast_to(np.asarray(rhs, dtype=float), (count,)))
+        self._senses.append(np.full(count, norm_sense))
+        self._num_rows += count
         for (r, c, v) in entries:
             r = np.asarray(r, dtype=int)
             self._entries.append((r + base, np.asarray(c, dtype=int), flip * np.asarray(v, dtype=float)))
@@ -186,10 +197,10 @@ class LinearProgram:
             self._mats = (
                 A,
                 P,
-                np.asarray(self.rhs0, dtype=float),
-                np.asarray(self.senses),
-                np.asarray(self.lb, dtype=float),
-                np.asarray(self.ub, dtype=float),
+                np.concatenate(self._rhs0) if self._rhs0 else np.zeros(0),
+                np.concatenate(self._senses) if self._senses else np.zeros(0, dtype="<U1"),
+                self.lb.copy(),
+                self.ub.copy(),
             )
         return self._mats
 
@@ -223,6 +234,7 @@ class LPResult:
     objective: float | None = None
     farkas: np.ndarray | None = None  # weights over canonical <= rows
     message: str = ""
+    iterations: int = 0  # HiGHS simplex iterations
 
 
 def _canonical_rows(lp: LinearProgram):
@@ -270,27 +282,77 @@ def _find_farkas(lp: LinearProgram) -> np.ndarray | None:
     return u
 
 
-def solve(lp: LinearProgram) -> LPResult:
-    """Solve (or decide feasibility of) the program.
+def _load_highs():
+    """scipy's bundled HiGHS module if its private interface still works the
+    way :func:`_run_highs` uses it (checked by solving a one-column probe),
+    else None, with a warning."""
+    try:
+        from scipy.optimize._highspy import _core as hc
 
-    Returns an optimal point, an infeasibility witness (Farkas weights over
-    the canonical row form), or an 'unbounded' status.
-    """
-    A, P, rhs0, senses, lb, ub = lp.matrices()
-    b = lp.effective_rhs()
-    ineq = senses == "<"
+        # min -u  s.t.  u <= 1,  0 <= u <= 2
+        status, u, fun, _, _ = _run_highs(hc, -np.ones(1), sp.csr_matrix(np.ones((1, 1))), np.ones(1),
+                                          np.ones(1, dtype=bool), np.zeros(1), np.full(1, 2.0))
+        if status == 0 and u.tolist() == [1.0] and fun == -1.0:
+            return hc
+        problem = f"probe returned status {status}, u = {u}, objective {fun}"
+    except Exception as exc:  # any change in the private interface means: use linprog
+        problem = repr(exc)
+    warnings.warn(f"scipy's bundled HiGHS interface failed its check ({problem}); solving through linprog",
+                  RuntimeWarning, stacklevel=2)
+    return None
+
+
+def _run_highs(hc, c, A, b, ineq, lb, ub):
+    """Solve ``min c.u  s.t.  A[ineq] u <= b[ineq],  A[~ineq] u = b[~ineq],
+    lb <= u <= ub`` as ``linprog(method="highs-ds")`` would: the same
+    column-wise matrix with inequality rows first, the same options, and the
+    same status mapping and acceptance check.  Returns (scipy status code,
+    u, objective, iterations, message)."""
+    ms = hc.HighsModelStatus
+    rows = np.concatenate([np.flatnonzero(ineq), np.flatnonzero(~ineq)])
+    M = A[rows].tocsc()
+    rhs = b[rows]
+    lhs = np.where(ineq[rows], -np.inf, rhs)
+    nv = len(c)
+    h = hc._Highs()
+    h.setOptionValue("presolve", "on")
+    h.setOptionValue("solver", "simplex")
+    h.setOptionValue("simplex_strategy", int(hc.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
+    h.setOptionValue("primal_feasibility_tolerance", _HIGHS_OPTS["primal_feasibility_tolerance"])
+    h.setOptionValue("dual_feasibility_tolerance", _HIGHS_OPTS["dual_feasibility_tolerance"])
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("log_to_console", False)
+    h.setOptionValue("highs_debug_level", int(hc.HighsDebugLevel.kHighsDebugLevelNone))
+    # the array overload of passModel rejects an empty integrality vector
+    if h.passModel(nv, len(rhs), M.nnz, hc.MatrixFormat.kColwise, hc.ObjSense.kMinimize, 0.0,
+                   c, lb, ub, lhs, rhs, M.indptr.astype(np.int32), M.indices.astype(np.int32),
+                   M.data, np.zeros(nv, dtype=np.int32)) == hc.HighsStatus.kError:
+        return 2, None, None, 0, "HiGHS rejected the model"  # scipy: kModelError
+    h.run()
+    status = h.getModelStatus()
+    info = h.getInfo()
+    code = {ms.kOptimal: 0, ms.kInfeasible: 2, ms.kModelError: 2, ms.kUnbounded: 3,
+            ms.kTimeLimit: 1, ms.kIterationLimit: 1}.get(status, 4)
+    message = h.modelStatusToString(status)
+    nit = info.simplex_iteration_count
+    if code != 0:
+        return code, None, None, nit, message
+    u = np.array(h.getSolution().col_value)
+    fun = info.objective_function_value
+    # linprog rejects a reported optimum that misses the constraints by more
+    # than sqrt(tol) * 10, with its default tol = 1e-9
+    tol = np.sqrt(1e-9) * 10
+    gap = A @ u - b
+    if not (np.isfinite(fun) and np.all((u >= lb - tol) & (u <= ub + tol))
+            and np.all(np.where(ineq, gap, np.abs(gap)) <= tol)):
+        return 4, None, None, nit, f"{message}, but the point misses the constraints by more than {tol:.2e}"
+    return 0, u, fun, nit, message
+
+
+def _run_linprog(c, A, b, ineq, lb, ub):
+    """The same solve through ``linprog``; used when scipy's private HiGHS
+    interface is unavailable."""
     eq = ~ineq
-    c = np.zeros(lp.num_vars)
-    const = 0.0
-    if lp.objective is not None:
-        cols, coefs, const = lp.objective
-        np.add.at(c, cols, coefs)
-    if lp.num_vars == 0:
-        # degenerate but legal (single-vertex instances have no pairs)
-        feasible = (b[ineq] >= -SOLVER_TOL).all() and (np.abs(b[eq]) <= SOLVER_TOL).all()
-        if feasible:
-            return LPResult("optimal", values=np.zeros(0), objective=const)
-        return LPResult("infeasible", farkas=_find_farkas(lp))
     res = linprog(
         c,
         A_ub=A[ineq] if ineq.any() else None,
@@ -301,16 +363,46 @@ def solve(lp: LinearProgram) -> LPResult:
         method="highs-ds",
         options=dict(_HIGHS_OPTS),
     )
-    if res.status == 0:
-        return LPResult("optimal", values=res.x, objective=res.fun + const, message=res.message)
-    if res.status == 2:
+    return res.status, res.x, res.fun, res.nit, res.message
+
+
+_HIGHS = _load_highs()
+
+
+def solve(lp: LinearProgram) -> LPResult:
+    """Solve (or decide feasibility of) the program.
+
+    Returns an optimal point, an infeasibility witness (Farkas weights over
+    the canonical row form), or an 'unbounded' status.
+    """
+    A, P, rhs0, senses, lb, ub = lp.matrices()
+    b = lp.effective_rhs()
+    ineq = senses == "<"
+    c = np.zeros(lp.num_vars)
+    const = 0.0
+    if lp.objective is not None:
+        cols, coefs, const = lp.objective
+        np.add.at(c, cols, coefs)
+    if lp.num_vars == 0:
+        # degenerate but legal (single-vertex instances have no pairs)
+        feasible = (b[ineq] >= -SOLVER_TOL).all() and (np.abs(b[~ineq]) <= SOLVER_TOL).all()
+        if feasible:
+            return LPResult("optimal", values=np.zeros(0), objective=const)
+        return LPResult("infeasible", farkas=_find_farkas(lp))
+    if _HIGHS is None:
+        status, x, fun, nit, message = _run_linprog(c, A, b, ineq, lb, ub)
+    else:
+        status, x, fun, nit, message = _run_highs(_HIGHS, c, A, b, ineq, lb, ub)
+    if status == 0:
+        return LPResult("optimal", values=x, objective=fun + const, message=message, iterations=nit)
+    if status == 2:
         farkas = _find_farkas(lp)
         if farkas is None:
             raise LPError(f"{lp.name}: reported infeasible but no Farkas witness found")
-        return LPResult("infeasible", farkas=farkas, message=res.message)
-    if res.status == 3:
-        return LPResult("unbounded", message=res.message)
-    raise LPError(f"{lp.name}: solver failure: {res.message}")
+        return LPResult("infeasible", farkas=farkas, message=message, iterations=nit)
+    if status == 3:
+        return LPResult("unbounded", message=message, iterations=nit)
+    raise LPError(f"{lp.name}: solver failure: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -427,107 +519,101 @@ def solve_triangle_lp(g: SignedGraph, pre: PreclusteredInstance) -> tuple[Metric
 
 
 class _SetIndex:
-    """Ranks of subsets of local vertices, sizes 0..3, in one contiguous block."""
+    """Ranks of subsets of local vertices 0..n-1, sizes 0..3, in one
+    contiguous block: the empty set, the singletons, the pairs, then the
+    triples, each group in lexicographic order.  Also holds the row patterns
+    of one lifted layer in these ranks.  Depends only on n; use
+    :func:`_set_index`, which shares one instance per n."""
 
     def __init__(self, n: int):
         self.n = n
         self.pairs = list(combinations(range(n), 2))
         self.triples = list(combinations(range(n), 3))
-        self.m = len(self.pairs)
-        self.t = len(self.triples)
-        self.block = 1 + n + self.m + self.t
+        self.m = m = len(self.pairs)
+        self.t = t = len(self.triples)
+        self.block = 1 + n + m + t
+        self.sets = [()] + [(i,) for i in range(n)] + self.pairs + self.triples
+        self.size = np.repeat([0, 1, 2, 3], [1, n, m, t])
+        self.pa, self.pb = np.array(self.pairs, dtype=int).reshape(m, 2).T
+        self.ta, self.tb, self.tc = np.array(self.triples, dtype=int).reshape(t, 3).T
         self.pr = np.full((n, n), -1, dtype=int)
-        for k, (i, j) in enumerate(self.pairs):
-            self.pr[i, j] = self.pr[j, i] = k
-        self.tr: dict[tuple[int, int, int], int] = {
-            t: k for k, t in enumerate(self.triples)
-        }
+        self.pr[self.pa, self.pb] = self.pr[self.pb, self.pa] = np.arange(m)
+        self.box = self._box_rows()
+        self.growth = self._growth_entries()
+        # shared by every LP of this size: keep the arrays read-only
+        for arr in (self.size, self.pa, self.pb, self.ta, self.tb, self.tc, self.pr, *self.box[:3], *self.growth):
+            arr.flags.writeable = False
 
-    def rank(self, s: tuple[int, ...]) -> int:
-        k = len(s)
-        if k == 0:
-            return 0
-        if k == 1:
-            return 1 + s[0]
-        if k == 2:
-            return 1 + self.n + int(self.pr[s[0], s[1]])
-        if k == 3:
-            return 1 + self.n + self.m + self.tr[tuple(sorted(s))]
-        raise ValueError("sets of size > 3 are not indexed")
+    def _box_rows(self):
+        """One layer of inclusion-exclusion box rows, as (rows, ranks, coefs,
+        row count), all rows of sense '<= 0'.
 
-    def sets(self):
-        yield ()
-        for i in range(self.n):
-            yield (i,)
-        yield from self.pairs
-        yield from self.triples
+        For all disjoint (S, T) with 1 <= |T| and |S u T| <= 3, the two-sided
+        constraint sum_{T' <= T} (-1)^{|T'|} y_{S u T'} in [0, y_S], skipping
+        sides that reduce to plain sign constraints.
+        """
+        n, m, t = self.n, self.m, self.t
+        y0 = np.zeros(n, dtype=int)
+        ya = 1 + np.arange(n)
+        # S=empty, T={a}, lower side: y_a - y_0 <= 0
+        blocks = [[(ya, 1.0), (y0, -1.0)]]
+        if m:
+            ya, yb, yab, y0 = 1 + self.pa, 1 + self.pb, 1 + n + np.arange(m), np.zeros(m, dtype=int)
+            blocks += [
+                # S=empty, T={a,b}: 0 <= y0 - ya - yb + yab  and  (...) <= y0
+                [(y0, -1.0), (ya, 1.0), (yb, 1.0), (yab, -1.0)],
+                [(ya, -1.0), (yb, -1.0), (yab, 1.0)],
+                # S={a}, T={b} and S={b}, T={a}, lower sides: monotonicity
+                [(yab, 1.0), (ya, -1.0)],
+                [(yab, 1.0), (yb, -1.0)],
+            ]
+        if t:
+            ya, yb, yc = 1 + self.ta, 1 + self.tb, 1 + self.tc
+            yab = 1 + n + self.pr[self.ta, self.tb]
+            yac = 1 + n + self.pr[self.ta, self.tc]
+            ybc = 1 + n + self.pr[self.tb, self.tc]
+            yabc, y0 = 1 + n + m + np.arange(t), np.zeros(t, dtype=int)
+            # S=empty, T={a,b,c}: lower and upper
+            blocks += [
+                [(y0, -1.0), (ya, 1.0), (yb, 1.0), (yc, 1.0), (yab, -1.0), (yac, -1.0), (ybc, -1.0),
+                 (yabc, 1.0)],
+                [(ya, -1.0), (yb, -1.0), (yc, -1.0), (yab, 1.0), (yac, 1.0), (ybc, 1.0), (yabc, -1.0)],
+            ]
+            # S={a}, T={b,c} (three rotations): lower and upper
+            for (s_, p_, q_) in ((ya, yab, yac), (yb, yab, ybc), (yc, yac, ybc)):
+                blocks += [
+                    [(s_, -1.0), (p_, 1.0), (q_, 1.0), (yabc, -1.0)],
+                    [(p_, -1.0), (q_, -1.0), (yabc, 1.0)],
+                ]
+            # S=pair, T={third}: monotonicity
+            blocks += [[(yabc, 1.0), (p_, -1.0)] for p_ in (yab, yac, ybc)]
+        rows, ranks, coefs = [], [], []
+        count = 0
+        for terms in blocks:
+            k = len(terms[0][0])
+            for rk, coef in terms:
+                rows.append(count + np.arange(k))
+                ranks.append(rk)
+                coefs.append(np.full(k, coef))
+            count += k
+        return np.concatenate(rows), np.concatenate(ranks), np.concatenate(coefs), count
+
+    def _growth_entries(self):
+        """(rows, ranks) of the +1 terms of the size-consistency rows (5):
+        the row of S (ranked like S, |S| <= 2) holds y_{S+u} for u not in S."""
+        n, m = self.n, self.m
+        tail = 1 + n + self.pr
+        rows = [np.zeros(n, dtype=int), 1 + self.pa, 1 + self.pb,
+                tail[self.tb, self.tc], tail[self.ta, self.tc], tail[self.ta, self.tb]]
+        pair_ranks = 1 + n + np.arange(m)
+        triple_ranks = 1 + n + m + np.arange(self.t)
+        ranks = [1 + np.arange(n), pair_ranks, pair_ranks, triple_ranks, triple_ranks, triple_ranks]
+        return np.concatenate(rows), np.concatenate(ranks)
 
 
-def _box_constraint_rows(lp: LinearProgram, col_of, n: int, si: _SetIndex) -> None:
-    """Inclusion-exclusion box rows over one layer of set variables.
-
-    ``col_of(rank_array)`` maps local set ranks to LP columns. Emits, for all
-    disjoint (S, T) with 1 <= |T| and |S u T| <= 3, the two-sided constraint
-    sum_{T' <= T} (-1)^{|T'|} y_{S u T'} in [0, y_S], skipping rows that
-    reduce to plain sign constraints.
-    """
-    one = np.ones
-    y0 = col_of(np.array([si.rank(())]))[0]
-    yi = col_of(np.array([si.rank((i,)) for i in range(n)]))
-    # k=1: S=empty, T={a}, lower side: y_a - y_0 <= 0
-    rows = np.arange(n)
-    lp.add_rows(n, "<", 0.0, [(rows, yi, one(n)), (rows, np.full(n, y0), -one(n))])
-    if si.m:
-        A = np.array([p[0] for p in si.pairs])
-        B = np.array([p[1] for p in si.pairs])
-        yA, yB = yi[A], yi[B]
-        yAB = col_of(1 + n + np.arange(si.m))
-        m = si.m
-        rows = np.arange(m)
-        # S=empty, T={a,b}: 0 <= y0 - ya - yb + yab  and  (...) <= y0
-        lp.add_rows(
-            m, "<", 0.0,
-            [(rows, np.full(m, y0), -one(m)), (rows, yA, one(m)), (rows, yB, one(m)), (rows, yAB, -one(m))],
-        )
-        lp.add_rows(m, "<", 0.0, [(rows, yA, -one(m)), (rows, yB, -one(m)), (rows, yAB, one(m))])
-        # S={a}, T={b} and S={b}, T={a}, lower sides: monotonicity
-        lp.add_rows(m, "<", 0.0, [(rows, yAB, one(m)), (rows, yA, -one(m))])
-        lp.add_rows(m, "<", 0.0, [(rows, yAB, one(m)), (rows, yB, -one(m))])
-    if si.t:
-        t = len(si.triples)
-        TA = np.array([x[0] for x in si.triples])
-        TB = np.array([x[1] for x in si.triples])
-        TC = np.array([x[2] for x in si.triples])
-        ya, yb, yc = yi[TA], yi[TB], yi[TC]
-        yab = col_of(1 + n + si.pr[TA, TB])
-        yac = col_of(1 + n + si.pr[TA, TC])
-        ybc = col_of(1 + n + si.pr[TB, TC])
-        yabc = col_of(1 + n + si.m + np.arange(t))
-        rows = np.arange(t)
-        # S=empty, T={a,b,c}: lower and upper
-        lp.add_rows(
-            t, "<", 0.0,
-            [(rows, np.full(t, y0), -one(t)), (rows, ya, one(t)), (rows, yb, one(t)), (rows, yc, one(t)),
-             (rows, yab, -one(t)), (rows, yac, -one(t)), (rows, ybc, -one(t)), (rows, yabc, one(t))],
-        )
-        lp.add_rows(
-            t, "<", 0.0,
-            [(rows, ya, -one(t)), (rows, yb, -one(t)), (rows, yc, -one(t)),
-             (rows, yab, one(t)), (rows, yac, one(t)), (rows, ybc, one(t)), (rows, yabc, -one(t))],
-        )
-        # S={a}, T={b,c} (three rotations): lower and upper
-        for (s_, p_, q_) in ((ya, yab, yac), (yb, yab, ybc), (yc, yac, ybc)):
-            lp.add_rows(
-                t, "<", 0.0,
-                [(rows, s_, -one(t)), (rows, p_, one(t)), (rows, q_, one(t)), (rows, yabc, -one(t))],
-            )
-            lp.add_rows(
-                t, "<", 0.0,
-                [(rows, p_, -one(t)), (rows, q_, -one(t)), (rows, yabc, one(t))],
-            )
-        # S=pair, T={third}: monotonicity
-        for p_ in (yab, yac, ybc):
-            lp.add_rows(t, "<", 0.0, [(rows, yabc, one(t)), (rows, p_, -one(t))])
+@lru_cache(maxsize=64)
+def _set_index(n: int) -> _SetIndex:
+    return _SetIndex(n)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +634,11 @@ def build_set_lp(
     size s, for |S| <= r.  Cluster-size windows pin y^s_S = 0 whenever some
     u in S cannot live in a size-s cluster (its atom is kept whole, or the
     size is within the forbidden margin above the atom size).
+
+    Columns: xt per local pair, then one block of set variables (ranked as
+    in :class:`_SetIndex`) for y and one per size s = 1..n for y^s.  Rows:
+    (1), (3), (4), (7), then (5) for every s, then (9) for every s.  The
+    per-layer rows are one pattern tiled over the layers.
     """
     if r < 2:
         raise ValueError("set LP needs lift order r >= 2")
@@ -557,99 +648,81 @@ def build_set_lp(
     n = len(verts)
     if n == 0:
         raise ValueError("empty vertex set")
-    si = _SetIndex(n)
+    si = _set_index(n)
+    m, B = si.m, si.block
     lp = LinearProgram(f"set-lp(n'={n},r={r})")
-    glob = np.asarray(verts)
-
-    def gpair(i: int, j: int) -> Pair:
-        return pair_key(verts[i], verts[j])
 
     # variables: xt per local pair, then y sets, then y^s sets per s
-    xt_keys = [("xt", gpair(i, j)) for (i, j) in si.pairs]
-    xt_cols = lp.add_vars(xt_keys)
-    set_keys = [("y", tuple(glob[list(s)])) for s in si.sets()]
-    y_base = lp.add_vars(set_keys)[0]
-    lp.set_bounds([y_base], lb=0.0, ub=float(n))  # y_empty counts clusters
-    ys_base = []
-    for s in range(1, n + 1):
-        cols = lp.add_vars([("ys", s, tuple(glob[list(t)])) for t in si.sets()])
-        ys_base.append(cols[0])
-        lp.set_bounds([cols[0]], lb=0.0, ub=float(n))
-
-    def ycol(ranks):
-        return y_base + np.asarray(ranks, dtype=int)
-
-    def yscol(s, ranks):
-        return ys_base[s - 1] + np.asarray(ranks, dtype=int)
-
-    B = si.block
+    if verts == list(range(n)):
+        gsets = si.sets
+    else:
+        gsets = [tuple(map(verts.__getitem__, S)) for S in si.sets]
+    gpairs = gsets[1 + n : 1 + n + m]
+    lp.add_vars(
+        [("xt", p) for p in gpairs]
+        + [("y", S) for S in gsets]
+        + [("ys", s, S) for s in range(1, n + 1) for S in gsets]
+    )
+    layers = np.arange(1, n + 1)
+    ys_base = m + B * layers  # first column (the empty set) of each layer
+    lp.set_bounds(np.concatenate([[m], ys_base]), ub=float(n))  # empty sets count clusters
     # (2) y_u = 1
-    lp.fix_vars(ycol(1 + np.arange(n)), 1.0)
+    lp.fix_vars(m + 1 + np.arange(n), 1.0)
 
-    # pinning by pair class, size windows, and s < |S|
-    atom_local: list[frozenset[int]] = []
-    loc_of = {v: i for i, v in enumerate(verts)}
-    for v in verts:
-        atom_local.append(frozenset(loc_of[w] for w in pre.atom_of(v) if w in loc_of))
-    non_adm_pair = np.zeros((n, n), dtype=bool)
-    atomic_pair = np.zeros((n, n), dtype=bool)
-    for (i, j) in si.pairs:
-        cls = pre.classify_pair(verts[i], verts[j])
-        if cls == "non_admissible":
-            non_adm_pair[i, j] = non_adm_pair[j, i] = True
-        elif cls == "atomic":
-            atomic_pair[i, j] = atomic_pair[j, i] = True
+    # pair classes: atomic (same proper atom), admissible, non-admissible
+    atom = np.asarray(pre.atom_index)[verts]
+    same = (atom[:, None] == atom[None, :]) & (atom[:, None] >= 0) | np.eye(n, dtype=bool)
+    non_adm = np.zeros((n, n), dtype=bool)
+    non_adm[si.pa, si.pb] = ~same[si.pa, si.pb] & ~np.fromiter(
+        (p in pre.adm for p in gpairs), dtype=bool, count=m
+    )
+    non_adm |= non_adm.T
     # (6) atomic xt = 0
-    for k, (i, j) in enumerate(si.pairs):
-        if atomic_pair[i, j]:
-            lp.fix_vars([xt_cols[k]], 0.0)
+    lp.fix_vars(np.flatnonzero(same[si.pa, si.pb]), 0.0)
     d_adm = [pre.d_adm(v) for v in verts]
-    a_size = [len(atom_local[i]) for i in range(n)]
 
-    def size_ok(s: int, i: int, S: tuple[int, ...]) -> bool:
-        if s == a_size[i]:
-            return all(j in atom_local[i] for j in S)
-        # sizes inside the open margin above the atom size are forbidden;
-        # the boundary itself stays allowed (the refinement that justifies
-        # this pin only splits clusters strictly inside the margin)
-        return s >= a_size[i] + epsilon * d_adm[i] - _WINDOW_TOL
+    # Size windows.  Vertex i fits a size-s cluster with set S if s is its
+    # atom's size and S lies inside that atom, or s is outside the open
+    # margin above the atom size (the boundary itself stays allowed: the
+    # refinement that justifies this pin only splits clusters strictly
+    # inside the margin).  Atoms are equivalence classes, so "S lies inside
+    # i's atom" is the same for every i in S.
+    a_size = same.sum(axis=1)
+    at_size = layers[None, :] == a_size[:, None]
+    beyond = ~at_size & (layers[None, :] >= (a_size + epsilon * np.asarray(d_adm) - _WINDOW_TOL)[:, None])
+    pa, pb, ta, tb, tc = si.pa, si.pb, si.ta, si.tb, si.tc
+    whole2 = same[pa, pb][:, None]
+    whole3 = (same[ta, tb] & same[ta, tc])[:, None]
+    y_pinned = np.concatenate([
+        np.zeros(1 + n, dtype=bool), non_adm[pa, pb], non_adm[ta, tb] | non_adm[ta, tc] | non_adm[tb, tc]
+    ])
+    ys_pinned = np.concatenate([
+        np.zeros((1, n), dtype=bool),
+        ~(beyond | at_size),
+        ~((beyond[pa] | at_size[pa] & whole2) & (beyond[pb] | at_size[pb] & whole2)) | (layers < 2),
+        ~((beyond[ta] | at_size[ta] & whole3) & (beyond[tb] | at_size[tb] & whole3)
+          & (beyond[tc] | at_size[tc] & whole3)) | (layers < 3),
+    ]) | y_pinned[:, None]  # (set rank, layer)
+    lp.fix_vars(m + np.flatnonzero(y_pinned), 0.0)
+    lp.fix_vars(m + B + np.flatnonzero(ys_pinned.T), 0.0)
 
-    zero_y: list[int] = []
-    zero_ys: list[int] = []
-    for S in si.sets():
-        if len(S) < 2:
-            continue
-        if any(non_adm_pair[i, j] for (i, j) in combinations(S, 2)):
-            rk = si.rank(S)
-            zero_y.append(int(ycol([rk])[0]))
-            zero_ys.extend(int(yscol(s, [rk])[0]) for s in range(1, n + 1))
-    for S in si.sets():
-        if not S:
-            continue
-        rk = si.rank(S)
-        for s in range(1, n + 1):
-            if s < len(S) or not all(size_ok(s, i, S) for i in S):
-                zero_ys.append(int(yscol(s, [rk])[0]))
-    if zero_y:
-        lp.fix_vars(np.array(zero_y), 0.0)
-    if zero_ys:
-        lp.fix_vars(np.array(sorted(set(zero_ys))), 0.0)
+    def tiled(rows, row_count, ranks):
+        """Rows and columns of one layer's pattern repeated for s = 1..n."""
+        return (((layers - 1) * row_count)[:, None] + rows).ravel(), (ys_base[:, None] + ranks).ravel()
 
     # (1) sum_s y^s_S = y_S, for every S
     rows = np.arange(B)
-    entries = [(rows, ycol(np.arange(B)), -np.ones(B))]
-    for s in range(1, n + 1):
-        entries.append((rows, yscol(s, np.arange(B)), np.ones(B)))
-    lp.add_rows(B, "=", 0.0, entries)
+    lp.add_rows(B, "=", 0.0, [(rows, m + rows, -np.ones(B)),
+                              (np.tile(rows, n), m + B + np.arange(n * B), np.ones(n * B))])
 
     # (3) y_uv + xt_uv = 1
-    m = si.m
     if m:
         rows = np.arange(m)
-        ypair = ycol(1 + n + np.arange(m))
+        xt_cols = np.arange(m)
+        ypair = m + 1 + n + rows
         lp.add_rows(m, "=", 1.0, [(rows, ypair, np.ones(m)), (rows, xt_cols, np.ones(m))])
         # (4) xt_uv >= x_uv  (parameter rows: -xt <= -x)
-        pcols = np.array([lp.param_col(gpair(i, j), x.x(verts[i], verts[j])) for (i, j) in si.pairs])
+        pcols = np.array([lp.param_col(p, x.x(*p)) for p in gpairs])
         lp.add_rows(
             m, "<", 0.0, [(rows, xt_cols, -np.ones(m))], [(rows, pcols, np.ones(m))]
         )
@@ -663,48 +736,21 @@ def build_set_lp(
         )
 
     # (5) size consistency: sum_{u not in S} y^s_{Su} = (s - |S|) y^s_S, |S| <= 2
-    for s in range(1, n + 1):
-        row = 0
-        entries = []
-        # S = empty
-        entries.append((np.zeros(n, dtype=int), yscol(s, 1 + np.arange(n)), np.ones(n)))
-        entries.append((np.zeros(1, dtype=int), yscol(s, [0]), np.array([-float(s)])))
-        lp.add_rows(1, "=", 0.0, entries)
-        # S = {i}
-        ri, ci, vi = [], [], []
-        for i in range(n):
-            others = [j for j in range(n) if j != i]
-            ranks = 1 + n + si.pr[i, others]
-            ri.extend([i] * len(others))
-            ci.extend(yscol(s, ranks).tolist())
-            vi.extend([1.0] * len(others))
-        rows = np.arange(n)
-        lp.add_rows(
-            n, "=", 0.0,
-            [(np.array(ri), np.array(ci), np.array(vi)),
-             (rows, yscol(s, 1 + np.arange(n)), np.full(n, -(s - 1.0)))],
-        )
-        # S = pair
-        if m and n > 2:
-            ri, ci, vi = [], [], []
-            for k, (i, j) in enumerate(si.pairs):
-                others = [l for l in range(n) if l != i and l != j]
-                ranks = [1 + n + si.m + si.tr[tuple(sorted((i, j, l)))] for l in others]
-                ri.extend([k] * len(others))
-                ci.extend(yscol(s, np.array(ranks)).tolist())
-                vi.extend([1.0] * len(others))
-            rows = np.arange(m)
-            entries = [(rows, yscol(s, 1 + n + np.arange(m)), np.full(m, -(s - 2.0)))]
-            if ri:
-                entries.append((np.array(ri), np.array(ci), np.array(vi)))
-            lp.add_rows(m, "=", 0.0, entries)
-        elif m:
-            rows = np.arange(m)
-            lp.add_rows(m, "=", 0.0, [(rows, yscol(s, 1 + n + np.arange(m)), np.full(m, -(s - 2.0)))])
+    count = 1 + n + m
+    own = np.arange(count)
+    grow_rows, grow_ranks = si.growth
+    r_grow, c_grow = tiled(grow_rows, count, grow_ranks)
+    r_own, c_own = tiled(own, count, own)
+    lp.add_rows(
+        n * count, "=", 0.0,
+        [(r_grow, c_grow, np.ones(len(r_grow))),
+         (r_own, c_own, (-(layers[:, None] - si.size[own].astype(float))).ravel())],
+    )
 
     # (9) inclusion-exclusion box constraints, one layer per size s
-    for s in range(1, n + 1):
-        _box_constraint_rows(lp, lambda ranks, s=s: yscol(s, ranks), n, si)
+    box_rows, box_ranks, box_coefs, count = si.box
+    r_box, c_box = tiled(box_rows, count, box_ranks)
+    lp.add_rows(n * count, "<", 0.0, [(r_box, c_box, np.tile(box_coefs, n))])
     return lp
 
 
@@ -723,10 +769,9 @@ def build_pivot_lp(
     if r > 3:
         raise ValueError("pivot LP supports r <= 3 (sets up to triples)")
     n = g.n
-    si = _SetIndex(n)
+    si = _set_index(n)
     lp = LinearProgram(f"pivot-lp(n={n},r={r})")
-    set_keys = [("y", tuple(s)) for s in si.sets()]
-    cols = lp.add_vars(set_keys)
+    cols = lp.add_vars([("y", S) for S in si.sets])
     y_base = cols[0]
     lp.set_bounds([y_base], lb=0.0, ub=float(n))  # y_empty counts clusters
 
@@ -742,16 +787,14 @@ def build_pivot_lp(
     lp.add_rows(m, "<", 1.0, [(rows, ypair, np.ones(m))], [(rows, pcols, np.ones(m))])
     lp.add_rows(m, "<", -1.0, [(rows, ypair, -np.ones(m))], [(rows, pcols, -np.ones(m))])
     # box constraints (single layer)
-    _box_constraint_rows(lp, ycol, n, si)
+    box_rows, box_ranks, box_coefs, count = si.box
+    lp.add_rows(count, "<", 0.0, [(box_rows, ycol(box_ranks), box_coefs)])
     # triangle rows: y_ab + y_ac + y_bc - 2 y_abc <= 1
     t = si.t
     if t:
-        TA = np.array([x_[0] for x_ in si.triples])
-        TB = np.array([x_[1] for x_ in si.triples])
-        TC = np.array([x_[2] for x_ in si.triples])
-        yab = ycol(1 + n + si.pr[TA, TB])
-        yac = ycol(1 + n + si.pr[TA, TC])
-        ybc = ycol(1 + n + si.pr[TB, TC])
+        yab = ycol(1 + n + si.pr[si.ta, si.tb])
+        yac = ycol(1 + n + si.pr[si.ta, si.tc])
+        ybc = ycol(1 + n + si.pr[si.tb, si.tc])
         yabc = ycol(1 + n + m + np.arange(t))
         rows = np.arange(t)
         lp.add_rows(
@@ -769,31 +812,31 @@ def build_pivot_lp(
 
 @dataclass
 class LiftedSolution:
-    """Point of one of the lifted relaxations, with set-indexed accessors.
+    """Point of one of the lifted relaxations, keyed by the LP's variable
+    keys, with set-indexed accessors.
 
-    Variables indexed by nonempty sets are clamped to [0,1] (at solver
-    tolerance); empty-set variables count clusters and stay unclamped.
+    Variables indexed by nonempty sets (and xt) are clamped to [0,1]; the
+    solver's excursions beyond it are at tolerance level, and larger ones
+    raise at extraction.  Empty-set variables count clusters and are only
+    floored at 0.
     """
 
     kind: str  # 'set' or 'pivot'
-    vertices: tuple[int, ...]
     r: int
-    y: dict[tuple[int, ...], float]
-    ys: dict[tuple[int, tuple[int, ...]], float]
-    xt: dict[Pair, float]
+    values: dict[tuple, float]
 
     @property
     def y0(self) -> float:
-        return self.y[()]
+        return self.values[("y", ())]
 
     def y_of(self, vs: Iterable[int]) -> float:
-        return self.y[tuple(sorted(set(vs)))]
+        return self.values[("y", tuple(sorted(set(vs))))]
 
     def ys_of(self, s: int, vs: Iterable[int]) -> float:
-        return self.ys[(s, tuple(sorted(set(vs))))]
+        return self.values[("ys", s, tuple(sorted(set(vs))))]
 
     def xt_of(self, u: int, v: int) -> float:
-        return self.xt[pair_key(u, v)]
+        return self.values[("xt", pair_key(u, v))]
 
     # partition-event helpers on triples (pivot-style layer)
     def split_all3(self, a: int, b: int, c: int) -> float:
@@ -804,29 +847,25 @@ class LiftedSolution:
         return self.y_of((b, c)) - self.y_of((a, b, c))
 
 
-def _clamp01(v: float, tol: float = 1e-6) -> float:
-    if -tol <= v <= 1 + tol:
-        return min(1.0, max(0.0, v))
-    return v
+_LIFT_TOL = 1e-6  # largest excursion outside [0,1] accepted as solver noise
 
 
 def lifted_from_result(lp: LinearProgram, res: LPResult, kind: str, r: int) -> LiftedSolution:
     if res.status != "optimal" or res.values is None:
         raise ValueError(f"cannot extract a lifted solution from status {res.status}")
-    y: dict[tuple[int, ...], float] = {}
-    ys: dict[tuple[int, tuple[int, ...]], float] = {}
-    xt: dict[Pair, float] = {}
-    verts: set[int] = set()
-    for key, val in zip(lp.var_keys, res.values):
-        v = float(val)
-        if key[0] == "y":
-            y[key[1]] = _clamp01(v) if key[1] else max(0.0, v)
-            verts.update(key[1])
-        elif key[0] == "ys":
-            ys[(key[1], key[2])] = _clamp01(v) if key[2] else max(0.0, v)
-        elif key[0] == "xt":
-            xt[key[1]] = _clamp01(v)
-    return LiftedSolution(kind, tuple(sorted(verts)), r, y, ys, xt)
+    v = np.asarray(res.values, dtype=float)
+    empty = np.fromiter((key[-1] == () for key in lp.var_keys), dtype=bool, count=len(v))
+    bad = np.flatnonzero(~(empty | ((v >= -_LIFT_TOL) & (v <= 1 + _LIFT_TOL))))
+    if bad.size:
+        i = bad[0]
+        raise LPError(
+            f"{lp.name}: {_key_name(lp.var_keys[i])} = {v[i]!r} lies outside [0,1] by more than "
+            f"{_LIFT_TOL:g} ({bad.size} such values)"
+        )
+    # np.where, not np.maximum/np.clip: those may return -0.0 for a -0.0 input
+    floored = np.where(v > 0.0, v, 0.0)
+    clamped = np.where(empty | (floored < 1.0), floored, 1.0)
+    return LiftedSolution(kind, r, dict(zip(lp.var_keys, clamped.tolist())))
 
 
 # ---------------------------------------------------------------------------

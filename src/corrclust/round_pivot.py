@@ -38,7 +38,7 @@ from .lp import (
     separation_from_infeasibility,
     solve,
 )
-from .round_set import BudgetLedger, RoundingParams, RoundingReport
+from .round_set import BudgetLedger, LedgerError, RoundingParams, RoundingReport
 
 F_PLUS_CONSTANT = 1.515
 
@@ -217,10 +217,10 @@ def _pivot_trial(
         clusters.append(cluster)
     clustering = Clustering.from_sets(g.n, clusters)
     cost = clustering_cost(g, clustering)
-    assert cost == ledger.realized_total, "ledger out of sync with realized clustering"
-    lp_ceiling = sum(budget.pair_budget(p in g.plus, x.x(*p)) for p in all_pairs(g.n))
-    assert abs(ledger.lp_total - lp_ceiling) <= 1e-9, "LP budget total off its ceiling"
-    assert abs(ledger.err_total - budget.epsilon * len(pre.adm)) <= 1e-9, "error budget total off"
+    ledger.reconcile(cost, {
+        "lp_budget": sum(budget.pair_budget(p in g.plus, x.x(*p)) for p in all_pairs(g.n)),
+        "error_budget": budget.epsilon * len(pre.adm),
+    })
     return RoundingReport("pivot", clustering, cost, ledger, eps_r, trace)
 
 
@@ -250,7 +250,8 @@ def pivot_based_round(
         eps_r = max(eps_r, rep.measured_eps_r)
         if best is None or rep.cost < best.cost:
             best = rep
-    assert best is not None
+    if best is None:
+        raise LedgerError("no completed trial to report")
     best.measured_eps_r = eps_r
     return best
 

@@ -48,6 +48,12 @@ from .lp import (
 PROB_FLOOR = 1e-12
 
 
+class LedgerError(RuntimeError):
+    """A budget ledger that breaks at-most-once release or does not reconcile
+    with the realized clustering or the closed-form budget ceilings.  Raised,
+    not asserted, so the checks also run under ``python -O``."""
+
+
 @dataclass(frozen=True)
 class RoundingParams:
     """Knobs shared by both rounding schemes."""
@@ -88,19 +94,19 @@ class BudgetLedger:
 
     def release_pair(self, p: Pair, lp_amount: float, err_amount: float) -> None:
         if p in self.lp_released:
-            raise RuntimeError(f"pair {p} released twice")
+            raise LedgerError(f"pair {p} released twice")
         self.lp_released[p] = lp_amount
         if err_amount:
             self.err_released[p] = err_amount
 
     def release_vertex(self, v: int, amount: float) -> None:
         if v in self.diff_released:
-            raise RuntimeError(f"vertex {v} released twice")
+            raise LedgerError(f"vertex {v} released twice")
         self.diff_released[v] = amount
 
     def record_cost(self, p: Pair) -> None:
         if p in self.realized:
-            raise RuntimeError(f"pair {p} charged twice")
+            raise LedgerError(f"pair {p} charged twice")
         self.realized[p] = 1
 
     @property
@@ -126,6 +132,17 @@ class BudgetLedger:
             "difference_budget": self.diff_total,
             "realized_cost": float(self.realized_total),
         }
+
+    def reconcile(self, cost: int, ceilings: dict[str, float]) -> None:
+        """Check a completed run: the realized cost equals the clustering's
+        cost, and each named total (``lp_budget``, ``error_budget``,
+        ``difference_budget``) equals its closed-form ceiling."""
+        if cost != self.realized_total:
+            raise LedgerError(f"ledger realized {self.realized_total}, clustering costs {cost}")
+        totals = self.totals()
+        for name, ceiling in ceilings.items():
+            if not abs(totals[name] - ceiling) <= 1e-9:
+                raise LedgerError(f"{name} total {totals[name]!r} off its ceiling {ceiling!r}")
 
 
 @dataclass
@@ -161,7 +178,8 @@ class RoundingReport:
 
 
 class SolveCache:
-    """Memoizes lifted-LP solutions per remaining vertex set."""
+    """Memoizes the builder's result per remaining vertex set; set rounding
+    stores (lp, LP result, lifted solution or None when infeasible)."""
 
     def __init__(self, builder: Callable[[frozenset[int]], object]):
         self._builder = builder
@@ -279,11 +297,10 @@ def _set_trial(
         if not vprime:
             break
         key = frozenset(vprime)
-        lp, res = cache.get(key)
+        lp, res, sol = cache.get(key)
         if res.status == "infeasible":
             cert = separation_from_infeasibility(lp, x, res)
             return RoundingReport("set", None, None, None, eps_r, trace, certificate=cert)
-        sol = lifted_from_result(lp, res, "set", params.r)
         cluster, rec = set_based_cstr_clst(vprime, sol, pre, rng, params.depth)
         if measure and not measured:
             m, _ = conditioned_marginals_for(sol, rec["s"], rec["u"], pre, sorted(vprime))
@@ -297,23 +314,17 @@ def _set_trial(
         vprime -= cluster
         clusters.append(cluster)
         trace.append(rec)
-    assert not vprime, "iteration cap hit before all vertices were clustered"
+    if vprime:
+        raise RuntimeError("iteration cap hit before all vertices were clustered")
     clustering = Clustering.from_sets(g.n, clusters)
     cost = clustering_cost(g, clustering)
-    assert cost == ledger.realized_total, "ledger out of sync with realized clustering"
-    _assert_ledger_ceilings(g, pre, x, params.epsilon, ledger)
+    # a completed run has released every budget exactly once
+    ledger.reconcile(cost, {
+        "lp_budget": sum(lp_budget(p in g.plus, x.x(*p)) for p in all_pairs(g.n)),
+        "error_budget": params.epsilon * len(pre.adm),
+        "difference_budget": 2 * params.epsilon * sum(pre.d_adm(v) for v in range(g.n)),
+    })
     return RoundingReport("set", clustering, cost, ledger, eps_r, trace)
-
-
-def _assert_ledger_ceilings(
-    g: SignedGraph, pre: PreclusteredInstance, x: Metric, epsilon: float, ledger: BudgetLedger
-) -> None:
-    """Completed runs must have released every budget exactly once."""
-    lp_ceiling = sum(lp_budget(p in g.plus, x.x(*p)) for p in all_pairs(g.n))
-    assert abs(ledger.lp_total - lp_ceiling) <= 1e-9, "LP budget total off its ceiling"
-    assert abs(ledger.err_total - epsilon * len(pre.adm)) <= 1e-9, "error budget total off"
-    diff_ceiling = 2 * epsilon * sum(pre.d_adm(v) for v in range(g.n))
-    assert abs(ledger.diff_total - diff_ceiling) <= 1e-9, "difference budget total off"
 
 
 def set_based_round(
@@ -330,7 +341,9 @@ def set_based_round(
 
     def build(key: frozenset[int]):
         lp = build_set_lp(sorted(key), pre, x, params.r, params.epsilon)
-        return lp, solve(lp)
+        res = solve(lp)
+        sol = None if res.status == "infeasible" else lifted_from_result(lp, res, "set", params.r)
+        return lp, res, sol
 
     cache = SolveCache(build)
     streams = rng.spawn(params.trials)
@@ -343,7 +356,8 @@ def set_based_round(
         eps_r = max(eps_r, rep.measured_eps_r)
         if best is None or rep.cost < best.cost:
             best = rep
-    assert best is not None
+    if best is None:
+        raise LedgerError("no completed trial to report")
     best.measured_eps_r = eps_r
     return best
 

@@ -1,0 +1,292 @@
+"""Pins the LP models and the solver path.
+
+The golden digests were recorded before the builders were vectorized; any
+change to a model's variable keys, rows, bounds or parameter columns changes
+its digest.  The solver tests check that ``solve()`` returns bitwise what
+``linprog(method="highs-ds")`` returns on the same models, through the direct
+HiGHS call and through the ``linprog`` fallback.
+"""
+
+import hashlib
+from itertools import combinations
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+
+import corrclust.lp as lpmod
+from corrclust.core import Metric, PreclusteredInstance, all_pairs, generate_instance
+from corrclust.lp import (
+    LinearProgram,
+    LPError,
+    LPResult,
+    build_pivot_lp,
+    build_set_lp,
+    build_triangle_lp,
+    lifted_from_result,
+    solve,
+    solve_triangle_lp,
+)
+from corrclust.precluster import AgreementParams, precluster
+
+GOLDEN = {
+    "set_planted_full": "3afd3381b721381b3731eafb0ce2b311427b82bb1d210b1e18d079f665cc109b",
+    "set_planted_atoms": "a904a171cb848c5f6cb90c554ca000700d1863d5b8e73b19fb0c30426c63eee0",
+    "set_adversarial_atoms": "f7b728158546f05450aaf67fdbe6ac23c2b0288bb6d63e05da60c25e2c185dd7",
+    "pivot_planted": "f990c56da7025564e28dea6ecd4cebb9e67bcfc2cccf1a41512d27da98538165",
+    "triangle_planted": "6e1ce74d3a8ffc7488c3c11f5cfb3ad7428932c90586abaa83a1918f1be66992",
+}
+
+
+def _ints(v):
+    if isinstance(v, tuple):
+        return tuple(_ints(u) for u in v)
+    return int(v) if isinstance(v, (int, np.integer)) else v
+
+
+def _digest(lp) -> str:
+    """SHA-256 over the keys, parameters and every array HiGHS is built from;
+    integers are normalized, floats hashed by their bytes (so -0.0 != 0.0)."""
+    h = hashlib.sha256()
+    h.update(repr([_ints(k) for k in lp.var_keys]).encode())
+    h.update(repr([_ints(p) for p in lp.param_pairs]).encode())
+    h.update(np.asarray(lp.param_values, dtype=np.float64).tobytes())
+    A, P, rhs0, senses, lb, ub = lp.matrices()
+    for M in (A, P):
+        h.update(repr(M.shape).encode())
+        for arr, dtype in ((M.indptr, np.int64), (M.indices, np.int64), (M.data, np.float64)):
+            h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    h.update(np.asarray(rhs0, dtype=np.float64).tobytes())
+    h.update("".join(senses.tolist()).encode())
+    h.update(np.asarray(lb, dtype=np.float64).tobytes())
+    h.update(np.asarray(ub, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def _instance(kind, n, sizes):
+    g = generate_instance(kind, n, {"sizes": sizes, "noise": 0.02}, 10_000)
+    pre = precluster(g, AgreementParams(0.1))
+    x, _ = solve_triangle_lp(g, pre)
+    return g, pre, x
+
+
+def _infeasible_set_lp():
+    # an atomic pair forced to distance 1 contradicts its zero pin
+    g = generate_instance("planted_cliques", 5, {"sizes": [5]}, 0)
+    pre = precluster(g, AgreementParams(0.1))
+    bad = dict.fromkeys(all_pairs(5), 0.0)
+    bad[(0, 1)] = 1.0
+    return build_set_lp(range(5), pre, Metric(5, bad), r=3, epsilon=0.05)
+
+
+@pytest.fixture(scope="module")
+def fixture_lps():
+    gp, prep, xp = _instance("planted_cliques", 12, [4, 4, 4])
+    _, prea, xa = _instance("adversarial_mix", 13, [5, 5])
+    assert prep.proper_atoms[0] == frozenset(range(4))
+    return {
+        "set_planted_full": build_set_lp(range(12), prep, xp, 3, 0.05),
+        "set_planted_atoms": build_set_lp(sorted(set(range(12)) - prep.proper_atoms[0]), prep, xp, 3, 0.05),
+        # every adversarial atom here is a singleton
+        "set_adversarial_atoms": build_set_lp(
+            sorted(set(range(13)) - prea.atom_of(0) - prea.atom_of(5)), prea, xa, 3, 0.05
+        ),
+        "pivot_planted": build_pivot_lp(gp, prep, xp, 3),
+        "triangle_planted": build_triangle_lp(gp, prep),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_lp_models_match_golden_digests(fixture_lps, name):
+    assert _digest(fixture_lps[name]) == GOLDEN[name]
+
+
+def _loop_box_rows(col, n):
+    """Reference box rows (9) of one layer, one row at a time, in builder order."""
+    pairs, triples = list(combinations(range(n), 2)), list(combinations(range(n), 3))
+    e = col(())
+    rows = [{col((a,)): 1.0, e: -1.0} for a in range(n)]
+    rows += [{e: -1.0, col((a,)): 1.0, col((b,)): 1.0, col((a, b)): -1.0} for a, b in pairs]
+    rows += [{col((a,)): -1.0, col((b,)): -1.0, col((a, b)): 1.0} for a, b in pairs]
+    rows += [{col((a, b)): 1.0, col((a,)): -1.0} for a, b in pairs]
+    rows += [{col((a, b)): 1.0, col((b,)): -1.0} for a, b in pairs]
+    rows += [{e: -1.0, **{col((v,)): 1.0 for v in t}, **{col(q): -1.0 for q in combinations(t, 2)}, col(t): 1.0}
+             for t in triples]
+    rows += [{**{col((v,)): -1.0 for v in t}, **{col(q): 1.0 for q in combinations(t, 2)}, col(t): -1.0}
+             for t in triples]
+    for i in range(3):  # S = {t_i}, T = the other two members
+        sides = [[col(tuple(sorted((t[i], t[j])))) for j in range(3) if j != i] for t in triples]
+        rows += [{col((t[i],)): -1.0, **dict.fromkeys(q, 1.0), col(t): -1.0} for t, q in zip(triples, sides)]
+        rows += [{**dict.fromkeys(q, -1.0), col(t): 1.0} for t, q in zip(triples, sides)]
+    for k in range(3):  # S = a pair, T = the third member
+        rows += [{col(t): 1.0, col(list(combinations(t, 2))[k]): -1.0} for t in triples]
+    return rows
+
+
+def _loop_set_lp(vprime, pre, x, epsilon):
+    """Reference set LP, built one set, one layer and one row at a time."""
+    verts = sorted(vprime)
+    n = len(verts)
+    loc = range(n)
+    sets = [()] + [(i,) for i in loc] + list(combinations(loc, 2)) + list(combinations(loc, 3))
+    pairs = sets[1 + n : 1 + n + n * (n - 1) // 2]
+    m, B = len(pairs), len(sets)
+    rank = {S: k for k, S in enumerate(sets)}
+
+    def glob(S):
+        return tuple(verts[i] for i in S)
+
+    def y(S):
+        return m + rank[S]
+
+    def ys(s, S):
+        return m + B * s + rank[S]
+
+    lp = LinearProgram(f"set-lp(n'={n},r=3)")
+    lp.add_vars([("xt", glob(p)) for p in pairs] + [("y", glob(S)) for S in sets]
+                + [("ys", s, glob(S)) for s in range(1, n + 1) for S in sets])
+    lp.set_bounds([y(())] + [ys(s, ()) for s in range(1, n + 1)], ub=float(n))
+    lp.fix_vars([y((i,)) for i in loc], 1.0)
+    cls = {p: pre.classify_pair(*glob(p)) for p in pairs}
+    lp.fix_vars([k for k, p in enumerate(pairs) if cls[p] == "atomic"], 0.0)
+    atom = [{j for j in loc if verts[j] in pre.atom_of(verts[i])} for i in loc]
+    d = [pre.d_adm(v) for v in verts]
+    for S in sets[1:]:
+        non_adm = any(cls[q] == "non_admissible" for q in combinations(S, 2))
+        if non_adm:
+            lp.fix_vars([y(S)], 0.0)
+        for s in range(1, n + 1):
+            fits = all(
+                set(S) <= atom[i] if s == len(atom[i]) else s >= len(atom[i]) + epsilon * d[i] - 1e-9
+                for i in S
+            )
+            if non_adm or s < len(S) or not fits:
+                lp.fix_vars([ys(s, S)], 0.0)
+    for S in sets:  # (1)
+        lp.add_row({y(S): -1.0, **{ys(s, S): 1.0 for s in range(1, n + 1)}}, "=", 0.0)
+    for k, p in enumerate(pairs):  # (3)
+        lp.add_row({y(p): 1.0, k: 1.0}, "=", 1.0)
+    for k, p in enumerate(pairs):  # (4)
+        lp.add_row({k: -1.0}, "<", 0.0, {lp.param_col(glob(p), x.x(*glob(p))): 1.0})
+    if m:  # (7)
+        lp.add_row(dict.fromkeys(range(m), 1.0), "<", epsilon * sum(d), dict.fromkeys(range(m), -1.0))
+    for s in range(1, n + 1):  # (5)
+        for S in sets[: 1 + n + m]:
+            grow = {ys(s, tuple(sorted(S + (u,)))): 1.0 for u in loc if u not in S}
+            # float arithmetic, as in the builder: s = |S| gives a stored -0.0
+            lp.add_row({**grow, ys(s, S): -(s - float(len(S)))}, "=", 0.0)
+    for s in range(1, n + 1):  # (9)
+        for row in _loop_box_rows(lambda S: ys(s, S), n):
+            lp.add_row(row, "<", 0.0)
+    return lp
+
+
+def _sweep():
+    """Small instances, vertex subsets that split atoms or not, and epsilons
+    that put cluster sizes on and off the size-window boundary."""
+    rng = np.random.default_rng(3)
+    atoms = PreclusteredInstance(6, (frozenset({0, 1, 2}),), frozenset({(0, 3), (1, 3), (2, 3), (3, 4)}), 0.1)
+    yield atoms, Metric(6, dict.fromkeys(all_pairs(6), 0.5)), [[0, 1, 2, 3, 4, 5], [0, 1, 3], [1, 2, 4, 5], [3]]
+    for seed, (kind, n, params) in enumerate([
+        ("uniform_random", 1, None), ("uniform_random", 2, None), ("uniform_random", 5, None),
+        ("planted_cliques", 7, {"sizes": [3, 4], "noise": 0.05}),
+        ("adversarial_mix", 8, {"sizes": [3, 3], "noise": 0.05}),
+    ]):
+        g = generate_instance(kind, n, params, seed)
+        pre = precluster(g, AgreementParams(0.3))
+        x = Metric(n, {p: float(rng.choice([0.0, 0.5, 1.0, rng.random()])) for p in all_pairs(n)})
+        subsets = [list(range(n))] + [sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+                                      for _ in range(2)]
+        yield pre, x, subsets
+
+
+def test_set_lp_matches_loop_reference():
+    for pre, x, subsets in _sweep():
+        for vprime in subsets:
+            for epsilon in (0.05, 1 / 3, 0.5, 2 / 3, 1.0):
+                assert _digest(build_set_lp(vprime, pre, x, 3, epsilon)) == _digest(
+                    _loop_set_lp(vprime, pre, x, epsilon)
+                ), (vprime, epsilon)
+
+
+def _reference(lp):
+    """The program solved through linprog, as solve() always did before."""
+    A, P, rhs0, senses, lb, ub = lp.matrices()
+    b = lp.effective_rhs()
+    ineq = senses == "<"
+    eq = ~ineq
+    c = np.zeros(lp.num_vars)
+    const = 0.0
+    if lp.objective is not None:
+        cols, coefs, const = lp.objective
+        np.add.at(c, cols, coefs)
+    res = linprog(
+        c,
+        A_ub=A[ineq] if ineq.any() else None,
+        b_ub=b[ineq] if ineq.any() else None,
+        A_eq=A[eq] if eq.any() else None,
+        b_eq=b[eq] if eq.any() else None,
+        bounds=list(zip(lb, ub)),
+        method="highs-ds",
+        options=dict(lpmod._HIGHS_OPTS),
+    )
+    return res, const
+
+
+def _assert_same_as_linprog(lp, res):
+    ref, const = _reference(lp)
+    assert {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status] == res.status
+    if ref.status == 0:
+        assert res.values.tobytes() == ref.x.tobytes()
+        assert res.objective == ref.fun + const
+        assert res.iterations == ref.nit
+
+
+def test_solve_matches_linprog_bitwise(fixture_lps):
+    assert lpmod._HIGHS is not None, "scipy's bundled HiGHS interface failed its import check"
+    for lp in [*fixture_lps.values(), _infeasible_set_lp()]:
+        _assert_same_as_linprog(lp, solve(lp))
+    assert solve(fixture_lps["set_planted_full"]).iterations > 0
+
+
+def test_linprog_fallback(fixture_lps, monkeypatch):
+    direct = {name: solve(lp) for name, lp in fixture_lps.items()}
+    monkeypatch.setattr(lpmod, "_HIGHS", None)
+    for name, lp in fixture_lps.items():
+        res = solve(lp)
+        _assert_same_as_linprog(lp, res)
+        assert res.values.tobytes() == direct[name].values.tobytes()
+    infeasible = solve(_infeasible_set_lp())
+    assert infeasible.status == "infeasible" and infeasible.farkas is not None
+
+
+def test_highs_guard_falls_back_on_interface_change(monkeypatch):
+    assert lpmod._load_highs() is lpmod._HIGHS
+
+    def changed(*args, **kwargs):
+        raise TypeError("incompatible function arguments")
+
+    monkeypatch.setattr(lpmod, "_run_highs", changed)
+    with pytest.warns(RuntimeWarning, match="incompatible function arguments.*solving through linprog"):
+        assert lpmod._load_highs() is None
+
+
+def test_extraction_clamps_and_rejects(fixture_lps):
+    lp = fixture_lps["set_planted_atoms"]
+    res = solve(lp)
+    values = res.values.copy()
+    i = lp.var_keys.index(("y", (4, 5)))
+    j = lp.var_keys.index(("ys", 1, ()))
+    values[i] = -0.0
+    values[j] = -1e-3  # empty-set variables are only floored at 0
+    sol = lifted_from_result(lp, LPResult("optimal", values=values), "set", 3)
+    assert sol.y_of((4, 5)) == 0.0 and not np.signbit(sol.y_of((4, 5)))
+    assert sol.ys_of(1, ()) == 0.0
+    values[i] = 1 + 1e-7
+    assert lifted_from_result(lp, LPResult("optimal", values=values), "set", 3).y_of((4, 5)) == 1.0
+    values[i] = 1 + 1e-5
+    with pytest.raises(LPError, match=r"set-lp\(n'=8,r=3\).*y\[4,5\]"):
+        lifted_from_result(lp, LPResult("optimal", values=values), "set", 3)
+    values[i] = np.nan
+    with pytest.raises(LPError):
+        lifted_from_result(lp, LPResult("optimal", values=values), "set", 3)

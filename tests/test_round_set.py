@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -216,3 +222,39 @@ def test_infeasible_extension_returns_certificate():
     assert rep.clustering is None
     assert rep.certificate is not None
     assert rep.certificate.separates(x)
+
+
+def test_ledger_errors_survive_python_O():
+    # the reconciliation checks must raise, not assert: run both roundings
+    # under -O with a tampered ledger that never records a realized cost
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from corrclust.core import SignedGraph
+        from corrclust.lp import solve_triangle_lp
+        from corrclust.precluster import AgreementParams, precluster
+        from corrclust.round_pivot import pivot_based_round
+        from corrclust.round_set import BudgetLedger, LedgerError, RoundingParams, set_based_round
+
+        print("optimize", sys.flags.optimize)
+        BudgetLedger.record_cost = lambda self, p: None
+        g = SignedGraph(3, frozenset({(0, 1), (0, 2)}))  # every clustering costs >= 1
+        pre = precluster(g, AgreementParams(0.1))
+        x, _ = solve_triangle_lp(g, pre)
+        for fn in (set_based_round, pivot_based_round):
+            try:
+                fn(g, pre, x, RoundingParams(), np.random.default_rng(0))
+                print(fn.__name__, "passed")
+            except LedgerError as e:
+                print(fn.__name__, "LedgerError", e)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
+    ).stdout.splitlines()
+    assert out[0] == "optimize 1"
+    assert out[1].startswith("set_based_round LedgerError ledger realized 0, clustering costs")
+    assert out[2].startswith("pivot_based_round LedgerError ledger realized 0, clustering costs")
