@@ -32,14 +32,14 @@ frac = sum(1 for p in all_pairs(8) if 1e-9 < x.values[p] < 1 - 1e-9)
 print(f"metric LP on uniform n=8: cost {lp_cost:.3f}, {frac} fractional pairs")
 
 # Lifted feasibility extensions.
-set_lp = build_set_lp(range(8), pre, x, r=3, epsilon=0.05)
+set_lp = build_set_lp(range(8), pre, x, epsilon=0.05)
 res = solve(set_lp)
 print(f"set lift:   {set_lp.num_rows} rows, {set_lp.num_vars} vars -> {res.status}")
-pivot_lp = build_pivot_lp(g, pre, x, r=3)
+pivot_lp = build_pivot_lp(g, pre, x)
 res_p = solve(pivot_lp)
 print(f"pivot lift: {pivot_lp.num_rows} rows, {pivot_lp.num_vars} vars -> {res_p.status}")
 
-sol = lifted_from_result(set_lp, res, "set", 3)
+sol = lifted_from_result(set_lp, res)
 print(f"  cluster-count variable y_empty = {sol.y0:.3f} "
       "(every vertex is clustered with probability 1/y_empty per draw)")
 
@@ -53,7 +53,7 @@ for line in write_lp_text(pivot_lp, max_rows=4).splitlines()[1:5]:
 # machinery recovers a separating hyperplane.
 g3 = SignedGraph(3, frozenset(all_pairs(3)))
 bad = Metric(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
-lp_bad = build_pivot_lp(g3, trivial_preclustering(3), bad, r=3)
+lp_bad = build_pivot_lp(g3, trivial_preclustering(3), bad)
 res_bad = solve(lp_bad)
 cert = separation_from_infeasibility(lp_bad, bad, res_bad)
 print("\ntriangle-violating metric (x01 = x02 = 0, x12 = 1):", res_bad.status)

@@ -37,15 +37,18 @@ print(__doc__)
 g = generate_instance("uniform_random", 10, None, seed=4)
 pre = precluster(g, AgreementParams(0.1))
 x, lp_cost = solve_triangle_lp(g, pre)
-params = RoundingParams(epsilon=0.05, r=3, trials=8, seed=4, error_trials=400)
+params = RoundingParams(epsilon=0.05, trials=8)
 
 rep_set = set_based_round(g, pre, x, params, np.random.default_rng(4))
 rep_piv = pivot_based_round(g, pre, x, params, np.random.default_rng(5))
 print(f"uniform n=10: metric LP cost {lp_cost:.2f}")
 print(f"  set-based   best of 8: cost {rep_set.cost}  "
-      f"ledger {dict((k, round(v, 2)) for k, v in rep_set.ledger.totals().items())}")
+      f"ledger {dict((k, round(v, 2)) for k, v in rep_set.ledger.totals().items())}  "
+      f"eps_r {rep_set.measured_eps_r:.3f}")
 print(f"  pivot-based best of 8: cost {rep_piv.cost}  "
-      f"ledger {dict((k, round(v, 2)) for k, v in rep_piv.ledger.totals().items())}")
+      f"ledger {dict((k, round(v, 2)) for k, v in rep_piv.ledger.totals().items())}  "
+      f"eps_r {rep_piv.measured_eps_r:.3f}")
+print("  (eps_r: the largest exact pairwise error over every sampled iteration of every trial)")
 
 # Per-edge budget comparison: where each scheme is strong.
 print("\nper-+edge bounds at selected distances (set vs pivot):")
@@ -76,7 +79,7 @@ for kind in ("---", "+--", "++-"):
 
 # End to end, with the exact oracle watching.
 print("\nfull pipeline on 5 seeds (n = 10, best of 16 trials):")
-config = PipelineConfig(epsilon_q=0.1, epsilon=0.05, r=3, trials=16, error_trials=400)
+config = PipelineConfig(epsilon_q=0.1, epsilon=0.05, trials=16)
 for seed in range(5):
     gg = generate_instance("uniform_random", 10, None, seed)
     rep = full_pipeline(gg, config, seed)

@@ -9,7 +9,6 @@ from .core import (
     Metric,
     PreclusteredInstance,
     SignedGraph,
-    classify_pair,
     clustering_cost,
     fractional_cost,
     generate_instance,

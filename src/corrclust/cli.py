@@ -56,7 +56,7 @@ def _out_path(arg: str | None, default_name: str) -> Path:
     return base / default_name
 
 
-def _load_graph(args) -> tuple[SignedGraph, dict]:
+def _load_graph(args, seed: int) -> tuple[SignedGraph, dict]:
     if args.instance and args.gen:
         raise UsageError("give either --instance or --gen, not both")
     if args.instance:
@@ -81,8 +81,8 @@ def _load_graph(args) -> tuple[SignedGraph, dict]:
         sizes = [int(t) for t in tail.split(",")]
         n = args.n if args.n is not None else sum(sizes)
         params = {"sizes": sizes, "noise": args.noise}
-    g = generate_instance(kind, n, params, args.seed)
-    return g, {"generator": {"kind": kind, "n": n, "params": params, "seed": args.seed}}
+    g = generate_instance(kind, n, params, seed)
+    return g, {"generator": {"kind": kind, "n": n, "params": params, "seed": seed}}
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -90,16 +90,18 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def cmd_run(args) -> int:
-    g, source = _load_graph(args)
-    config = PipelineConfig(
+def _config(args) -> PipelineConfig:
+    return PipelineConfig(
         epsilon_q=args.eps_q,
         epsilon=args.eps,
-        r=args.rank,
         trials=args.trials,
         oracle_limit=args.oracle_limit,
     )
-    report = full_pipeline(g, config, args.seed)
+
+
+def cmd_run(args) -> int:
+    g, source = _load_graph(args, args.seed)
+    report = full_pipeline(g, _config(args), args.seed)
     report["source"] = source
     out = _out_path(args.out, f"run_seed{args.seed}.json")
     _write_json(out, report)
@@ -160,37 +162,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
     if args.count < 1:
         raise UsageError("--count must be at least 1")
-    kind = _GEN_ALIASES.get(args.gen.partition(":")[0])
-    if kind is None:
-        raise UsageError(f"unknown generator {args.gen!r}")
-    config = PipelineConfig(
-        epsilon_q=args.eps_q,
-        epsilon=args.eps,
-        r=args.rank,
-        trials=args.trials,
-        oracle_limit=args.oracle_limit,
-    )
+    config = _config(args)
     rows = []
     for i in range(args.count):
         seed = args.seed + i
-        tail = args.gen.partition(":")[2]
-        if kind == "uniform_random":
-            params: dict = {}
-        else:
-            sizes = [int(t) for t in tail.split(",")] if tail else [args.n]
-            params = {"sizes": sizes, "noise": args.noise}
-        g = generate_instance(kind, args.n, params, seed)
+        g, _ = _load_graph(args, seed)
         rep = full_pipeline(g, config, seed)
         if rep["outcome"] != "clustering":
             print(f"seed {seed}: separation certificate; aborting sweep")
             return 2
         row = {
             "seed": seed,
-            "n": args.n,
+            "n": g.n,
             "cost": rep["cost"],
             "lp_cost": round(rep["lp_cost"], 6),
             "ratio_vs_lp": round(rep["cost"] / rep["lp_cost"], 6) if rep["lp_cost"] > 1e-9 else "",
@@ -230,7 +215,6 @@ def _build_parser() -> _Parser:
     def common(sp, seed_required=True):
         sp.add_argument("--eps-q", type=float, default=0.1, help="preclustering agreement parameter")
         sp.add_argument("--eps", type=float, default=0.05, help="rounding error budget per admissible pair")
-        sp.add_argument("--rank", type=int, default=3, help="lift order of the relaxations")
         sp.add_argument("--trials", type=int, default=8, help="best-of trial count per rounding")
         sp.add_argument("--seed", type=int, required=seed_required, help="base seed (mandatory for reproducibility)")
         sp.add_argument("--oracle-limit", type=int, default=16, help="largest n the exact oracle is consulted for")
@@ -253,11 +237,11 @@ def _build_parser() -> _Parser:
 
     ben = sub.add_parser("bench", help="seed sweep with ratio statistics")
     ben.add_argument("--gen", default="uniform", help="generator kind (uniform | planted:<sizes> | adversarial:<sizes>)")
-    ben.add_argument("--n", type=int, default=10)
+    ben.add_argument("--n", type=int, help="vertex count (for generators that need it)")
     ben.add_argument("--count", type=int, default=10, help="number of seeds")
     ben.add_argument("--noise", type=float, default=0.0)
     common(ben)
-    ben.set_defaults(func=cmd_bench)
+    ben.set_defaults(func=cmd_bench, instance=None)
     return p
 
 

@@ -76,7 +76,6 @@ class CombinedReport:
     clustering: Clustering | None
     cost: int | None
     edge_bounds: dict
-    certificate: SeparationCertificate | None = None
 
     @property
     def measured_eps_r(self) -> float:
@@ -125,23 +124,19 @@ def combined_round(
 @dataclass(frozen=True)
 class PipelineConfig:
     """End-to-end knobs. The theory's parameter cascade is exposed as
-    independent dials; defaults are the desk-scale working point."""
+    independent dials; defaults are the desk-scale working point.  The lift
+    order ``r`` is recorded in reports; 3 is the only order the lifted LPs
+    implement."""
 
     epsilon_q: float = 0.1
     epsilon: float = 0.05
     r: int = 3
     trials: int = 1
     oracle_limit: int = 16
-    error_trials: int = 1000
 
-    def rounding_params(self, seed: int) -> RoundingParams:
-        return RoundingParams(
-            epsilon=self.epsilon,
-            r=self.r,
-            trials=self.trials,
-            seed=seed,
-            error_trials=self.error_trials,
-        )
+    def __post_init__(self) -> None:
+        if self.r != 3:
+            raise ValueError(f"lift order r must be 3, got {self.r}")
 
 
 def full_pipeline(g: SignedGraph, config: PipelineConfig, seed: int) -> dict:
@@ -154,7 +149,7 @@ def full_pipeline(g: SignedGraph, config: PipelineConfig, seed: int) -> dict:
     unless something is genuinely broken, so it is flagged)."""
     pre = precluster(g, AgreementParams(config.epsilon_q))
     x, lp_cost = solve_triangle_lp(g, pre)
-    params = config.rounding_params(seed)
+    params = RoundingParams(epsilon=config.epsilon, trials=config.trials)
     outcome = combined_round(g, pre, x, params, np.random.default_rng([seed, 0]))
     report: dict = {
         "n": g.n,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -78,9 +78,6 @@ class SignedGraph:
     def degree(self, v: int) -> int:
         """Self-loop-inclusive +degree, |N_v|."""
         return len(self._plus_adj[v]) + 1
-
-    def minus_pairs(self) -> Iterator[Pair]:
-        return (p for p in all_pairs(self.n) if p not in self.plus)
 
     @property
     def num_plus(self) -> int:
@@ -282,6 +279,9 @@ class PreclusteredInstance:
 
     def validate(self) -> None:
         """Check the structural invariants of a preclustered instance."""
+        for v in chain(*self.proper_atoms, *self.adm):
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
         self.atom_index  # raises on overlapping atoms
         for atom in self.proper_atoms:
             if len(atom) < 2:
@@ -296,11 +296,6 @@ class PreclusteredInstance:
             for v in members[1:]:
                 if self._adm_adj[v] - atom != base:
                     raise ValueError(f"atom {sorted(atom)} has non-uniform admissible neighborhoods")
-
-
-def classify_pair(pre: PreclusteredInstance, u: int, v: int) -> str:
-    """Class of the pair (u, v): atomic, admissible, or non_admissible."""
-    return pre.classify_pair(u, v)
 
 
 def is_good_clustering(pre: PreclusteredInstance, c: Clustering) -> bool:
@@ -416,7 +411,7 @@ def parse_instance(text: str) -> SignedGraph:
     if not lines:
         raise ValueError("empty instance file")
     head = lines[0].split()
-    if len(head) == 4 and head[0] == "n" and head[2] == "default" and head[3] in "+-":
+    if len(head) == 4 and head[0] == "n" and head[2] == "default" and head[3] in ("+", "-"):
         default: str | None = head[3]
     elif len(head) == 2 and head[0] == "n":
         default = None
@@ -431,7 +426,7 @@ def parse_instance(text: str) -> SignedGraph:
     seen: dict[Pair, str] = {}
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 3 or parts[2] not in "+-":
+        if len(parts) != 3 or parts[2] not in ("+", "-"):
             raise ValueError(f"malformed line: {ln!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
@@ -470,7 +465,7 @@ def parse_clustering(text: str, n: int | None = None) -> Clustering:
         labels[v] = cid
     if n is None:
         n = max(labels) + 1 if labels else 0
-    if sorted(labels) != list(range(n)):
+    if len(labels) != n or not all(0 <= v < n for v in labels):
         raise ValueError("clustering is not total over 0..n-1")
     return Clustering.from_assignment([labels[v] for v in range(n)])
 
@@ -498,4 +493,6 @@ def parse_preclustering(text: str, n: int, epsilon_q: float = 0.1) -> Precluster
             adm.add(pair_key(u, v))
         else:
             raise ValueError(f"malformed preclustering line: {ln!r}")
-    return PreclusteredInstance(n, tuple(atoms), frozenset(adm), epsilon_q)
+    pre = PreclusteredInstance(n, tuple(atoms), frozenset(adm), epsilon_q)
+    pre.validate()
+    return pre

@@ -7,8 +7,9 @@ draw a random number t of "seed" elements, sample the seeds' joint in/out
 assignment from the pseudo-distribution (sequentially, via conditioning
 ratios), then include every remaining element independently with its
 seed-conditioned marginal.  Exactness of the single-element marginals is a
-law-of-total-probability fact; the residual pairwise error is *measured*,
-not assumed, and the measured value is what downstream budget checks use.
+law-of-total-probability fact; the residual pairwise error is computed
+exactly by enumerating the seed branches, not assumed, and that value is
+what downstream budget checks use.
 """
 
 from __future__ import annotations
@@ -198,31 +199,17 @@ def exact_pair_probabilities(m: ConditionedMarginals, depth: int) -> dict[Pair, 
 # ---------------------------------------------------------------------------
 
 
-def measure_pairwise_error(
-    m: ConditionedMarginals,
-    trials: int,
-    rng: np.random.Generator,
-    depth: int = 1,
-) -> float:
-    """Average |empirical Pr[v,w in C] - y'_vw| over pairs of elements with
-    fractional marginals; this is the artifact's empirical correlation error.
-    Deterministically decided elements are excluded (they carry no error)."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
+def measure_pairwise_error(m: ConditionedMarginals, depth: int = 1) -> float:
+    """Exact mean |Pr[v,w in C] - y'_vw| over pairs of elements with
+    fractional marginals, with Pr[v,w in C] from branch enumeration; this is
+    the correlation error eps_r that the guarantee charges.  Deterministically
+    decided elements are excluded (they carry no error)."""
     frac = m.fractional()
-    pairs = [pair_key(u, v) for (u, v) in combinations(frac, 2)]
-    if not pairs:
+    if len(frac) < 2:
         return 0.0
-    counts = dict.fromkeys(pairs, 0)
-    for _ in range(trials):
-        chosen = rt_sample(m, depth, rng)
-        for p in pairs:
-            if p[0] in chosen and p[1] in chosen:
-                counts[p] += 1
-    err = 0.0
-    for p in pairs:
-        err += abs(counts[p] / trials - m.value_of(p))
-    return err / len(pairs)
+    both = exact_pair_probabilities(m, depth)
+    pairs = [pair_key(u, v) for (u, v) in combinations(frac, 2)]
+    return sum(abs(both[p] - m.value_of(p)) for p in pairs) / len(pairs)
 
 
 def contract_to_representatives(

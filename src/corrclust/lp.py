@@ -625,32 +625,28 @@ def build_set_lp(
     vprime: Sequence[int],
     pre: PreclusteredInstance,
     x: Metric,
-    r: int = 3,
     epsilon: float = 0.05,
 ) -> LinearProgram:
     """Size-stratified lifted feasibility LP on the remaining vertex set.
 
     Variables: xt (relaxed metric copy), y_S aggregates and y^s_S per cluster
-    size s, for |S| <= r.  Cluster-size windows pin y^s_S = 0 whenever some
-    u in S cannot live in a size-s cluster (its atom is kept whole, or the
-    size is within the forbidden margin above the atom size).
+    size s, for |S| <= 3 (lift order r = 3).  Cluster-size windows pin
+    y^s_S = 0 whenever some u in S cannot live in a size-s cluster (its atom
+    is kept whole, or the size is within the forbidden margin above the atom
+    size).
 
     Columns: xt per local pair, then one block of set variables (ranked as
     in :class:`_SetIndex`) for y and one per size s = 1..n for y^s.  Rows:
     (1), (3), (4), (7), then (5) for every s, then (9) for every s.  The
     per-layer rows are one pattern tiled over the layers.
     """
-    if r < 2:
-        raise ValueError("set LP needs lift order r >= 2")
-    if r > 3:
-        raise ValueError("set LP supports r <= 3 (sets up to triples)")
     verts = sorted(vprime)
     n = len(verts)
     if n == 0:
         raise ValueError("empty vertex set")
     si = _set_index(n)
     m, B = si.m, si.block
-    lp = LinearProgram(f"set-lp(n'={n},r={r})")
+    lp = LinearProgram(f"set-lp(n'={n},r=3)")
 
     # variables: xt per local pair, then y sets, then y^s sets per s
     if verts == list(range(n)):
@@ -759,18 +755,13 @@ def build_set_lp(
 # ---------------------------------------------------------------------------
 
 
-def build_pivot_lp(
-    g: SignedGraph, pre: PreclusteredInstance, x: Metric, r: int = 3
-) -> LinearProgram:
-    """Single-layer lifted feasibility LP over all of V, with the pairwise
-    layer pinned to the input metric and triangle constraints on triples."""
-    if r < 3:
-        raise ValueError("pivot LP needs lift order r >= 3")
-    if r > 3:
-        raise ValueError("pivot LP supports r <= 3 (sets up to triples)")
+def build_pivot_lp(g: SignedGraph, pre: PreclusteredInstance, x: Metric) -> LinearProgram:
+    """Single-layer lifted feasibility LP over all of V (sets up to triples,
+    lift order r = 3), with the pairwise layer pinned to the input metric and
+    triangle constraints on triples."""
     n = g.n
     si = _set_index(n)
-    lp = LinearProgram(f"pivot-lp(n={n},r={r})")
+    lp = LinearProgram(f"pivot-lp(n={n},r=3)")
     cols = lp.add_vars([("y", S) for S in si.sets])
     y_base = cols[0]
     lp.set_bounds([y_base], lb=0.0, ub=float(n))  # y_empty counts clusters
@@ -821,8 +812,6 @@ class LiftedSolution:
     floored at 0.
     """
 
-    kind: str  # 'set' or 'pivot'
-    r: int
     values: dict[tuple, float]
 
     @property
@@ -850,7 +839,7 @@ class LiftedSolution:
 _LIFT_TOL = 1e-6  # largest excursion outside [0,1] accepted as solver noise
 
 
-def lifted_from_result(lp: LinearProgram, res: LPResult, kind: str, r: int) -> LiftedSolution:
+def lifted_from_result(lp: LinearProgram, res: LPResult) -> LiftedSolution:
     if res.status != "optimal" or res.values is None:
         raise ValueError(f"cannot extract a lifted solution from status {res.status}")
     v = np.asarray(res.values, dtype=float)
@@ -865,7 +854,7 @@ def lifted_from_result(lp: LinearProgram, res: LPResult, kind: str, r: int) -> L
     # np.where, not np.maximum/np.clip: those may return -0.0 for a -0.0 input
     floored = np.where(v > 0.0, v, 0.0)
     clamped = np.where(empty | (floored < 1.0), floored, 1.0)
-    return LiftedSolution(kind, r, dict(zip(lp.var_keys, clamped.tolist())))
+    return LiftedSolution(dict(zip(lp.var_keys, clamped.tolist())))
 
 
 # ---------------------------------------------------------------------------

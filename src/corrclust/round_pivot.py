@@ -8,7 +8,7 @@ correlated rounding, and the pivot's atom always joins.
 
 All membership decisions are made at atom granularity so that no atom is
 ever split (members of an atom carry identical lift values toward any
-pivot, which the lifted LP enforces at order r >= 3).
+pivot, which the order-3 lifted LP enforces).
 """
 
 from __future__ import annotations
@@ -21,13 +21,10 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    Clustering,
     Metric,
     Pair,
     PreclusteredInstance,
     SignedGraph,
-    all_pairs,
-    clustering_cost,
     pair_key,
 )
 from .correlated import ConditionedMarginals, measure_pairwise_error, rt_sample
@@ -38,25 +35,30 @@ from .lp import (
     separation_from_infeasibility,
     solve,
 )
-from .round_set import BudgetLedger, LedgerError, RoundingParams, RoundingReport
+from .round_set import (
+    SAMPLER_DEPTH,
+    RoundingParams,
+    RoundingReport,
+    best_of_trials,
+    rounding_trial,
+)
 
 F_PLUS_CONSTANT = 1.515
+MINUS_COEFFICIENT = 2.0
 
 
 @dataclass(frozen=True)
 class PivotBudget:
-    """Budget coefficients of the pivot scheme: f(x) = min(constant + x, 2)
-    for +pairs, a flat coefficient for -pairs, epsilon per admissible pair."""
+    """Budget coefficients of the pivot scheme: f(x) = min(1.515 + x, 2)
+    for +pairs, a flat coefficient 2 for -pairs, epsilon per admissible pair."""
 
-    constant: float = F_PLUS_CONSTANT
-    minus_coefficient: float = 2.0
     epsilon: float = 0.05
 
     def f_plus(self, x: float) -> float:
-        return min(self.constant + x, 2.0)
+        return min(F_PLUS_CONSTANT + x, 2.0)
 
     def pair_budget(self, is_plus: bool, x: float) -> float:
-        return self.f_plus(x) * x if is_plus else self.minus_coefficient * (1.0 - x)
+        return self.f_plus(x) * x if is_plus else MINUS_COEFFICIENT * (1.0 - x)
 
 
 def cleanup(
@@ -144,86 +146,6 @@ def _pivot_marginals(
     return m, rt_groups, indep
 
 
-def _decide_pivot_iteration(
-    g: SignedGraph,
-    pre: PreclusteredInstance,
-    x: Metric,
-    budget: PivotBudget,
-    ledger: BudgetLedger,
-    rem: set[int],
-    cluster: set[int],
-) -> None:
-    remaining = sorted(rem)
-    for i, v in enumerate(remaining):
-        in_v = v in cluster
-        for w in remaining[i + 1 :]:
-            in_w = w in cluster
-            if not (in_v or in_w):
-                continue
-            p = (v, w)
-            is_plus = p in g.plus
-            adm = pre.classify_pair(v, w) == "admissible"
-            ledger.release_pair(
-                p, budget.pair_budget(is_plus, x.x(v, w)), budget.epsilon if adm else 0.0
-            )
-            if (is_plus and in_v != in_w) or (not is_plus and in_v and in_w):
-                ledger.record_cost(p)
-
-
-def _pivot_trial(
-    g: SignedGraph,
-    pre: PreclusteredInstance,
-    x: Metric,
-    sol: LiftedSolution,
-    params: RoundingParams,
-    rng: np.random.Generator,
-    measure: bool,
-) -> RoundingReport:
-    budget = PivotBudget(epsilon=params.epsilon)
-    rem = set(range(g.n))
-    ledger = BudgetLedger()
-    clusters: list[set[int]] = []
-    trace: list[dict] = []
-    eps_r = 0.0
-    measured = False
-    while rem:
-        k = cleanup(rem, g, pre, x, budget)
-        if k is not None:
-            cluster = set(k)
-            trace.append({"cleanup": sorted(k), "size": len(k)})
-        else:
-            order = sorted(rem)
-            p = order[int(rng.integers(0, len(order)))]
-            m, rt_groups, indep = _pivot_marginals(sol, p, pre, rem, g)
-            if measure and not measured:
-                eps_r = measure_pairwise_error(
-                    m, params.error_trials, np.random.default_rng([params.seed, 20_011]), params.depth
-                )
-                measured = True
-            chosen = rt_sample(m, params.depth, rng)
-            cluster = set(pre.atom_of(p) & rem)
-            s_plus = 0
-            for rep in chosen:
-                cluster.update(rt_groups[rep])
-                s_plus += len(rt_groups[rep])
-            s_minus = 0
-            for rep, members, y in indep:
-                if rng.random() < y:
-                    cluster.update(members)
-                    s_minus += len(members)
-            trace.append({"pivot": p, "s_minus": s_minus, "s_plus": s_plus, "size": len(cluster)})
-        _decide_pivot_iteration(g, pre, x, budget, ledger, rem, cluster)
-        rem -= cluster
-        clusters.append(cluster)
-    clustering = Clustering.from_sets(g.n, clusters)
-    cost = clustering_cost(g, clustering)
-    ledger.reconcile(cost, {
-        "lp_budget": sum(budget.pair_budget(p in g.plus, x.x(*p)) for p in all_pairs(g.n)),
-        "error_budget": budget.epsilon * len(pre.adm),
-    })
-    return RoundingReport("pivot", clustering, cost, ledger, eps_r, trace)
-
-
 def pivot_based_round(
     g: SignedGraph,
     pre: PreclusteredInstance,
@@ -233,27 +155,46 @@ def pivot_based_round(
 ) -> RoundingReport:
     """Best of ``params.trials`` pivot rounding runs.  The lifted LP is
     solved once; infeasibility yields a separation certificate instead of a
-    clustering."""
-    if params.r < 3:
-        raise ValueError("pivot rounding needs lift order r >= 3")
-    lp = build_pivot_lp(g, pre, x, params.r)
+    clustering.  Every non-cleanup iteration records the exact correlation
+    error of its conditioned marginals as ``eps_r``."""
+    lp = build_pivot_lp(g, pre, x)
     res = solve(lp)
     if res.status == "infeasible":
         cert = separation_from_infeasibility(lp, x, res)
         return RoundingReport("pivot", None, None, None, 0.0, [], certificate=cert)
-    sol = lifted_from_result(lp, res, "pivot", params.r)
-    streams = rng.spawn(params.trials)
-    best: RoundingReport | None = None
-    eps_r = 0.0
-    for t, stream in enumerate(streams):
-        rep = _pivot_trial(g, pre, x, sol, params, stream, measure=(t == 0))
-        eps_r = max(eps_r, rep.measured_eps_r)
-        if best is None or rep.cost < best.cost:
-            best = rep
-    if best is None:
-        raise LedgerError("no completed trial to report")
-    best.measured_eps_r = eps_r
-    return best
+    sol = lifted_from_result(lp, res)
+    budget = PivotBudget(epsilon=params.epsilon)
+
+    def draw(rem: set[int], rng: np.random.Generator) -> tuple[set[int], dict]:
+        k = cleanup(rem, g, pre, x, budget)
+        if k is not None:
+            return set(k), {"cleanup": sorted(k), "size": len(k)}
+        order = sorted(rem)
+        p = order[int(rng.integers(0, len(order)))]
+        m, rt_groups, indep = _pivot_marginals(sol, p, pre, rem, g)
+        eps_r = measure_pairwise_error(m, SAMPLER_DEPTH)
+        chosen = rt_sample(m, SAMPLER_DEPTH, rng)
+        cluster = set(pre.atom_of(p) & rem)
+        s_plus = 0
+        for rep in chosen:
+            cluster.update(rt_groups[rep])
+            s_plus += len(rt_groups[rep])
+        s_minus = 0
+        for rep, members, y in indep:
+            if rng.random() < y:
+                cluster.update(members)
+                s_minus += len(members)
+        return cluster, {
+            "pivot": p, "s_minus": s_minus, "s_plus": s_plus, "size": len(cluster), "eps_r": eps_r
+        }
+
+    return best_of_trials(
+        params.trials,
+        rng,
+        lambda stream: rounding_trial(
+            "pivot", g, pre, x, params.epsilon, draw, budget.pair_budget, stream
+        ),
+    )
 
 
 def error_charge_diagnostics(

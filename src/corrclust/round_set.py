@@ -8,6 +8,11 @@ for a -pair, plus an error budget of epsilon if the pair is admissible; when
 a vertex is clustered it releases a difference budget of 2 epsilon d_adm(v).
 Each pair and each vertex releases at most once over a full run, so the
 ledger totals are capped by (and at completion equal) the closed forms.
+
+The trial code that pivot rounding shares lives here as well: one decide
+step (:func:`decide_cluster`), one trial loop (:func:`rounding_trial`) and
+one :func:`best_of_trials`; a scheme supplies how a cluster is drawn and its
+budget functions.
 """
 
 from __future__ import annotations
@@ -54,28 +59,21 @@ class LedgerError(RuntimeError):
     not asserted, so the checks also run under ``python -O``."""
 
 
+SAMPLER_DEPTH = 1  # conditioning depth of the correlated sampler at lift order 3
+
+
 @dataclass(frozen=True)
 class RoundingParams:
     """Knobs shared by both rounding schemes."""
 
     epsilon: float = 0.05
-    r: int = 3
     trials: int = 1
-    seed: int = 0
-    error_trials: int = 1000  # Monte Carlo draws when measuring the pair error
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.r < 2:
-            raise ValueError("lift order r must be at least 2")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-
-    @property
-    def depth(self) -> int:
-        """Conditioning depth available to the sampler at lift order r."""
-        return max(0, self.r - 2)
 
 
 def lp_budget(is_plus: bool, x: float) -> float:
@@ -223,7 +221,6 @@ def set_based_cstr_clst(
     sol: LiftedSolution,
     pre: PreclusteredInstance,
     rng: np.random.Generator,
-    depth: int = 1,
 ) -> tuple[set[int], dict]:
     """Sample one cluster: size s with weight y^s_0/y_0, pivot u with weight
     y^s_u / (s y^s_0), then correlated rounding at atom granularity; the
@@ -241,90 +238,112 @@ def set_based_cstr_clst(
     u_weights = _normalized(u_weights, "pivot")
     u = verts[int(rng.choice(n, p=u_weights))]
     m, groups = conditioned_marginals_for(sol, s, u, pre, verts)
-    chosen_reps = rt_sample(m, depth, rng)
+    chosen_reps = rt_sample(m, SAMPLER_DEPTH, rng)
     cluster = set(pre.atom_of(u)) & set(verts)
     for rep in chosen_reps:
         cluster.update(groups[rep])
     return cluster, {"s": s, "u": u, "size": len(cluster)}
 
 
-def _decide_iteration(
+def decide_cluster(
     g: SignedGraph,
     pre: PreclusteredInstance,
     x: Metric,
     ledger: BudgetLedger,
-    vprime: set[int],
+    rem: set[int],
     cluster: set[int],
+    pair_budget: Callable[[bool, float], float],
     epsilon: float,
+    vertex_budget: Callable[[int], float] | None = None,
 ) -> None:
-    """Release budgets and charge realized costs for one removed cluster."""
-    remaining = sorted(vprime)
-    for v in remaining:
-        in_c_v = v in cluster
-        for w in remaining:
-            if w <= v:
-                continue
-            in_c_w = w in cluster
-            if not (in_c_v or in_c_w):
+    """Release budgets and charge realized costs for one removed cluster:
+    every remaining pair with an endpoint in the cluster releases its pair
+    budget (plus epsilon if admissible), and with a ``vertex_budget`` every
+    clustered vertex releases its difference budget."""
+    remaining = sorted(rem)
+    for i, v in enumerate(remaining):
+        in_v = v in cluster
+        for w in remaining[i + 1 :]:
+            in_w = w in cluster
+            if not (in_v or in_w):
                 continue
             p = (v, w)
             is_plus = p in g.plus
             adm = pre.classify_pair(v, w) == "admissible"
-            ledger.release_pair(p, lp_budget(is_plus, x.x(v, w)), epsilon if adm else 0.0)
-            wrong = (is_plus and in_c_v != in_c_w) or (not is_plus and in_c_v and in_c_w)
-            if wrong:
+            ledger.release_pair(p, pair_budget(is_plus, x.x(v, w)), epsilon if adm else 0.0)
+            if (is_plus and in_v != in_w) or (not is_plus and in_v and in_w):
                 ledger.record_cost(p)
-    for v in cluster:
-        ledger.release_vertex(v, 2 * epsilon * pre.d_adm(v))
+    if vertex_budget is not None:
+        for v in cluster:
+            ledger.release_vertex(v, vertex_budget(v))
 
 
-def _set_trial(
+def rounding_trial(
+    scheme: str,
     g: SignedGraph,
     pre: PreclusteredInstance,
     x: Metric,
-    params: RoundingParams,
+    epsilon: float,
+    draw: Callable[[set[int], np.random.Generator], tuple[set[int], dict] | SeparationCertificate],
+    pair_budget: Callable[[bool, float], float],
     rng: np.random.Generator,
-    cache: SolveCache,
-    measure: bool,
+    vertex_budget: Callable[[int], float] | None = None,
 ) -> RoundingReport:
-    vprime = set(range(g.n))
+    """One run of a scheme: ``draw`` removes clusters until every vertex is
+    clustered, each decided by :func:`decide_cluster`, and the ledger is
+    reconciled against the closed-form ceilings.  The trial's measured error
+    is the largest ``eps_r`` in its trace; a certificate from ``draw`` ends
+    the trial without a clustering."""
+    rem = set(range(g.n))
     ledger = BudgetLedger()
     trace: list[dict] = []
     clusters: list[set[int]] = []
-    eps_r = 0.0
-    measured = False
-    for _ in range(g.n):
-        if not vprime:
-            break
-        key = frozenset(vprime)
-        lp, res, sol = cache.get(key)
-        if res.status == "infeasible":
-            cert = separation_from_infeasibility(lp, x, res)
-            return RoundingReport("set", None, None, None, eps_r, trace, certificate=cert)
-        cluster, rec = set_based_cstr_clst(vprime, sol, pre, rng, params.depth)
-        if measure and not measured:
-            m, _ = conditioned_marginals_for(sol, rec["s"], rec["u"], pre, sorted(vprime))
-            eps_r = measure_pairwise_error(
-                m, params.error_trials, np.random.default_rng([params.seed, 10_007]), params.depth
-            )
-            measured = True
-        if not cluster:
-            raise RuntimeError("sampled an empty cluster")
-        _decide_iteration(g, pre, x, ledger, vprime, cluster, params.epsilon)
-        vprime -= cluster
+    while rem:
+        out = draw(rem, rng)
+        if isinstance(out, SeparationCertificate):
+            eps_r = _max_eps_r(trace)
+            return RoundingReport(scheme, None, None, None, eps_r, trace, certificate=out)
+        cluster, rec = out
+        if not cluster or not cluster <= rem:
+            raise RuntimeError(f"drew {sorted(cluster)}, not a nonempty subset of {sorted(rem)}")
+        decide_cluster(g, pre, x, ledger, rem, cluster, pair_budget, epsilon, vertex_budget)
+        rem -= cluster
         clusters.append(cluster)
         trace.append(rec)
-    if vprime:
-        raise RuntimeError("iteration cap hit before all vertices were clustered")
     clustering = Clustering.from_sets(g.n, clusters)
     cost = clustering_cost(g, clustering)
     # a completed run has released every budget exactly once
-    ledger.reconcile(cost, {
-        "lp_budget": sum(lp_budget(p in g.plus, x.x(*p)) for p in all_pairs(g.n)),
-        "error_budget": params.epsilon * len(pre.adm),
-        "difference_budget": 2 * params.epsilon * sum(pre.d_adm(v) for v in range(g.n)),
-    })
-    return RoundingReport("set", clustering, cost, ledger, eps_r, trace)
+    ceilings = {
+        "lp_budget": sum(pair_budget(p in g.plus, x.x(*p)) for p in all_pairs(g.n)),
+        "error_budget": epsilon * len(pre.adm),
+    }
+    if vertex_budget is not None:
+        ceilings["difference_budget"] = sum(vertex_budget(v) for v in range(g.n))
+    ledger.reconcile(cost, ceilings)
+    return RoundingReport(scheme, clustering, cost, ledger, _max_eps_r(trace), trace)
+
+
+def _max_eps_r(trace: list[dict]) -> float:
+    return max((rec.get("eps_r", 0.0) for rec in trace), default=0.0)
+
+
+def best_of_trials(
+    trials: int, rng: np.random.Generator, trial: Callable[[np.random.Generator], RoundingReport]
+) -> RoundingReport:
+    """Cheapest of ``trials`` runs on independent streams (the first on a
+    tie), reporting the largest measured error over all of them.  A trial
+    that returns a separation certificate is returned immediately."""
+    best: RoundingReport | None = None
+    eps_r = 0.0
+    for stream in rng.spawn(trials):
+        rep = trial(stream)
+        if rep.certificate is not None:
+            return rep
+        eps_r = max(eps_r, rep.measured_eps_r)
+        if best is None or rep.cost < best.cost:
+            best = rep
+    best.measured_eps_r = eps_r
+    return best
 
 
 def set_based_round(
@@ -336,30 +355,38 @@ def set_based_round(
 ) -> RoundingReport:
     """Best of ``params.trials`` independent runs; LP solutions are shared
     across trials through a per-call cache keyed by the remaining vertex set.
-    If any trial's LP extension is infeasible, the separation certificate is
-    returned immediately (no fallback clustering is substituted)."""
+    Every sampled iteration records the exact correlation error of its
+    conditioned marginals as ``eps_r``.  If any trial's LP extension is
+    infeasible, the separation certificate is returned immediately (no
+    fallback clustering is substituted)."""
 
     def build(key: frozenset[int]):
-        lp = build_set_lp(sorted(key), pre, x, params.r, params.epsilon)
+        lp = build_set_lp(sorted(key), pre, x, params.epsilon)
         res = solve(lp)
-        sol = None if res.status == "infeasible" else lifted_from_result(lp, res, "set", params.r)
+        sol = None if res.status == "infeasible" else lifted_from_result(lp, res)
         return lp, res, sol
 
     cache = SolveCache(build)
-    streams = rng.spawn(params.trials)
-    best: RoundingReport | None = None
-    eps_r = 0.0
-    for t, stream in enumerate(streams):
-        rep = _set_trial(g, pre, x, params, stream, cache, measure=(t == 0))
-        if rep.certificate is not None:
-            return rep
-        eps_r = max(eps_r, rep.measured_eps_r)
-        if best is None or rep.cost < best.cost:
-            best = rep
-    if best is None:
-        raise LedgerError("no completed trial to report")
-    best.measured_eps_r = eps_r
-    return best
+
+    def draw(rem: set[int], rng: np.random.Generator):
+        lp, res, sol = cache.get(frozenset(rem))
+        if res.status == "infeasible":
+            return separation_from_infeasibility(lp, x, res)
+        cluster, rec = set_based_cstr_clst(rem, sol, pre, rng)
+        m, _ = conditioned_marginals_for(sol, rec["s"], rec["u"], pre, sorted(rem))
+        rec["eps_r"] = measure_pairwise_error(m, SAMPLER_DEPTH)
+        return cluster, rec
+
+    def vertex_budget(v: int) -> float:
+        return 2 * params.epsilon * pre.d_adm(v)
+
+    return best_of_trials(
+        params.trials,
+        rng,
+        lambda stream: rounding_trial(
+            "set", g, pre, x, params.epsilon, draw, lp_budget, stream, vertex_budget
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +416,6 @@ class IterationAnalysis:
     def expected_budget(self) -> float:
         return self.expected_lp_budget + self.expected_err_budget + self.expected_diff_budget
 
-    @property
-    def total_err(self) -> float:
-        return sum(self.pair_err.values())
-
 
 def analyze_cluster_sampler(
     vprime: Iterable[int],
@@ -401,7 +424,6 @@ def analyze_cluster_sampler(
     g: SignedGraph,
     x: Metric,
     epsilon: float,
-    depth: int = 1,
 ) -> IterationAnalysis:
     """Exact expectations of one set_based_cstr_clst call, by enumeration of
     (size, pivot, seed-branch) with the same semantics as the sampler."""
@@ -423,8 +445,8 @@ def analyze_cluster_sampler(
             if w_su < PROB_FLOOR or ysu < PROB_FLOOR:
                 continue
             m, groups = conditioned_marginals_for(sol, s, u, pre, verts)
-            inc_rep = exact_inclusion_probabilities(m, depth)
-            both_rep = exact_pair_probabilities(m, depth)
+            inc_rep = exact_inclusion_probabilities(m, SAMPLER_DEPTH)
+            both_rep = exact_pair_probabilities(m, SAMPLER_DEPTH)
             ku = [v for v in pre.atom_of(u) if v in inc]
             rep_of = {v: rep for rep, members in groups.items() for v in members}
             for v in ku:

@@ -106,12 +106,12 @@ def test_criterion_4_cluster_sampler_identity():
         seed += 1
         pre = precluster(g, AgreementParams(0.1))
         x, _ = solve_triangle_lp(g, pre)
-        lp = build_set_lp(range(n), pre, x, r=3, epsilon=0.05)
+        lp = build_set_lp(range(n), pre, x, epsilon=0.05)
         res = solve(lp)
         if res.status != "optimal":
             continue
-        sol = lifted_from_result(lp, res, "set", 3)
-        ana = analyze_cluster_sampler(range(n), sol, pre, g, x, 0.05, depth=1)
+        sol = lifted_from_result(lp, res)
+        ana = analyze_cluster_sampler(range(n), sol, pre, g, x, 0.05)
         dev = max(abs(p - 1.0 / sol.y0) for p in ana.p_clustered.values())
         worst = max(worst, dev)
         collected += 1
@@ -182,7 +182,7 @@ def test_criterion_6_oracle_consistency():
 
 
 def _criterion7_reports():
-    config = PipelineConfig(epsilon_q=0.1, epsilon=0.05, r=3, trials=32, error_trials=400)
+    config = PipelineConfig(epsilon_q=0.1, epsilon=0.05, r=3, trials=32)
     reports = []
     for seed in range(50):
         g = generate_instance("uniform_random", 10, None, seed)

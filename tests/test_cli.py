@@ -88,3 +88,20 @@ def test_bench(tmp_path, capsys):
 
 def test_bench_rejects_bad_n(capsys):
     assert main(["bench", "--n", "0", "--seed", "0"]) == 1
+
+
+def test_bench_generator_spec_matches_run(tmp_path, capsys):
+    # sizes come from the spec, as in `run`
+    out = tmp_path / "b.csv"
+    for spec, n in (("uniform:5", "5"), ("planted:4,4", "8")):
+        assert main(["bench", "--gen", spec, "--count", "1", "--seed", "0",
+                     "--trials", "1", "--out", str(out)]) == 0
+        header, row = out.read_text().strip().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["n"] == n
+    assert main(["bench", "--gen", "planted", "--count", "1", "--seed", "0"]) == 1
+    assert "needs sizes" in capsys.readouterr().err
+
+
+def test_rank_flag_removed(capsys):
+    assert main(["run", "--gen", "uniform:5", "--seed", "0", "--rank", "3"]) == 1
+    assert "--rank" in capsys.readouterr().err

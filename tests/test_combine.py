@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from corrclust.combine import (
     CombinedReport,
@@ -38,7 +39,7 @@ def test_combined_integral_tie_prefers_pivot():
     g = generate_instance("planted_cliques", 8, {"sizes": [4, 4]}, 0)
     pre = precluster(g, AgreementParams(0.1))
     x, _ = solve_triangle_lp(g, pre)
-    rep = combined_round(g, pre, x, RoundingParams(trials=1, seed=0), np.random.default_rng(0))
+    rep = combined_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(0))
     assert isinstance(rep, CombinedReport)
     assert rep.set_report.cost == rep.pivot_report.cost == 0
     assert rep.chosen == "pivot"
@@ -50,7 +51,7 @@ def test_combined_cost_is_min_of_both():
         g = generate_instance("uniform_random", 8, None, seed)
         pre = precluster(g, AgreementParams(0.1))
         x, _ = solve_triangle_lp(g, pre)
-        rep = combined_round(g, pre, x, RoundingParams(trials=2, seed=seed), np.random.default_rng(seed))
+        rep = combined_round(g, pre, x, RoundingParams(trials=2), np.random.default_rng(seed))
         assert rep.cost == min(rep.set_report.cost, rep.pivot_report.cost)
 
 
@@ -68,9 +69,17 @@ def test_certificate_propagates():
     g = SignedGraph(3, frozenset(all_pairs(3)))
     pre = trivial_preclustering(3)
     x = Metric(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
-    out = combined_round(g, pre, x, RoundingParams(trials=1, seed=0), np.random.default_rng(0))
+    out = combined_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(0))
     assert isinstance(out, SeparationCertificate)
     assert out.separates(x)
+
+
+def test_pipeline_config_lift_order():
+    # 3 is the only lift order the lifted LPs implement; others fail fast
+    assert PipelineConfig().r == 3
+    for r in (2, 4):
+        with pytest.raises(ValueError, match="lift order"):
+            PipelineConfig(r=r)
 
 
 def test_full_pipeline_planted():

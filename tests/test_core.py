@@ -9,7 +9,6 @@ from corrclust.core import (
     PreclusteredInstance,
     SignedGraph,
     all_pairs,
-    classify_pair,
     clustering_cost,
     fractional_cost,
     generate_instance,
@@ -95,16 +94,16 @@ def test_classify_pair():
     pre = PreclusteredInstance(
         6, (frozenset({0, 1}), frozenset({2, 3})), frozenset({(0, 4), (1, 4), (4, 5)}), 0.1
     )
-    assert classify_pair(pre, 0, 1) == "atomic"
-    assert classify_pair(pre, 1, 0) == "atomic"
-    assert classify_pair(pre, 0, 2) == "non_admissible"  # across two atoms
-    assert classify_pair(pre, 4, 0) == "admissible"
+    assert pre.classify_pair(0, 1) == "atomic"
+    assert pre.classify_pair(1, 0) == "atomic"
+    assert pre.classify_pair(0, 2) == "non_admissible"  # across two atoms
+    assert pre.classify_pair(4, 0) == "admissible"
     with pytest.raises(ValueError):
-        classify_pair(pre, 2, 2)
+        pre.classify_pair(2, 2)
     # the three classes partition all pairs
     counts = {"atomic": 0, "admissible": 0, "non_admissible": 0}
     for (u, v) in all_pairs(6):
-        counts[classify_pair(pre, u, v)] += 1
+        counts[pre.classify_pair(u, v)] += 1
     assert sum(counts.values()) == 15
 
 
@@ -173,11 +172,18 @@ def test_instance_roundtrip_and_errors():
     assert parse_instance(full).plus == frozenset({(0, 1), (1, 2)})
     with pytest.raises(ValueError, match="missing pair"):
         parse_instance("n 3\n0 1 +\n0 2 -\n")
+    # a sign is exactly one of + and -
+    with pytest.raises(ValueError, match="malformed"):
+        parse_instance("n 3 default +-\n")
+    with pytest.raises(ValueError, match="malformed"):
+        parse_instance("n 3 default -\n0 1 +-\n")
 
 
 def test_clustering_and_preclustering_files():
     c = Clustering.from_assignment([0, 1, 0, 2])
     assert parse_clustering(write_clustering(c)) == c
+    with pytest.raises(ValueError, match="not total"):
+        parse_clustering("1000000000000 0\n")  # rejected without building 0..n-1
     pre = PreclusteredInstance(5, (frozenset({0, 1}),), frozenset({(0, 2), (1, 2)}), 0.1)
     back = parse_preclustering(write_preclustering(pre), 5)
     assert back.proper_atoms == pre.proper_atoms and back.adm == pre.adm
@@ -202,3 +208,100 @@ def test_preclustered_instance_validation():
         PreclusteredInstance(4, (frozenset({0, 1}), frozenset({2, 3})), frozenset({(0, 2)}), 0.1).validate()
     with pytest.raises(ValueError, match="non-uniform"):
         PreclusteredInstance(4, (frozenset({0, 1}),), frozenset({(0, 2)}), 0.1).validate()
+    # ids outside 0..n-1 are rejected, never aliased by negative indexing
+    with pytest.raises(ValueError, match="outside"):
+        PreclusteredInstance(5, (frozenset({3, 5}),), frozenset(), 0.1).validate()
+    with pytest.raises(ValueError, match="outside"):
+        parse_preclustering("atom 0: 0 -1\n", 5)
+    with pytest.raises(ValueError, match="outside"):
+        parse_preclustering("adm: 0 7\n", 5)
+    with pytest.raises(ValueError, match="non-uniform"):
+        parse_preclustering("atom 0: 0 1\nadm: 0 2\n", 3)
+
+
+# -- parser fuzzing: a value or a ValueError, and write/parse round-trips ----
+
+_TOKENS = st.sampled_from(
+    ["n", "default", "+", "-", "+-", "?", "atom", "atom 0:", "adm:", ":", "#", "0", "1", "2", "3",
+     "4", "-1", "7", "01", "1.5", "x", "\t", ""]
+)
+_TEXT = st.one_of(
+    st.text(max_size=80),
+    st.lists(st.lists(_TOKENS, max_size=5).map(" ".join), max_size=8).map("\n".join),
+)
+
+
+@given(_TEXT)
+def test_parse_instance_fuzz(text):
+    try:
+        g = parse_instance(text)
+    except ValueError:
+        return
+    assert parse_instance(write_instance(g)) == g
+
+
+@given(_TEXT, st.one_of(st.none(), st.integers(0, 6)))
+def test_parse_clustering_fuzz(text, n):
+    try:
+        c = parse_clustering(text, n)
+    except ValueError:
+        return
+    assert parse_clustering(write_clustering(c)) == c
+
+
+@given(_TEXT, st.integers(0, 8))
+def test_parse_preclustering_fuzz(text, n):
+    try:
+        pre = parse_preclustering(text, n)
+    except ValueError:
+        return
+    assert parse_preclustering(write_preclustering(pre), n) == pre
+
+
+@st.composite
+def signed_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = list(all_pairs(n))
+    return SignedGraph(n, frozenset(draw(st.sets(st.sampled_from(pairs))) if pairs else ()))
+
+
+@given(signed_graphs(), st.sampled_from([None, "+", "-"]))
+def test_instance_roundtrip_fuzz(g, default):
+    assert parse_instance(write_instance(g, default)) == g
+
+
+@given(st.lists(st.integers(0, 5), max_size=12))
+def test_clustering_roundtrip_fuzz(labels):
+    c = Clustering.from_assignment(labels)
+    assert parse_clustering(write_clustering(c)) == c
+    assert parse_clustering(write_clustering(c), len(labels)) == c
+
+
+@st.composite
+def preclusterings(draw):
+    """Valid preclusterings: vertices grouped into atoms and singletons;
+    admissible pairs join whole groups, never two proper atoms, so atom
+    members share their admissible neighborhoods."""
+    n = draw(st.integers(1, 9))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    groups: dict[int, list[int]] = {}
+    for v, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(v)
+    groups = sorted(groups.values())
+    index = st.integers(0, len(groups) - 1)
+    links = draw(st.sets(st.tuples(index, index)))
+    adm = {
+        (min(u, v), max(u, v))
+        for a, b in links
+        if a != b and min(len(groups[a]), len(groups[b])) == 1
+        for u in groups[a]
+        for v in groups[b]
+    }
+    atoms = tuple(frozenset(gr) for gr in groups if len(gr) > 1)
+    return PreclusteredInstance(n, atoms, frozenset(adm), 0.1)
+
+
+@given(preclusterings())
+def test_preclustering_roundtrip_fuzz(pre):
+    pre.validate()
+    assert parse_preclustering(write_preclustering(pre), pre.n) == pre

@@ -44,7 +44,7 @@ def test_integral_marginals_are_deterministic():
     rng = np.random.default_rng(0)
     draws = {frozenset(rt_sample(m, 1, rng)) for _ in range(50)}
     assert draws == {frozenset({0, 2})}
-    assert measure_pairwise_error(m, 100, rng) == 0.0
+    assert measure_pairwise_error(m) == 0.0
 
 
 def test_single_vertex_frequency():
@@ -67,14 +67,12 @@ def test_correlated_pair_two_branch_values():
         {0, 1} <= rt_sample(CORRELATED_PAIR, 1, rng) for _ in range(20000)
     )
     assert both / 20000 > 0.25
-    err = measure_pairwise_error(CORRELATED_PAIR, 20000, np.random.default_rng(3))
-    assert err == pytest.approx(0.125, abs=0.02)
+    assert measure_pairwise_error(CORRELATED_PAIR) == pytest.approx(0.125, abs=1e-12)
 
 
 def test_product_distribution_has_vanishing_error():
     m = ConditionedMarginals((0, 1), {0: 0.3, 1: 0.7}, {(0, 1): 0.21})
-    err = measure_pairwise_error(m, 40000, np.random.default_rng(4))
-    assert err < 0.01
+    assert measure_pairwise_error(m) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_marginal_exactness_by_enumeration():
@@ -121,15 +119,13 @@ def test_sampler_matches_enumeration():
 
 def test_error_monotone_in_depth():
     # on distributions with triples available, deeper conditioning does not
-    # increase the measured pair error (up to Monte Carlo slack)
+    # increase the exact pair error
     for seed in (0, 1):
         m = mixture_marginals(5, 4, 100 + seed)
         errs = []
         for depth in (0, 1, 2):
-            errs.append(
-                measure_pairwise_error(m, 20000, np.random.default_rng(seed), depth=depth)
-            )
-        slack = 0.02
+            errs.append(measure_pairwise_error(m, depth=depth))
+        slack = 1e-12
         assert errs[1] <= errs[0] + slack
         assert errs[2] <= errs[1] + slack
 

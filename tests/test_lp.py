@@ -99,7 +99,7 @@ def _good_clustering_lift_residual(g, seed):
     pre = precluster(g, AgreementParams(0.1))
     cgood, _ = brute_force_opt_good(g, pre)
     x = Metric.from_clustering(cgood)
-    lp = build_set_lp(range(g.n), pre, x, r=3, epsilon=0.05)
+    lp = build_set_lp(range(g.n), pre, x, epsilon=0.05)
     clusters = size_window_refinement([set(c) for c in cgood.clusters()], pre, 0.05)
     vec = integral_set_lift(lp, clusters, x)
     resid = lp.residuals(vec)
@@ -122,7 +122,7 @@ def test_pivot_lp_integral_roundtrip():
         pre = precluster(g, AgreementParams(0.1))
         cgood, _ = brute_force_opt_good(g, pre)
         x = Metric.from_clustering(cgood)
-        lp = build_pivot_lp(g, pre, x, r=3)
+        lp = build_pivot_lp(g, pre, x)
         vec = integral_pivot_lift(lp, cgood)
         assert lp.residuals(vec).max() <= 1e-12
 
@@ -135,7 +135,7 @@ def test_size_window_boundary_cluster_stays_feasible():
     c = Clustering.from_sets(3, [[0, 1], [2]])
     x = Metric.from_clustering(c)
     # vertex 0: atom size 1, d_adm = 2, epsilon = 0.5 -> boundary size 2
-    lp = build_set_lp(range(3), pre, x, r=3, epsilon=0.5)
+    lp = build_set_lp(range(3), pre, x, epsilon=0.5)
     clusters = size_window_refinement([set(cl) for cl in c.clusters()], pre, 0.5)
     assert sorted(map(sorted, clusters)) == [[0, 1], [2]]  # no spurious split
     vec = integral_set_lift(lp, clusters, x)
@@ -148,10 +148,10 @@ def test_set_lp_two_vertex_all_minus():
     pre = precluster(g, AgreementParams(0.1))
     assert pre.classify_pair(0, 1) == "non_admissible"
     x = Metric(2, {(0, 1): 1.0})
-    lp = build_set_lp([0, 1], pre, x, r=3, epsilon=0.05)
+    lp = build_set_lp([0, 1], pre, x, epsilon=0.05)
     res = solve(lp)
     assert res.status == "optimal"
-    sol = lifted_from_result(lp, res, "set", 3)
+    sol = lifted_from_result(lp, res)
     assert sol.ys_of(1, ()) == pytest.approx(2.0, abs=1e-8)
     assert sol.y0 == pytest.approx(2.0, abs=1e-8)
 
@@ -163,7 +163,7 @@ def test_set_lp_pinning_conflict_certificate():
     bad = dict.fromkeys(all_pairs(5), 0.0)
     bad[(0, 1)] = 1.0
     x = Metric(5, bad)
-    lp = build_set_lp(range(5), pre, x, r=3, epsilon=0.05)
+    lp = build_set_lp(range(5), pre, x, epsilon=0.05)
     res = solve(lp)
     assert res.status == "infeasible"
     cert = separation_from_infeasibility(lp, x, res)
@@ -178,7 +178,7 @@ def test_pivot_lp_triangle_violation_certificate():
     g = SignedGraph(3, frozenset(all_pairs(3)))
     pre = trivial_preclustering(3)
     x = Metric(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
-    lp = build_pivot_lp(g, pre, x, r=3)
+    lp = build_pivot_lp(g, pre, x)
     res = solve(lp)
     assert res.status == "infeasible"
     cert = separation_from_infeasibility(lp, x, res)
@@ -193,7 +193,7 @@ def test_separation_requires_infeasibility():
     g = SignedGraph(3, frozenset(all_pairs(3)))
     pre = trivial_preclustering(3)
     x = Metric(3, dict.fromkeys(all_pairs(3), 0.0))
-    lp = build_pivot_lp(g, pre, x, r=3)
+    lp = build_pivot_lp(g, pre, x)
     res = solve(lp)
     assert res.status == "optimal"
     with pytest.raises(ValueError, match="separation"):
@@ -207,7 +207,7 @@ def test_pivot_lp_half_triangle_interval():
     g = SignedGraph(3, frozenset(all_pairs(3)))
     pre = trivial_preclustering(3)
     x = Metric(3, dict.fromkeys(all_pairs(3), 0.5))
-    lp = build_pivot_lp(g, pre, x, r=3)
+    lp = build_pivot_lp(g, pre, x)
     i = lp.var_keys.index(("y", (0, 1, 2)))
     lp.set_objective([i], [1.0])
     lo = solve(lp).objective
@@ -221,9 +221,9 @@ def test_lifted_solution_invariants():
     g = generate_instance("uniform_random", 6, None, 3)
     pre = precluster(g, AgreementParams(0.1))
     x, _ = solve_triangle_lp(g, pre)
-    lp = build_set_lp(range(6), pre, x, r=3, epsilon=0.05)
+    lp = build_set_lp(range(6), pre, x, epsilon=0.05)
     res = solve(lp)
-    sol = lifted_from_result(lp, res, "set", 3)
+    sol = lifted_from_result(lp, res)
     verts = range(6)
     tol = 1e-7
     for v in verts:
@@ -239,8 +239,8 @@ def test_lifted_solution_invariants():
             s * sol.ys_of(s, ()), abs=tol
         )
     # pivot-layer derived quantities stay nonnegative
-    lp2 = build_pivot_lp(g, pre, x, r=3)
-    sol2 = lifted_from_result(lp2, solve(lp2), "pivot", 3)
+    lp2 = build_pivot_lp(g, pre, x)
+    sol2 = lifted_from_result(lp2, solve(lp2))
     for (a, b, c) in combinations(range(6), 3):
         assert sol2.split_all3(a, b, c) >= -1e-9
         assert sol2.lone_vertex(a, b, c) >= -1e-9
@@ -253,12 +253,3 @@ def test_lp_dump():
     text = write_lp_text(lp)
     assert "x[0,1]" in text and "<= 3" in text
 
-
-def test_builder_order_validation():
-    g = SignedGraph(3, frozenset(all_pairs(3)))
-    pre = trivial_preclustering(3)
-    x = Metric(3, dict.fromkeys(all_pairs(3), 0.0))
-    with pytest.raises(ValueError):
-        build_set_lp(range(3), pre, x, r=1)
-    with pytest.raises(ValueError):
-        build_pivot_lp(g, pre, x, r=2)

@@ -76,7 +76,7 @@ def _infeasible_set_lp():
     pre = precluster(g, AgreementParams(0.1))
     bad = dict.fromkeys(all_pairs(5), 0.0)
     bad[(0, 1)] = 1.0
-    return build_set_lp(range(5), pre, Metric(5, bad), r=3, epsilon=0.05)
+    return build_set_lp(range(5), pre, Metric(5, bad), epsilon=0.05)
 
 
 @pytest.fixture(scope="module")
@@ -85,13 +85,13 @@ def fixture_lps():
     _, prea, xa = _instance("adversarial_mix", 13, [5, 5])
     assert prep.proper_atoms[0] == frozenset(range(4))
     return {
-        "set_planted_full": build_set_lp(range(12), prep, xp, 3, 0.05),
-        "set_planted_atoms": build_set_lp(sorted(set(range(12)) - prep.proper_atoms[0]), prep, xp, 3, 0.05),
+        "set_planted_full": build_set_lp(range(12), prep, xp, 0.05),
+        "set_planted_atoms": build_set_lp(sorted(set(range(12)) - prep.proper_atoms[0]), prep, xp, 0.05),
         # every adversarial atom here is a singleton
         "set_adversarial_atoms": build_set_lp(
-            sorted(set(range(13)) - prea.atom_of(0) - prea.atom_of(5)), prea, xa, 3, 0.05
+            sorted(set(range(13)) - prea.atom_of(0) - prea.atom_of(5)), prea, xa, 0.05
         ),
-        "pivot_planted": build_pivot_lp(gp, prep, xp, 3),
+        "pivot_planted": build_pivot_lp(gp, prep, xp),
         "triangle_planted": build_triangle_lp(gp, prep),
     }
 
@@ -204,7 +204,7 @@ def test_set_lp_matches_loop_reference():
     for pre, x, subsets in _sweep():
         for vprime in subsets:
             for epsilon in (0.05, 1 / 3, 0.5, 2 / 3, 1.0):
-                assert _digest(build_set_lp(vprime, pre, x, 3, epsilon)) == _digest(
+                assert _digest(build_set_lp(vprime, pre, x, epsilon)) == _digest(
                     _loop_set_lp(vprime, pre, x, epsilon)
                 ), (vprime, epsilon)
 
@@ -279,14 +279,14 @@ def test_extraction_clamps_and_rejects(fixture_lps):
     j = lp.var_keys.index(("ys", 1, ()))
     values[i] = -0.0
     values[j] = -1e-3  # empty-set variables are only floored at 0
-    sol = lifted_from_result(lp, LPResult("optimal", values=values), "set", 3)
+    sol = lifted_from_result(lp, LPResult("optimal", values=values))
     assert sol.y_of((4, 5)) == 0.0 and not np.signbit(sol.y_of((4, 5)))
     assert sol.ys_of(1, ()) == 0.0
     values[i] = 1 + 1e-7
-    assert lifted_from_result(lp, LPResult("optimal", values=values), "set", 3).y_of((4, 5)) == 1.0
+    assert lifted_from_result(lp, LPResult("optimal", values=values)).y_of((4, 5)) == 1.0
     values[i] = 1 + 1e-5
     with pytest.raises(LPError, match=r"set-lp\(n'=8,r=3\).*y\[4,5\]"):
-        lifted_from_result(lp, LPResult("optimal", values=values), "set", 3)
+        lifted_from_result(lp, LPResult("optimal", values=values))
     values[i] = np.nan
     with pytest.raises(LPError):
-        lifted_from_result(lp, LPResult("optimal", values=values), "set", 3)
+        lifted_from_result(lp, LPResult("optimal", values=values))

@@ -20,7 +20,7 @@ from corrclust.round_pivot import (
     error_charge_diagnostics,
     pivot_based_round,
 )
-from corrclust.round_set import BudgetLedger, RoundingParams
+from corrclust.round_set import BudgetLedger, RoundingParams, decide_cluster
 
 
 def test_f_plus_shape():
@@ -37,7 +37,7 @@ def test_all_minus_singletons_via_cleanup():
     g = SignedGraph(5, frozenset())
     pre = precluster(g, AgreementParams(0.1))
     x = Metric(5, dict.fromkeys(all_pairs(5), 1.0))
-    rep = pivot_based_round(g, pre, x, RoundingParams(trials=1, seed=0), np.random.default_rng(0))
+    rep = pivot_based_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(0))
     assert rep.cost == 0
     assert rep.clustering.num_clusters == 5
     assert all("cleanup" in t for t in rep.trace)
@@ -47,7 +47,7 @@ def test_all_plus_k4_single_cluster():
     g = SignedGraph(4, frozenset(all_pairs(4)))
     pre = precluster(g, AgreementParams(0.1))
     x = Metric(4, dict.fromkeys(all_pairs(4), 0.0))
-    rep = pivot_based_round(g, pre, x, RoundingParams(trials=1, seed=1), np.random.default_rng(1))
+    rep = pivot_based_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(1))
     assert rep.cost == 0
     assert rep.clustering.num_clusters == 1
 
@@ -77,8 +77,6 @@ def test_cleanup_examples():
 def test_cleanup_soundness():
     # whenever cleanup returns K, the deterministic removal cost equals
     # ALG_K and the budget the ledger releases is Delta_K >= ALG_K
-    from corrclust.round_pivot import _decide_pivot_iteration
-
     for seed in range(6):
         g = generate_instance("uniform_random", 7, None, seed + 3)
         pre = precluster(g, AgreementParams(0.1))
@@ -90,7 +88,7 @@ def test_cleanup_soundness():
             continue
         alg, delta = cleanup_quantities(k, rem, g, pre, x, budget)
         led = BudgetLedger()
-        _decide_pivot_iteration(g, pre, x, budget, led, rem, set(k))
+        decide_cluster(g, pre, x, led, rem, set(k), budget.pair_budget, budget.epsilon)
         assert led.realized_total == pytest.approx(alg)
         released = led.lp_total + led.err_total
         assert released == pytest.approx(delta, abs=1e-9)
@@ -103,9 +101,9 @@ def test_membership_marginals_exact():
         g = generate_instance("uniform_random", 6, None, seed + 9)
         pre = precluster(g, AgreementParams(0.1))
         x, _ = solve_triangle_lp(g, pre)
-        lp = build_pivot_lp(g, pre, x, r=3)
+        lp = build_pivot_lp(g, pre, x)
         res = solve(lp)
-        sol = lifted_from_result(lp, res, "pivot", 3)
+        sol = lifted_from_result(lp, res)
         for p in range(6):
             m, groups, indep = _pivot_marginals(sol, p, pre, set(range(6)), g)
             inc = exact_inclusion_probabilities(m, 1)
@@ -123,7 +121,7 @@ def test_atoms_never_split_and_pivot_atom_joins():
     x, _ = solve_triangle_lp(g, pre)
     for seed in range(6):
         rep = pivot_based_round(
-            g, pre, x, RoundingParams(trials=1, seed=seed), np.random.default_rng(seed)
+            g, pre, x, RoundingParams(trials=1), np.random.default_rng(seed)
         )
         for atom in pre.proper_atoms:
             assert len({rep.clustering.cluster_of(v) for v in atom}) == 1
@@ -139,7 +137,7 @@ def test_ledger_totals_match_closed_forms():
         pre = precluster(g, AgreementParams(0.1))
         x, _ = solve_triangle_lp(g, pre)
         rep = pivot_based_round(
-            g, pre, x, RoundingParams(epsilon=0.05, trials=2, seed=seed), np.random.default_rng(seed)
+            g, pre, x, RoundingParams(epsilon=0.05, trials=2), np.random.default_rng(seed)
         )
         led = rep.ledger
         ceiling = sum(budget.pair_budget(p in g.plus, x.x(*p)) for p in all_pairs(8))
@@ -158,7 +156,7 @@ def test_monte_carlo_cost_vs_guarantee_bound():
     eps_r = 0.0
     for seed in range(800):
         rep = pivot_based_round(
-            g, pre, x, RoundingParams(trials=1, seed=seed, error_trials=200),
+            g, pre, x, RoundingParams(trials=1),
             np.random.default_rng(seed),
         )
         costs.append(rep.cost)
@@ -180,7 +178,7 @@ def test_full_run_cost_within_guarantee_bound_random():
         eps_r = 0.0
         for t in range(60):
             rep = pivot_based_round(
-                g, pre, x, RoundingParams(trials=1, seed=t, error_trials=200),
+                g, pre, x, RoundingParams(trials=1),
                 np.random.default_rng([seed, t]),
             )
             costs.append(rep.cost)
@@ -213,6 +211,6 @@ def test_infeasible_metric_returns_certificate():
     g = SignedGraph(3, frozenset(all_pairs(3)))
     pre = trivial_preclustering(3)
     x = Metric(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
-    rep = pivot_based_round(g, pre, x, RoundingParams(trials=1, seed=0), np.random.default_rng(0))
+    rep = pivot_based_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(0))
     assert rep.certificate is not None and rep.clustering is None
     assert rep.certificate.separates(x)

@@ -29,28 +29,25 @@ from corrclust.round_set import (
 def solved_lift(g, pre, x, epsilon=0.05):
     """Lifted solution for x, or None when x is legitimately cut (the
     LP-derived metric can fall outside the good-clustering hull at small n)."""
-    lp = build_set_lp(range(g.n), pre, x, r=3, epsilon=epsilon)
+    lp = build_set_lp(range(g.n), pre, x, epsilon=epsilon)
     res = solve(lp)
     if res.status != "optimal":
         return None
-    return lifted_from_result(lp, res, "set", 3)
+    return lifted_from_result(lp, res)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         RoundingParams(epsilon=0.0)
     with pytest.raises(ValueError):
-        RoundingParams(r=1)
-    with pytest.raises(ValueError):
         RoundingParams(trials=0)
-    assert RoundingParams(r=3).depth == 1
 
 
 def test_integral_metric_reproduces_clustering():
     g = generate_instance("planted_cliques", 8, {"sizes": [4, 4]}, 0)
     pre = precluster(g, AgreementParams(0.1))
     x, _ = solve_triangle_lp(g, pre)
-    rep = set_based_round(g, pre, x, RoundingParams(trials=1, seed=0), np.random.default_rng(0))
+    rep = set_based_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(0))
     assert rep.cost == 0
     assert rep.clustering.together(0, 1) and not rep.clustering.together(0, 4)
 
@@ -59,7 +56,7 @@ def test_all_minus_gives_singletons():
     g = SignedGraph(6, frozenset())
     pre = precluster(g, AgreementParams(0.1))
     x = Metric(6, dict.fromkeys(all_pairs(6), 1.0))
-    rep = set_based_round(g, pre, x, RoundingParams(trials=1, seed=1), np.random.default_rng(1))
+    rep = set_based_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(1))
     assert rep.cost == 0
     assert rep.clustering.num_clusters == 6
 
@@ -81,7 +78,7 @@ def test_ledger_totals_match_closed_forms():
         x, _ = solve_triangle_lp(g, pre)
         eps = 0.05
         rep = set_based_round(
-            g, pre, x, RoundingParams(epsilon=eps, trials=2, seed=seed), np.random.default_rng(seed)
+            g, pre, x, RoundingParams(epsilon=eps, trials=2), np.random.default_rng(seed)
         )
         led = rep.ledger
         lp_ceiling = sum(lp_budget(p in g.plus, x.x(*p)) for p in all_pairs(8))
@@ -102,7 +99,7 @@ def test_clustering_probability_identity():
         sol = solved_lift(g, pre, x)
         if sol is None:
             continue
-        ana = analyze_cluster_sampler(range(n), sol, pre, g, x, 0.05, depth=1)
+        ana = analyze_cluster_sampler(range(n), sol, pre, g, x, 0.05)
         for v in range(n):
             assert ana.p_clustered[v] == pytest.approx(1.0 / sol.y0, abs=1e-9)
 
@@ -115,14 +112,14 @@ def test_clustering_probability_identity_mid_loop():
     sol = solved_lift(g, pre, x)
     assert sol is not None
     rng = np.random.default_rng(13)
-    cluster, _ = set_based_cstr_clst(range(7), sol, pre, rng, depth=1)
+    cluster, _ = set_based_cstr_clst(range(7), sol, pre, rng)
     rest = sorted(set(range(7)) - cluster)
     if len(rest) >= 2:
-        lp2 = build_set_lp(rest, pre, x, r=3, epsilon=0.05)
+        lp2 = build_set_lp(rest, pre, x, epsilon=0.05)
         res2 = solve(lp2)
         if res2.status == "optimal":
-            sol2 = lifted_from_result(lp2, res2, "set", 3)
-            ana = analyze_cluster_sampler(rest, sol2, pre, g, x, 0.05, depth=1)
+            sol2 = lifted_from_result(lp2, res2)
+            ana = analyze_cluster_sampler(rest, sol2, pre, g, x, 0.05)
             for v in rest:
                 assert ana.p_clustered[v] == pytest.approx(1.0 / sol2.y0, abs=1e-9)
 
@@ -136,7 +133,7 @@ def test_decided_probability_lower_bound():
         sol = solved_lift(g, pre, x)
         if sol is None:
             continue
-        ana = analyze_cluster_sampler(range(6), sol, pre, g, x, 0.05, depth=1)
+        ana = analyze_cluster_sampler(range(6), sol, pre, g, x, 0.05)
         for p in ana.p_decided:
             bound = (1 + sol.xt_of(*p)) / sol.y0 - ana.pair_err[p]
             assert ana.p_decided[p] >= bound - 1e-9
@@ -153,7 +150,7 @@ def test_per_iteration_cost_within_budget():
         sol = solved_lift(g, pre, x)
         if sol is None:
             continue
-        ana = analyze_cluster_sampler(range(n), sol, pre, g, x, 0.05, depth=1)
+        ana = analyze_cluster_sampler(range(n), sol, pre, g, x, 0.05)
         frac_pairs = [p for p, e in ana.pair_err.items() if e > 0]
         eps_r = max(ana.pair_err.values()) if frac_pairs else 0.0
         if eps_r <= 0.05:
@@ -165,12 +162,12 @@ def test_sampled_distribution_matches_analysis():
     pre = precluster(g, AgreementParams(0.1))
     x, _ = solve_triangle_lp(g, pre)
     sol = solved_lift(g, pre, x)
-    ana = analyze_cluster_sampler(range(5), sol, pre, g, x, 0.05, depth=1)
+    ana = analyze_cluster_sampler(range(5), sol, pre, g, x, 0.05)
     rng = np.random.default_rng(9)
     n_draws = 20000
     hits = dict.fromkeys(range(5), 0)
     for _ in range(n_draws):
-        c, _ = set_based_cstr_clst(range(5), sol, pre, rng, depth=1)
+        c, _ = set_based_cstr_clst(range(5), sol, pre, rng)
         for v in c:
             hits[v] += 1
     for v in range(5):
@@ -184,7 +181,7 @@ def test_atoms_never_split():
     x, _ = solve_triangle_lp(g, pre)
     for seed in range(5):
         rep = set_based_round(
-            g, pre, x, RoundingParams(trials=1, seed=seed), np.random.default_rng(seed)
+            g, pre, x, RoundingParams(trials=1), np.random.default_rng(seed)
         )
         for atom in pre.proper_atoms:
             ids = {rep.clustering.cluster_of(v) for v in atom}
@@ -202,7 +199,7 @@ def test_monte_carlo_cost_vs_budget_bound():
     eps_r = 0.0
     for seed in range(600):
         rep = set_based_round(
-            g, pre, x, RoundingParams(epsilon=eps, trials=1, seed=seed, error_trials=200),
+            g, pre, x, RoundingParams(epsilon=eps, trials=1),
             np.random.default_rng(seed),
         )
         costs.append(rep.cost)
@@ -212,13 +209,46 @@ def test_monte_carlo_cost_vs_budget_bound():
     assert np.mean(costs) <= bound + slack + 3 * np.std(costs) / np.sqrt(len(costs))
 
 
+def test_measured_eps_r_is_trace_maximum(monkeypatch):
+    # every set iteration and every non-cleanup pivot iteration records the
+    # exact error of the marginals it sampled from; a scheme reports the
+    # maximum over the traces of all its trials, not only the kept one
+    import corrclust.round_pivot as round_pivot
+    import corrclust.round_set as round_set
+
+    original = round_set.rounding_trial
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(original(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(round_set, "rounding_trial", recording)
+    monkeypatch.setattr(round_pivot, "rounding_trial", recording)
+    positive = beyond_kept = 0
+    for seed in (3, 5):
+        g = generate_instance("uniform_random", 8, None, seed)
+        pre = precluster(g, AgreementParams(0.1))
+        x, _ = solve_triangle_lp(g, pre)
+        for fn in (set_based_round, round_pivot.pivot_based_round):
+            runs.clear()
+            rep = fn(g, pre, x, RoundingParams(trials=3), np.random.default_rng(seed))
+            assert len(runs) == 3 and rep in runs
+            records = [rec for run in runs for rec in run.trace]
+            assert all(("eps_r" in rec) == ("cleanup" not in rec) for rec in records)
+            assert rep.measured_eps_r == max(rec.get("eps_r", 0.0) for rec in records)
+            positive += rep.measured_eps_r > 0
+            beyond_kept += rep.measured_eps_r > max(rec.get("eps_r", 0.0) for rec in rep.trace)
+    assert positive >= 3 and beyond_kept >= 1
+
+
 def test_infeasible_extension_returns_certificate():
     g = generate_instance("planted_cliques", 5, {"sizes": [5]}, 0)
     pre = precluster(g, AgreementParams(0.1))
     bad = dict.fromkeys(all_pairs(5), 0.0)
     bad[(0, 1)] = 1.0  # contradicts the atomic pin
     x = Metric(5, bad)
-    rep = set_based_round(g, pre, x, RoundingParams(trials=2, seed=0), np.random.default_rng(0))
+    rep = set_based_round(g, pre, x, RoundingParams(trials=2), np.random.default_rng(0))
     assert rep.clustering is None
     assert rep.certificate is not None
     assert rep.certificate.separates(x)
