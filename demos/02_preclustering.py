@@ -22,7 +22,7 @@ from corrclust.core import all_pairs
 print(__doc__)
 
 params = AgreementParams(epsilon_q=0.1)
-print(f"parameters: epsilon_q = {params.epsilon_q} (beta = lam = epsilon_q), "
+print(f"parameters: epsilon_q = {params.epsilon_q} (agreement and lightness thresholds), "
       f"derived eps = {params.eps:.4f}, eps_a = {params.eps_a:.2e}")
 
 # Two planted cliques with clean signs: agreement is perfect inside each
@@ -36,8 +36,8 @@ print("  admissible pairs:", sorted(pre.adm) or "none (cliques have no common cr
 # Weak agreement is the sparsification test: symmetric difference of the
 # (self-loop-inclusive) +neighborhoods against a fraction of the larger one.
 u, v, w = 0, 1, 5
-print(f"\n  agreement inside a clique ({u},{v}):", in_weak_agreement(g, u, v, 1, params.beta))
-print(f"  agreement across cliques ({u},{w}):  ", in_weak_agreement(g, u, w, 1, params.beta))
+print(f"\n  agreement inside a clique ({u},{v}):", in_weak_agreement(g, u, v, 1, params.epsilon_q))
+print(f"  agreement across cliques ({u},{w}):  ", in_weak_agreement(g, u, w, 1, params.epsilon_q))
 
 # With noise the picture is softer: atoms can shrink or dissolve, and
 # genuinely ambiguous pairs become admissible.

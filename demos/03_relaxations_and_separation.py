@@ -55,7 +55,7 @@ g3 = SignedGraph(3, frozenset(all_pairs(3)))
 bad = Metric(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
 lp_bad = build_pivot_lp(g3, trivial_preclustering(3), bad)
 res_bad = solve(lp_bad)
-cert = separation_from_infeasibility(lp_bad, bad, res_bad)
+cert = separation_from_infeasibility(lp_bad, res_bad)
 print("\ntriangle-violating metric (x01 = x02 = 0, x12 = 1):", res_bad.status)
 print("  recovered plane:", {k: round(v, 3) for k, v in cert.w.items()}, ">=", round(cert.b, 3))
 print("  value at the rejected x:", round(cert.rejected_value, 3), "(strictly below)")

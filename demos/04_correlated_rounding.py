@@ -4,10 +4,11 @@
 Completing a cluster around a pivot requires sampling a subset whose
 single-vertex inclusion probabilities match prescribed marginals *exactly*
 and whose pairwise statistics track prescribed joint values approximately.
-The sampler conditions on a few random "seed" vertices: deeper conditioning
-tracks the joints better.  Instead of assuming the textbook error bound, the
-artifact computes the pairwise error exactly, by enumerating the sampler's
-seed branches, and feeds that value into every downstream budget check.
+The sampler conditions on at most one random "seed" vertex (the marginals
+carry pair joints only), then rounds the rest independently.  Instead of
+assuming the textbook error bound, the artifact computes the pairwise error
+exactly, by enumerating the sampler's seed branches, and feeds that value
+into every downstream budget check.
 """
 
 import numpy as np
@@ -24,22 +25,20 @@ print(__doc__)
 # says they always appear together.
 m = ConditionedMarginals((0, 1), {0: 0.5, 1: 0.5}, {(0, 1): 0.5})
 print("perfectly correlated pair, marginals 1/2, joint 1/2:")
-for depth in (0, 1):
-    pair = exact_pair_probabilities(m, depth)[(0, 1)]
-    inc = exact_inclusion_probabilities(m, depth)
-    print(f"  depth {depth}: Pr[both] = {pair:.3f}   marginals recovered exactly: "
-          f"{max(abs(inc[v] - 0.5) for v in (0, 1)):.1e}")
-print("  (independent rounding gives 0.25; one seed already lifts it to 0.375)")
+pair = exact_pair_probabilities(m)[(0, 1)]
+inc = exact_inclusion_probabilities(m)
+print(f"  Pr[both] = {pair:.3f}   marginals recovered exactly: "
+      f"{max(abs(inc[v] - 0.5) for v in (0, 1)):.1e}")
+print("  (independent rounding gives 0.25; one seed lifts it to 0.375)")
 
-err = measure_pairwise_error(m, depth=1)
-print(f"  pairwise error at depth 1: {err:.4f}  (|0.375 - 0.5|)")
+err = measure_pairwise_error(m)
+print(f"  pairwise error: {err:.4f}  (|0.375 - 0.5|)")
 rng = np.random.default_rng(0)
-both = sum({0, 1} <= rt_sample(m, 1, rng) for _ in range(40_000)) / 40_000
+both = sum({0, 1} <= rt_sample(m, rng) for _ in range(40_000)) / 40_000
 print(f"  sampler check: Pr[both] over 40,000 draws = {both:.4f}")
 
-# A richer pseudo-distribution: a random mixture of subsets.  Mixtures are
-# genuine distributions, so conditioning can go deeper when triples are
-# available, and the pairwise error shrinks.
+# A richer pseudo-distribution: the pair marginals of a random mixture of
+# subsets.
 rng = np.random.default_rng(42)
 k, n = 6, 6
 vecs = rng.random((k, n)) < rng.random((k, 1))
@@ -50,23 +49,17 @@ pairs = {
     (u, v): float((wts * (vecs[:, u] & vecs[:, v])).sum())
     for u in range(n) for v in range(u + 1, n)
 }
-triples = {
-    (u, v, w): float((wts * (vecs[:, u] & vecs[:, v] & vecs[:, w])).sum())
-    for u in range(n) for v in range(u + 1, n) for w in range(v + 1, n)
-}
-mm = ConditionedMarginals(ground, marg, pairs, triples)
+mm = ConditionedMarginals(ground, marg, pairs)
 print("\nmixture pseudo-distribution on 6 elements:")
-for depth in (0, 1, 2):
-    err = measure_pairwise_error(mm, depth=depth)
-    print(f"  depth {depth}: pairwise error {err:.4f}")
+print(f"  pairwise error {measure_pairwise_error(mm):.4f}")
 
 # Exactness is a structural fact, not luck: enumerate every seed branch.
-inc = exact_inclusion_probabilities(mm, depth=2)
+inc = exact_inclusion_probabilities(mm)
 print("  worst marginal deviation by exhaustive enumeration:",
       f"{max(abs(inc[v] - marg[v]) for v in ground):.1e}")
 
 # Elements pinned to 0 or 1 are decided deterministically.
 md = ConditionedMarginals((0, 1, 2), {0: 1.0, 1: 0.0, 2: 0.6},
                           {(0, 1): 0.0, (0, 2): 0.6, (1, 2): 0.0})
-draws = {tuple(sorted(rt_sample(md, 1, np.random.default_rng(s)))) for s in range(12)}
+draws = {tuple(sorted(rt_sample(md, np.random.default_rng(s)))) for s in range(12)}
 print("\npinned elements: draws only vary in the fractional element:", sorted(draws))

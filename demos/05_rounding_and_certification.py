@@ -28,7 +28,7 @@ from corrclust import (
     verify_final_ratio,
 )
 from corrclust.combine import combined_edge_bounds
-from corrclust.round_pivot import PivotBudget
+from corrclust.round_pivot import pivot_budget
 from corrclust.round_set import lp_budget
 from corrclust.verify import certify_triangle_kind
 
@@ -52,10 +52,9 @@ print("  (eps_r: the largest exact pairwise error over every sampled iteration o
 
 # Per-edge budget comparison: where each scheme is strong.
 print("\nper-+edge bounds at selected distances (set vs pivot):")
-pb = PivotBudget()
 for xv in (0.0, 0.25, 0.485, 0.75, 1.0):
     print(f"  x={xv:5.3f}:  2x/(1+x) = {lp_budget(True, xv):.3f}   "
-          f"min(1.515+x,2)x = {pb.pair_budget(True, xv):.3f}")
+          f"min(1.515+x,2)x = {pivot_budget(True, xv):.3f}")
 print("  (-edges: (1-x)/(1+x) for set vs 2(1-x) for pivot; each scheme covers "
       "the other's weak spot)")
 

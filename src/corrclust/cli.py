@@ -116,8 +116,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.grid_step > 1e-3:
-        raise UsageError("--grid-step must be at most 1e-3")
     checks: list[tuple[str, bool, str]] = []
     ratio = verify_final_ratio(args.grid_step, constant=args.f_constant)
     checks.append(
@@ -212,12 +210,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"corrclust {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed_required=True):
-        sp.add_argument("--eps-q", type=float, default=0.1, help="preclustering agreement parameter")
-        sp.add_argument("--eps", type=float, default=0.05, help="rounding error budget per admissible pair")
-        sp.add_argument("--trials", type=int, default=8, help="best-of trial count per rounding")
-        sp.add_argument("--seed", type=int, required=seed_required, help="base seed (mandatory for reproducibility)")
-        sp.add_argument("--oracle-limit", type=int, default=16, help="largest n the exact oracle is consulted for")
+    defaults = PipelineConfig()
+
+    def common(sp):
+        sp.add_argument("--eps-q", type=float, default=defaults.epsilon_q, help="preclustering agreement parameter")
+        sp.add_argument("--eps", type=float, default=defaults.epsilon, help="rounding error budget per admissible pair")
+        sp.add_argument("--trials", type=int, default=defaults.trials, help="best-of trial count per rounding")
+        sp.add_argument("--seed", type=int, required=True, help="base seed (mandatory for reproducibility)")
+        sp.add_argument("--oracle-limit", type=int, default=defaults.oracle_limit,
+                        help="largest n the exact oracle is consulted for (at most 16)")
         sp.add_argument("--out", help=f"output path (default under ${OUT_DIR_ENV} or cwd)")
 
     run = sub.add_parser("run", help="run the full pipeline on one instance")
@@ -229,8 +230,8 @@ def _build_parser() -> _Parser:
     run.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="certify the closed-form analysis")
-    ver.add_argument("--grid-step", type=float, default=1e-4, help="grid step for the ratio scan (<= 1e-3)")
-    ver.add_argument("--samples", type=int, default=100_000, help="random feasible points per triangle kind")
+    ver.add_argument("--grid-step", type=float, default=1e-4, help="grid step for the ratio scan, in (0, 1e-3]")
+    ver.add_argument("--samples", type=int, default=100_000, help="random feasible points per triangle kind (at least 1)")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--f-constant", type=float, default=1.515, help=argparse.SUPPRESS)
     ver.set_defaults(func=cmd_verify)

@@ -21,10 +21,10 @@ from .core import (
     SignedGraph,
     all_pairs,
 )
-from .exact import brute_force_opt, brute_force_opt_good
+from .exact import DEFAULT_LIMIT, brute_force_opt, brute_force_opt_good
 from .lp import SeparationCertificate, solve_triangle_lp
 from .precluster import AgreementParams, precluster
-from .round_pivot import PivotBudget, pivot_based_round
+from .round_pivot import pivot_based_round, pivot_budget
 from .round_set import RoundingParams, RoundingReport, lp_budget, set_based_round
 from .verify import COMBINED_RATIO_BOUND, MINUS_EDGE_RATIO, PIVOT_WEIGHT, SET_WEIGHT
 
@@ -47,7 +47,6 @@ def combined_edge_bounds(g: SignedGraph, pre: PreclusteredInstance, x: Metric) -
     """Per-edge weighted bound of the two schemes, checked against the
     certified ratio times the LP contribution (plus-edges) and the -edge
     constant.  Returns totals and the worst per-edge slack."""
-    budget = PivotBudget()
     total = 0.0
     worst_slack = float("inf")
     ok = True
@@ -55,7 +54,7 @@ def combined_edge_bounds(g: SignedGraph, pre: PreclusteredInstance, x: Metric) -
         xv = x.x(*p)
         is_plus = p in g.plus
         set_b = lp_budget(is_plus, xv)
-        pivot_b = budget.pair_budget(is_plus, xv)
+        pivot_b = pivot_budget(is_plus, xv)
         comb = SET_WEIGHT * set_b + PIVOT_WEIGHT * pivot_b
         lp_contrib = xv if is_plus else 1.0 - xv
         cap = (COMBINED_RATIO_BOUND if is_plus else MINUS_EDGE_RATIO) * lp_contrib
@@ -124,19 +123,22 @@ def combined_round(
 @dataclass(frozen=True)
 class PipelineConfig:
     """End-to-end knobs. The theory's parameter cascade is exposed as
-    independent dials; defaults are the desk-scale working point.  The lift
-    order ``r`` is recorded in reports; 3 is the only order the lifted LPs
-    implement."""
+    independent dials; defaults are the desk-scale working point and the
+    CLI's.  The lift order ``r`` is recorded in reports; 3 is the only order
+    the lifted LPs implement.  ``oracle_limit`` is at most the exact
+    oracles' own limit."""
 
     epsilon_q: float = 0.1
     epsilon: float = 0.05
     r: int = 3
-    trials: int = 1
-    oracle_limit: int = 16
+    trials: int = 8
+    oracle_limit: int = DEFAULT_LIMIT
 
     def __post_init__(self) -> None:
         if self.r != 3:
             raise ValueError(f"lift order r must be 3, got {self.r}")
+        if not 0 <= self.oracle_limit <= DEFAULT_LIMIT:
+            raise ValueError(f"oracle limit must lie in 0..{DEFAULT_LIMIT}, got {self.oracle_limit}")
 
 
 def full_pipeline(g: SignedGraph, config: PipelineConfig, seed: int) -> dict:
@@ -174,11 +176,7 @@ def full_pipeline(g: SignedGraph, config: PipelineConfig, seed: int) -> dict:
         # clusterings; it is rare at the default working point, so flag it
         # loudly for inspection.
         report["outcome"] = "separation_certificate"
-        report["certificate"] = {
-            "b": outcome.b,
-            "w": sorted((list(p), c) for p, c in outcome.w.items()),
-            "provenance": outcome.provenance,
-        }
+        report["certificate"] = outcome.to_dict()
         report["unexpected_for_lp_derived_metric"] = True
         return report
     report["outcome"] = "clustering"

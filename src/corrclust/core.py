@@ -228,7 +228,6 @@ class PreclusteredInstance:
     n: int
     proper_atoms: tuple[frozenset[int], ...]
     adm: frozenset[Pair]
-    epsilon_q: float
 
     @cached_property
     def atom_index(self) -> tuple[int, ...]:
@@ -312,9 +311,9 @@ def is_good_clustering(pre: PreclusteredInstance, c: Clustering) -> bool:
     return True
 
 
-def trivial_preclustering(n: int, epsilon_q: float = 0.1) -> PreclusteredInstance:
+def trivial_preclustering(n: int) -> PreclusteredInstance:
     """No atoms, every pair admissible. Useful as an unconstrained default."""
-    return PreclusteredInstance(n, (), frozenset(all_pairs(n)), epsilon_q)
+    return PreclusteredInstance(n, (), frozenset(all_pairs(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +478,7 @@ def write_preclustering(pre: PreclusteredInstance) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_preclustering(text: str, n: int, epsilon_q: float = 0.1) -> PreclusteredInstance:
+def parse_preclustering(text: str, n: int) -> PreclusteredInstance:
     atoms: list[frozenset[int]] = []
     adm: set[Pair] = set()
     for ln in (raw.strip() for raw in text.splitlines()):
@@ -493,6 +492,6 @@ def parse_preclustering(text: str, n: int, epsilon_q: float = 0.1) -> Precluster
             adm.add(pair_key(u, v))
         else:
             raise ValueError(f"malformed preclustering line: {ln!r}")
-    pre = PreclusteredInstance(n, tuple(atoms), frozenset(adm), epsilon_q)
+    pre = PreclusteredInstance(n, tuple(atoms), frozenset(adm))
     pre.validate()
     return pre

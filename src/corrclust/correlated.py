@@ -3,11 +3,13 @@
 Samples a subset of a ground set so that every element's inclusion
 probability equals its prescribed marginal exactly, while pairwise joint
 statistics approximately track the prescribed pair values.  The scheme:
-draw a random number t of "seed" elements, sample the seeds' joint in/out
-assignment from the pseudo-distribution (sequentially, via conditioning
-ratios), then include every remaining element independently with its
-seed-conditioned marginal.  Exactness of the single-element marginals is a
-law-of-total-probability fact; the residual pairwise error is computed
+draw the number t of "seed" elements uniformly from {0, 1}, pick the seed
+uniformly, include it with its marginal, then include every other element
+independently with its seed-conditioned marginal.  The marginals carry pair
+joints only (what an order-3 lift provides once a pivot is conditioned on),
+and conditioning on t seeds needs joints of order t + 1, so the sampler
+conditions on at most one seed.  Exactness of the single-element marginals
+is a law-of-total-probability fact; the residual pairwise error is computed
 exactly by enumerating the seed branches, not assumed, and that value is
 what downstream budget checks use.
 """
@@ -33,19 +35,15 @@ class SamplingError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConditionedMarginals:
-    """Marginals (and low-order joints) of a conditioned pseudo-distribution.
+    """Marginals and pair joints of a conditioned pseudo-distribution.
 
     ``ground`` holds the element ids (atom representatives, in the rounding
-    use); ``pair`` maps canonical id pairs to joint inclusion weights;
-    ``triple`` is optional and only needed for conditioning depth >= 2.
-    ``context`` records where the numbers came from (pivot, size, ...).
+    use); ``pair`` maps canonical id pairs to joint inclusion weights.
     """
 
     ground: tuple[int, ...]
     marginal: Mapping[int, float]
     pair: Mapping[Pair, float]
-    triple: Mapping[tuple[int, int, int], float] | None = None
-    context: str = ""
 
     def __post_init__(self) -> None:
         for v in self.ground:
@@ -57,12 +55,8 @@ class ConditionedMarginals:
             if pv > cap or pv < -1e-9:
                 raise ValueError(f"pair value y'_{(u, v)} = {pv} violates box bounds")
 
-    @property
-    def max_order(self) -> int:
-        return 3 if self.triple is not None else 2
-
     def value_of(self, vs: tuple[int, ...]) -> float:
-        """Joint inclusion weight of a set of ground elements (size <= order)."""
+        """Joint inclusion weight of at most two ground elements."""
         k = len(vs)
         if k == 0:
             return 1.0
@@ -70,9 +64,7 @@ class ConditionedMarginals:
             return min(1.0, max(0.0, float(self.marginal[vs[0]])))
         if k == 2:
             return min(1.0, max(0.0, float(self.pair[pair_key(*vs)])))
-        if k == 3 and self.triple is not None:
-            return min(1.0, max(0.0, float(self.triple[tuple(sorted(vs))])))
-        raise ValueError(f"joint of order {k} not available in this context")
+        raise ValueError(f"joint of order {k} not available")
 
     def pseudo_prob(self, inside: tuple[int, ...], outside: tuple[int, ...]) -> float:
         """Weight of the event (all of `inside` in, all of `outside` out),
@@ -88,12 +80,6 @@ class ConditionedMarginals:
         return [v for v in self.ground if MASS_FLOOR < self.marginal[v] < 1 - MASS_FLOOR]
 
 
-def _effective_depth(m: ConditionedMarginals, depth: int) -> int:
-    """Seeds cannot exceed the ground set, and conditionals need joints one
-    order above the seed count."""
-    return min(depth, len(m.ground), m.max_order - 1)
-
-
 def _conditional_inclusion(
     m: ConditionedMarginals, v: int, seeds_in: tuple[int, ...], seeds_out: tuple[int, ...]
 ) -> float:
@@ -104,7 +90,7 @@ def _conditional_inclusion(
     return min(1.0, max(0.0, num / den))
 
 
-def rt_sample(m: ConditionedMarginals, depth: int, rng: np.random.Generator) -> set[int]:
+def rt_sample(m: ConditionedMarginals, rng: np.random.Generator) -> set[int]:
     """One correlated-rounding draw; Pr[v in C] equals m.marginal[v] exactly.
 
     Elements with marginal 0 or 1 are decided deterministically (they do and
@@ -112,7 +98,7 @@ def rt_sample(m: ConditionedMarginals, depth: int, rng: np.random.Generator) -> 
     resampled, with a bounded number of retries.
     """
     ground = m.ground
-    t_max = _effective_depth(m, depth)
+    t_max = min(1, len(ground))  # at most one seed, see the module docstring
     for _attempt in range(MAX_RESAMPLES):
         try:
             t = int(rng.integers(0, t_max + 1)) if t_max > 0 else 0
@@ -144,19 +130,18 @@ def rt_sample(m: ConditionedMarginals, depth: int, rng: np.random.Generator) -> 
 # ---------------------------------------------------------------------------
 
 
-def enumerate_branches(
-    m: ConditionedMarginals, depth: int
-) -> Iterator[tuple[float, dict[int, float]]]:
+def enumerate_branches(m: ConditionedMarginals) -> Iterator[tuple[float, dict[int, float]]]:
     """All (branch weight, per-element conditional inclusion) pairs.
 
-    A branch is a seed count t, a seed subset, and an in/out assignment of
-    the seeds; its weight is the probability the sampler reaches it.  Seeds
-    have conditional inclusion 0 or 1 in their branch.  Weights sum to one
-    up to the mass floor (assignments below it are skipped; the sampler
-    resamples them, and their total weight is negligible).
+    A branch is a seed count t (0 or 1), a seed subset, and an in/out
+    assignment of the seeds; its weight is the probability the sampler
+    reaches it.  Seeds have conditional inclusion 0 or 1 in their branch.
+    Weights sum to one up to the mass floor (assignments below it are
+    skipped; the sampler resamples them, and their total weight is
+    negligible).
     """
     ground = m.ground
-    t_max = _effective_depth(m, depth)
+    t_max = min(1, len(ground))
     p_t = 1.0 / (t_max + 1)
     for t in range(t_max + 1):
         n_subsets = math.comb(len(ground), t)
@@ -175,20 +160,20 @@ def enumerate_branches(
                 yield p_t * mass / n_subsets, cond
 
 
-def exact_inclusion_probabilities(m: ConditionedMarginals, depth: int) -> dict[int, float]:
+def exact_inclusion_probabilities(m: ConditionedMarginals) -> dict[int, float]:
     """Pr[v in C] by exhaustive seed-branch enumeration."""
     probs = dict.fromkeys(m.ground, 0.0)
-    for weight, cond in enumerate_branches(m, depth):
+    for weight, cond in enumerate_branches(m):
         for v in m.ground:
             probs[v] += weight * cond[v]
     return probs
 
 
-def exact_pair_probabilities(m: ConditionedMarginals, depth: int) -> dict[Pair, float]:
+def exact_pair_probabilities(m: ConditionedMarginals) -> dict[Pair, float]:
     """Pr[v and w both in C] by branch enumeration; elements are independent
     within a branch, so the joint is the product of conditionals."""
     probs = {pair_key(u, v): 0.0 for (u, v) in combinations(m.ground, 2)}
-    for weight, cond in enumerate_branches(m, depth):
+    for weight, cond in enumerate_branches(m):
         for (u, v) in probs:
             probs[(u, v)] += weight * cond[u] * cond[v]
     return probs
@@ -199,7 +184,7 @@ def exact_pair_probabilities(m: ConditionedMarginals, depth: int) -> dict[Pair, 
 # ---------------------------------------------------------------------------
 
 
-def measure_pairwise_error(m: ConditionedMarginals, depth: int = 1) -> float:
+def measure_pairwise_error(m: ConditionedMarginals) -> float:
     """Exact mean |Pr[v,w in C] - y'_vw| over pairs of elements with
     fractional marginals, with Pr[v,w in C] from branch enumeration; this is
     the correlation error eps_r that the guarantee charges.  Deterministically
@@ -207,7 +192,7 @@ def measure_pairwise_error(m: ConditionedMarginals, depth: int = 1) -> float:
     frac = m.fractional()
     if len(frac) < 2:
         return 0.0
-    both = exact_pair_probabilities(m, depth)
+    both = exact_pair_probabilities(m)
     pairs = [pair_key(u, v) for (u, v) in combinations(frac, 2)]
     return sum(abs(both[p] - m.value_of(p)) for p in pairs) / len(pairs)
 

@@ -31,7 +31,7 @@ required to be nonnegative.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -142,22 +142,19 @@ class LinearProgram:
         param_entries: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]] = (),
     ) -> None:
         """Append ``count`` rows; local row ids in the entry triplets are
-        offset by the current row count.  sense is one of '<', '=', '>'
-        (the latter is normalized to '<')."""
-        if sense not in "<=>":
+        offset by the current row count.  sense is '<' or '='."""
+        if sense not in ("<", "="):
             raise ValueError(f"bad sense {sense!r}")
-        flip = -1.0 if sense == ">" else 1.0
-        norm_sense = "<" if sense in "<>" else "="
         base = self.num_rows
-        self._rhs0.append(flip * np.broadcast_to(np.asarray(rhs, dtype=float), (count,)))
-        self._senses.append(np.full(count, norm_sense))
+        self._rhs0.append(np.broadcast_to(np.asarray(rhs, dtype=float), (count,)))
+        self._senses.append(np.full(count, sense))
         self._num_rows += count
         for (r, c, v) in entries:
             r = np.asarray(r, dtype=int)
-            self._entries.append((r + base, np.asarray(c, dtype=int), flip * np.asarray(v, dtype=float)))
+            self._entries.append((r + base, np.asarray(c, dtype=int), np.asarray(v, dtype=float)))
         for (r, c, v) in param_entries:
             r = np.asarray(r, dtype=int)
-            self._pentries.append((r + base, np.asarray(c, dtype=int), flip * np.asarray(v, dtype=float)))
+            self._pentries.append((r + base, np.asarray(c, dtype=int), np.asarray(v, dtype=float)))
         self._mats = None
 
     def add_row(self, coeffs: Mapping[int, float], sense: str, rhs: float,
@@ -219,8 +216,8 @@ class LinearProgram:
         out[eq] = np.abs(out[eq])
         return out
 
-    def value_vector(self, assignment: Mapping[tuple, float], default: float = 0.0) -> np.ndarray:
-        vec = np.full(self.num_vars, default)
+    def value_vector(self, assignment: Mapping[tuple, float]) -> np.ndarray:
+        vec = np.zeros(self.num_vars)
         for i, key in enumerate(self.var_keys):
             if key in assignment:
                 vec[i] = assignment[key]
@@ -233,7 +230,6 @@ class LPResult:
     values: np.ndarray | None = None
     objective: float | None = None
     farkas: np.ndarray | None = None  # weights over canonical <= rows
-    message: str = ""
     iterations: int = 0  # HiGHS simplex iterations
 
 
@@ -394,14 +390,14 @@ def solve(lp: LinearProgram) -> LPResult:
     else:
         status, x, fun, nit, message = _run_highs(_HIGHS, c, A, b, ineq, lb, ub)
     if status == 0:
-        return LPResult("optimal", values=x, objective=fun + const, message=message, iterations=nit)
+        return LPResult("optimal", values=x, objective=fun + const, iterations=nit)
     if status == 2:
         farkas = _find_farkas(lp)
         if farkas is None:
             raise LPError(f"{lp.name}: reported infeasible but no Farkas witness found")
-        return LPResult("infeasible", farkas=farkas, message=message, iterations=nit)
+        return LPResult("infeasible", farkas=farkas, iterations=nit)
     if status == 3:
-        return LPResult("unbounded", message=message, iterations=nit)
+        return LPResult("unbounded", iterations=nit)
     raise LPError(f"{lp.name}: solver failure: {message}")
 
 
@@ -419,7 +415,6 @@ class SeparationCertificate:
     b: float
     provenance: str
     rejected_value: float  # w.x at the rejected point
-    farkas_weights: tuple[float, ...] = field(repr=False, default=())
 
     def evaluate(self, x: Metric) -> float:
         return sum(coef * x.x(*p) for p, coef in self.w.items())
@@ -427,13 +422,18 @@ class SeparationCertificate:
     def separates(self, x: Metric, tol: float = 1e-9) -> bool:
         return self.evaluate(x) < self.b - tol
 
+    def to_dict(self) -> dict:
+        """Report form: the offset, the weights sorted by pair, the LP name."""
+        return {
+            "b": self.b,
+            "w": sorted((list(p), c) for p, c in self.w.items()),
+            "provenance": self.provenance,
+        }
 
-def separation_from_infeasibility(
-    lp: LinearProgram, x: Metric, result: LPResult | None = None
-) -> SeparationCertificate:
-    """Project a Farkas witness for an infeasible lift onto x-space."""
-    if result is None:
-        result = solve(lp)
+
+def separation_from_infeasibility(lp: LinearProgram, result: LPResult) -> SeparationCertificate:
+    """Project the Farkas witness of an infeasible lift onto x-space; the
+    rejected x is the one the lift was built for."""
     if result.status != "infeasible" or result.farkas is None:
         raise ValueError(f"{lp.name}: separation requested but LP is {result.status}")
     u = result.farkas
@@ -451,7 +451,6 @@ def separation_from_infeasibility(
         b=b,
         provenance=lp.name,
         rejected_value=float(sum(w.get(p, 0.0) * xv for p, xv in zip(lp.param_pairs, lp.param_values))),
-        farkas_weights=tuple(u.tolist()),
     )
     if not cert.rejected_value < b - 1e-9:
         raise LPError(f"{lp.name}: certificate does not separate the rejected x")

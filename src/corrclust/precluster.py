@@ -35,24 +35,20 @@ def _ratio(x: float) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class AgreementParams:
-    """Preclustering knobs; by default beta = lam = epsilon_q.
+    """The preclustering parameter epsilon_q.
 
-    epsilon_q is the master agreement parameter; derived quantities:
-    eps = sqrt(epsilon_q) (approximation slack of the preclustering) and
-    eps_a = epsilon_q**6 / 2 (cost lower-bound coefficient).
+    epsilon_q is both the weak-agreement threshold (beta) and the lightness
+    threshold (lambda) of the sparsification, and the degree-similarity
+    ratio of admissibility; derived quantities: eps = sqrt(epsilon_q)
+    (approximation slack of the preclustering) and eps_a = epsilon_q**6 / 2
+    (cost lower-bound coefficient).
     """
 
     epsilon_q: float
-    beta: float | None = None
-    lam: float | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon_q < 1.0):
             raise ValueError("epsilon_q must lie in (0, 1)")
-        if self.beta is None:
-            object.__setattr__(self, "beta", self.epsilon_q)
-        if self.lam is None:
-            object.__setattr__(self, "lam", self.epsilon_q)
 
     @property
     def eps(self) -> float:
@@ -77,12 +73,12 @@ def atomic_preclustering(g: SignedGraph, params: AgreementParams) -> tuple[froze
     kept: list[Pair] = []
     lost = [0] * g.n
     for (u, v) in sorted(g.plus):
-        if in_weak_agreement(g, u, v, 1, params.beta):
+        if in_weak_agreement(g, u, v, 1, params.epsilon_q):
             kept.append((u, v))
         else:
             lost[u] += 1
             lost[v] += 1
-    lnum, lden = _ratio(params.lam)
+    lnum, lden = _ratio(params.epsilon_q)
     light = [lost[v] * lden > lnum * g.degree(v) for v in range(g.n)]
     surviving = [(u, v) for (u, v) in kept if not (light[u] and light[v])]
     # connected components of the sparsified graph
@@ -160,6 +156,6 @@ def precluster(g: SignedGraph, params: AgreementParams) -> PreclusteredInstance:
     """Full preclustering: atoms, then normalized admissible pairs."""
     atoms = atomic_preclustering(g, params)
     adm = admissible_edges(g, atoms, params)
-    pre = PreclusteredInstance(g.n, atoms, adm, params.epsilon_q)
+    pre = PreclusteredInstance(g.n, atoms, adm)
     pre.validate()
     return pre

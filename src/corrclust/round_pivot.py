@@ -13,7 +13,6 @@ pivot, which the order-3 lifted LP enforces).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterable
@@ -36,7 +35,6 @@ from .lp import (
     solve,
 )
 from .round_set import (
-    SAMPLER_DEPTH,
     RoundingParams,
     RoundingReport,
     best_of_trials,
@@ -47,18 +45,10 @@ F_PLUS_CONSTANT = 1.515
 MINUS_COEFFICIENT = 2.0
 
 
-@dataclass(frozen=True)
-class PivotBudget:
-    """Budget coefficients of the pivot scheme: f(x) = min(1.515 + x, 2)
-    for +pairs, a flat coefficient 2 for -pairs, epsilon per admissible pair."""
-
-    epsilon: float = 0.05
-
-    def f_plus(self, x: float) -> float:
-        return min(F_PLUS_CONSTANT + x, 2.0)
-
-    def pair_budget(self, is_plus: bool, x: float) -> float:
-        return self.f_plus(x) * x if is_plus else MINUS_COEFFICIENT * (1.0 - x)
+def pivot_budget(is_plus: bool, x: float) -> float:
+    """Per-pair LP budget of the pivot scheme: f(x) x with
+    f(x) = min(1.515 + x, 2) for a +pair, 2 (1 - x) for a -pair."""
+    return min(F_PLUS_CONSTANT + x, 2.0) * x if is_plus else MINUS_COEFFICIENT * (1.0 - x)
 
 
 def cleanup(
@@ -66,7 +56,7 @@ def cleanup(
     g: SignedGraph,
     pre: PreclusteredInstance,
     x: Metric,
-    budget: PivotBudget,
+    epsilon: float,
 ) -> frozenset[int] | None:
     """First atom (ascending minimum vertex) whose removal cost ALG_K is at
     most the budget Delta_K it would release; None if there is none."""
@@ -74,7 +64,7 @@ def cleanup(
     for atom in pre.all_atoms:
         if not atom <= rem:
             continue
-        alg, delta = cleanup_quantities(atom, rem, g, pre, x, budget)
+        alg, delta = cleanup_quantities(atom, rem, g, pre, x, epsilon)
         if delta >= alg:
             return atom
     return None
@@ -86,10 +76,10 @@ def cleanup_quantities(
     g: SignedGraph,
     pre: PreclusteredInstance,
     x: Metric,
-    budget: PivotBudget,
+    epsilon: float,
 ) -> tuple[float, float]:
     """(ALG_K, Delta_K) for removing ``atom`` as a cluster, both restricted
-    to the remaining vertex set."""
+    to the remaining vertex set; Delta_K adds epsilon per admissible pair."""
     alg = 0.0
     delta = 0.0
     for u in sorted(atom):
@@ -103,9 +93,9 @@ def cleanup_quantities(
                     alg += 1.0
             elif is_plus:
                 alg += 1.0
-            delta += budget.pair_budget(is_plus, x.x(u, v))
+            delta += pivot_budget(is_plus, x.x(u, v))
             if pre.classify_pair(u, v) == "admissible":
-                delta += budget.epsilon
+                delta += epsilon
     return alg, delta
 
 
@@ -142,7 +132,7 @@ def _pivot_marginals(
     for (a, b) in combinations(reps, 2):
         v = sol.y_of((p, a, b))
         pairv[pair_key(a, b)] = min(min(marg[a], marg[b]), max(0.0, v))
-    m = ConditionedMarginals(tuple(reps), marg, pairv, context=f"pivot(p={p})")
+    m = ConditionedMarginals(tuple(reps), marg, pairv)
     return m, rt_groups, indep
 
 
@@ -160,20 +150,19 @@ def pivot_based_round(
     lp = build_pivot_lp(g, pre, x)
     res = solve(lp)
     if res.status == "infeasible":
-        cert = separation_from_infeasibility(lp, x, res)
+        cert = separation_from_infeasibility(lp, res)
         return RoundingReport("pivot", None, None, None, 0.0, [], certificate=cert)
     sol = lifted_from_result(lp, res)
-    budget = PivotBudget(epsilon=params.epsilon)
 
     def draw(rem: set[int], rng: np.random.Generator) -> tuple[set[int], dict]:
-        k = cleanup(rem, g, pre, x, budget)
+        k = cleanup(rem, g, pre, x, params.epsilon)
         if k is not None:
             return set(k), {"cleanup": sorted(k), "size": len(k)}
         order = sorted(rem)
         p = order[int(rng.integers(0, len(order)))]
         m, rt_groups, indep = _pivot_marginals(sol, p, pre, rem, g)
-        eps_r = measure_pairwise_error(m, SAMPLER_DEPTH)
-        chosen = rt_sample(m, SAMPLER_DEPTH, rng)
+        eps_r = measure_pairwise_error(m)
+        chosen = rt_sample(m, rng)
         cluster = set(pre.atom_of(p) & rem)
         s_plus = 0
         for rep in chosen:
@@ -192,7 +181,7 @@ def pivot_based_round(
         params.trials,
         rng,
         lambda stream: rounding_trial(
-            "pivot", g, pre, x, params.epsilon, draw, budget.pair_budget, stream
+            "pivot", g, pre, x, params.epsilon, draw, pivot_budget, stream
         ),
     )
 

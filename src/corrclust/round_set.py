@@ -59,9 +59,6 @@ class LedgerError(RuntimeError):
     not asserted, so the checks also run under ``python -O``."""
 
 
-SAMPLER_DEPTH = 1  # conditioning depth of the correlated sampler at lift order 3
-
-
 @dataclass(frozen=True)
 class RoundingParams:
     """Knobs shared by both rounding schemes."""
@@ -167,11 +164,7 @@ class RoundingReport:
         if self.ledger is not None:
             out["ledger"] = self.ledger.totals()
         if self.certificate is not None:
-            out["certificate"] = {
-                "b": self.certificate.b,
-                "w": sorted((list(p), c) for p, c in self.certificate.w.items()),
-                "provenance": self.certificate.provenance,
-            }
+            out["certificate"] = self.certificate.to_dict()
         return out
 
 
@@ -212,7 +205,7 @@ def conditioned_marginals_for(
     for (a, b) in combinations(reps, 2):
         v = sol.ys_of(s, (a, b, u)) / ysu
         pairv[pair_key(a, b)] = min(min(marg[a], marg[b]), max(0.0, v))
-    m = ConditionedMarginals(tuple(reps), marg, pairv, context=f"set(s={s},u={u})")
+    m = ConditionedMarginals(tuple(reps), marg, pairv)
     return m, groups
 
 
@@ -221,10 +214,11 @@ def set_based_cstr_clst(
     sol: LiftedSolution,
     pre: PreclusteredInstance,
     rng: np.random.Generator,
-) -> tuple[set[int], dict]:
+) -> tuple[set[int], dict, ConditionedMarginals]:
     """Sample one cluster: size s with weight y^s_0/y_0, pivot u with weight
     y^s_u / (s y^s_0), then correlated rounding at atom granularity; the
-    pivot's atom always joins."""
+    pivot's atom always joins.  Returns the cluster, its trace record and
+    the conditioned marginals it was rounded from."""
     verts = sorted(vprime)
     n = len(verts)
     y0 = sol.y0
@@ -238,11 +232,11 @@ def set_based_cstr_clst(
     u_weights = _normalized(u_weights, "pivot")
     u = verts[int(rng.choice(n, p=u_weights))]
     m, groups = conditioned_marginals_for(sol, s, u, pre, verts)
-    chosen_reps = rt_sample(m, SAMPLER_DEPTH, rng)
+    chosen_reps = rt_sample(m, rng)
     cluster = set(pre.atom_of(u)) & set(verts)
     for rep in chosen_reps:
         cluster.update(groups[rep])
-    return cluster, {"s": s, "u": u, "size": len(cluster)}
+    return cluster, {"s": s, "u": u, "size": len(cluster)}, m
 
 
 def decide_cluster(
@@ -371,10 +365,9 @@ def set_based_round(
     def draw(rem: set[int], rng: np.random.Generator):
         lp, res, sol = cache.get(frozenset(rem))
         if res.status == "infeasible":
-            return separation_from_infeasibility(lp, x, res)
-        cluster, rec = set_based_cstr_clst(rem, sol, pre, rng)
-        m, _ = conditioned_marginals_for(sol, rec["s"], rec["u"], pre, sorted(rem))
-        rec["eps_r"] = measure_pairwise_error(m, SAMPLER_DEPTH)
+            return separation_from_infeasibility(lp, res)
+        cluster, rec, m = set_based_cstr_clst(rem, sol, pre, rng)
+        rec["eps_r"] = measure_pairwise_error(m)
         return cluster, rec
 
     def vertex_budget(v: int) -> float:
@@ -445,8 +438,8 @@ def analyze_cluster_sampler(
             if w_su < PROB_FLOOR or ysu < PROB_FLOOR:
                 continue
             m, groups = conditioned_marginals_for(sol, s, u, pre, verts)
-            inc_rep = exact_inclusion_probabilities(m, SAMPLER_DEPTH)
-            both_rep = exact_pair_probabilities(m, SAMPLER_DEPTH)
+            inc_rep = exact_inclusion_probabilities(m)
+            both_rep = exact_pair_probabilities(m)
             ku = [v for v in pre.atom_of(u) if v in inc]
             rep_of = {v: rep for rep, members in groups.items() for v in members}
             for v in ku:

@@ -22,7 +22,6 @@ SET_WEIGHT = 0.42
 PIVOT_WEIGHT = 0.58
 COMBINED_RATIO_BOUND = 1.7257
 MINUS_EDGE_RATIO = SET_WEIGHT * 1.0 + PIVOT_WEIGHT * 2.0  # = 1.58
-RATIO_ARGMAX = 2.0 - F_PLUS_CONSTANT  # 0.485, where the two f branches meet
 
 TRIANGLE_KINDS = ("+++", "++-", "+--", "---")
 
@@ -81,12 +80,9 @@ class TrianglePoint:
                 raise ValueError("triple value exceeds a pair value")
 
 
-def sample_triangle_point(kind: str, rng: np.random.Generator) -> TrianglePoint:
-    """Uniform sample from the simplex of the five partition events.
-    The feasible region is the same for every sign pattern; ``kind`` is
-    accepted for interface symmetry with the case checker."""
-    if kind not in TRIANGLE_KINDS:
-        raise ValueError(f"unknown triangle kind {kind!r}")
+def sample_triangle_point(rng: np.random.Generator) -> TrianglePoint:
+    """Uniform sample from the simplex of the five partition events, the
+    feasible region of every sign pattern."""
     ev = rng.dirichlet(np.ones(5))
     return triangle_point_from_events(ev)
 
@@ -183,8 +179,8 @@ def combined_plus_ratio(x, constant: float = F_PLUS_CONSTANT):
 def verify_final_ratio(grid_step: float = 1e-4, constant: float = F_PLUS_CONSTANT) -> FinalRatioResult:
     """Maximize the combined +edge ratio over [0,1] (grid plus the two
     critical points 0 and 2 - constant); report the -edge combination too."""
-    if grid_step > 1e-3:
-        raise ValueError("grid_step must be at most 1e-3")
+    if not 0 < grid_step <= 1e-3:
+        raise ValueError(f"grid-step {grid_step} outside (0, 1e-3]")
     xs = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
     xs = np.append(xs, [0.0, 2.0 - constant])
     vals = combined_plus_ratio(xs, constant)
@@ -240,6 +236,8 @@ def certify_triangle_kind(
 ) -> dict:
     """Check the charging inequality on uniformly sampled feasible points.
     Returns counts and the worst margin (rhs - lhs)."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     ev = rng.dirichlet(np.ones(5), size=samples)
     y_abc = ev[:, 0]
     y_ab = ev[:, 0] + ev[:, 1]

@@ -140,7 +140,7 @@ def test_criterion_5_sampler_marginal_exactness():
     worst_exact = 0.0
     for seed in range(10):
         m = _mixture(4 + seed % 3, 6, seed)
-        inc = exact_inclusion_probabilities(m, depth=1)
+        inc = exact_inclusion_probabilities(m)
         worst_exact = max(worst_exact, max(abs(inc[v] - m.marginal[v]) for v in m.ground))
     # Monte Carlo for a ground set of size 20
     m20 = _mixture(20, 12, 99)
@@ -148,7 +148,7 @@ def test_criterion_5_sampler_marginal_exactness():
     draws = 100_000
     hits = dict.fromkeys(m20.ground, 0)
     for _ in range(draws):
-        for v in rt_sample(m20, 1, rng):
+        for v in rt_sample(m20, rng):
             hits[v] += 1
     worst_z = 0.0
     for v in m20.ground:

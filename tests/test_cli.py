@@ -1,6 +1,9 @@
 import json
 
-from corrclust.cli import main
+import pytest
+
+from corrclust.cli import _build_parser, _config, main
+from corrclust.combine import PipelineConfig
 from corrclust.core import SignedGraph, write_instance
 
 
@@ -47,6 +50,21 @@ def test_run_flag_validation(capsys):
     assert main(["run", "--gen", "uniform", "--seed", "0"]) == 1  # n missing
 
 
+def test_run_defaults_are_pipeline_config():
+    args = _build_parser().parse_args(["run", "--gen", "uniform:5", "--seed", "0"])
+    assert _config(args) == PipelineConfig()
+
+
+def test_run_oracle_limit_above_16(tmp_path, capsys):
+    # rejected with the flags, before any work, whatever the instance size
+    out = tmp_path / "r.json"
+    code = main(["run", "--gen", "uniform:5", "--seed", "1", "--trials", "1",
+                 "--oracle-limit", "17", "--out", str(out)])
+    assert code == 1
+    assert "oracle limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("CORRCLUST_OUT_DIR", str(tmp_path / "sub"))
     assert main(["run", "--gen", "uniform:6", "--seed", "2", "--trials", "1"]) == 0
@@ -69,6 +87,16 @@ def test_verify_catches_wrong_constant(capsys):
 def test_verify_grid_step_usage_error(capsys):
     assert main(["verify", "--grid-step", "0.01"]) == 1
     assert "grid-step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid-step", "0", "grid-step"),
+    ("--grid-step", "-1e-4", "grid-step"),
+    ("--samples", "0", "samples"),
+])
+def test_verify_bad_flag_values(flag, value, message, capsys):
+    assert main(["verify", "--samples", "200", f"{flag}={value}"]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_bench(tmp_path, capsys):

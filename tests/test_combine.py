@@ -82,6 +82,16 @@ def test_pipeline_config_lift_order():
             PipelineConfig(r=r)
 
 
+def test_pipeline_config_oracle_limit():
+    # the exact oracles stop at 16 vertices; a larger limit fails at
+    # construction, not after the whole rounding has run
+    assert PipelineConfig().oracle_limit == 16
+    assert PipelineConfig(oracle_limit=0).oracle_limit == 0
+    for limit in (17, -1):
+        with pytest.raises(ValueError, match="oracle limit"):
+            PipelineConfig(oracle_limit=limit)
+
+
 def test_full_pipeline_planted():
     g = generate_instance("planted_cliques", 8, {"sizes": [4, 4], "noise": 0.0}, 1)
     rep = full_pipeline(g, PipelineConfig(trials=4), seed=11)

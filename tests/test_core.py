@@ -92,7 +92,7 @@ def test_clustering_canonical_ids(labels):
 
 def test_classify_pair():
     pre = PreclusteredInstance(
-        6, (frozenset({0, 1}), frozenset({2, 3})), frozenset({(0, 4), (1, 4), (4, 5)}), 0.1
+        6, (frozenset({0, 1}), frozenset({2, 3})), frozenset({(0, 4), (1, 4), (4, 5)})
     )
     assert pre.classify_pair(0, 1) == "atomic"
     assert pre.classify_pair(1, 0) == "atomic"
@@ -111,16 +111,16 @@ def test_is_good_clustering():
     pre_free = trivial_preclustering(4)
     singletons = Clustering.from_sets(4, [[0], [1], [2], [3]])
     assert is_good_clustering(pre_free, singletons)
-    pre = PreclusteredInstance(4, (frozenset({0, 1}),), frozenset({(0, 2), (1, 2)}), 0.1)
+    pre = PreclusteredInstance(4, (frozenset({0, 1}),), frozenset({(0, 2), (1, 2)}))
     assert not is_good_clustering(pre, Clustering.from_sets(4, [[0, 2], [1], [3]]))  # splits atom
     assert is_good_clustering(pre, Clustering.from_sets(4, [[0, 1, 2], [3]]))
     # joining vertices of two atoms is never good
-    pre2 = PreclusteredInstance(4, (frozenset({0, 1}), frozenset({2, 3})), frozenset(), 0.1)
+    pre2 = PreclusteredInstance(4, (frozenset({0, 1}), frozenset({2, 3})), frozenset())
     assert not is_good_clustering(pre2, Clustering.from_sets(4, [[0, 1, 2, 3]]))
 
 
 def test_good_monotone_merge_cases():
-    pre = PreclusteredInstance(4, (), frozenset({(0, 1), (2, 3), (0, 2)}), 0.1)
+    pre = PreclusteredInstance(4, (), frozenset({(0, 1), (2, 3), (0, 2)}))
     base = Clustering.from_sets(4, [[0], [1], [2], [3]])
     assert is_good_clustering(pre, base)
     # merging along an admissible pair stays good
@@ -184,7 +184,7 @@ def test_clustering_and_preclustering_files():
     assert parse_clustering(write_clustering(c)) == c
     with pytest.raises(ValueError, match="not total"):
         parse_clustering("1000000000000 0\n")  # rejected without building 0..n-1
-    pre = PreclusteredInstance(5, (frozenset({0, 1}),), frozenset({(0, 2), (1, 2)}), 0.1)
+    pre = PreclusteredInstance(5, (frozenset({0, 1}),), frozenset({(0, 2), (1, 2)}))
     back = parse_preclustering(write_preclustering(pre), 5)
     assert back.proper_atoms == pre.proper_atoms and back.adm == pre.adm
 
@@ -196,21 +196,21 @@ def test_metric_validation():
     bad_tri = Metric(3, {(0, 1): 1.0, (0, 2): 0.0, (1, 2): 0.0})
     with pytest.raises(ValueError, match="triangle"):
         bad_tri.validate()
-    pre = PreclusteredInstance(3, (frozenset({0, 1}),), frozenset({(0, 2), (1, 2)}), 0.1)
+    pre = PreclusteredInstance(3, (frozenset({0, 1}),), frozenset({(0, 2), (1, 2)}))
     with pytest.raises(ValueError, match="atomic"):
         Metric(3, {(0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.5}).validate(pre)
 
 
 def test_preclustered_instance_validation():
     with pytest.raises(ValueError, match="two atoms"):
-        PreclusteredInstance(4, (frozenset({0, 1}), frozenset({1, 2})), frozenset(), 0.1).atom_index
+        PreclusteredInstance(4, (frozenset({0, 1}), frozenset({1, 2})), frozenset()).atom_index
     with pytest.raises(ValueError, match="both endpoints"):
-        PreclusteredInstance(4, (frozenset({0, 1}), frozenset({2, 3})), frozenset({(0, 2)}), 0.1).validate()
+        PreclusteredInstance(4, (frozenset({0, 1}), frozenset({2, 3})), frozenset({(0, 2)})).validate()
     with pytest.raises(ValueError, match="non-uniform"):
-        PreclusteredInstance(4, (frozenset({0, 1}),), frozenset({(0, 2)}), 0.1).validate()
+        PreclusteredInstance(4, (frozenset({0, 1}),), frozenset({(0, 2)})).validate()
     # ids outside 0..n-1 are rejected, never aliased by negative indexing
     with pytest.raises(ValueError, match="outside"):
-        PreclusteredInstance(5, (frozenset({3, 5}),), frozenset(), 0.1).validate()
+        PreclusteredInstance(5, (frozenset({3, 5}),), frozenset()).validate()
     with pytest.raises(ValueError, match="outside"):
         parse_preclustering("atom 0: 0 -1\n", 5)
     with pytest.raises(ValueError, match="outside"):
@@ -298,7 +298,7 @@ def preclusterings(draw):
         for v in groups[b]
     }
     atoms = tuple(frozenset(gr) for gr in groups if len(gr) > 1)
-    return PreclusteredInstance(n, atoms, frozenset(adm), 0.1)
+    return PreclusteredInstance(n, atoms, frozenset(adm))
 
 
 @given(preclusterings())

@@ -82,7 +82,7 @@ def test_good_oracle_unconstrained_matches_plain():
 
 def test_good_oracle_all_non_admissible():
     g = generate_instance("uniform_random", 6, None, 11)
-    pre = PreclusteredInstance(6, (), frozenset(), 0.1)
+    pre = PreclusteredInstance(6, (), frozenset())
     c, cost = brute_force_opt_good(g, pre)
     assert c.num_clusters == 6
     assert cost == g.num_plus

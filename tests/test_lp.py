@@ -35,15 +35,17 @@ PPM = SignedGraph(3, frozenset({(0, 1), (0, 2)}))
 def test_solve_basics():
     lp = LinearProgram("infeasible")
     lp.add_vars([("x", (0, 1))])
-    lp.add_row({0: 1.0}, ">", 1.0)
+    lp.add_row({0: -1.0}, "<", -1.0)
     lp.add_row({0: 1.0}, "<", 0.0)
+    with pytest.raises(ValueError, match="sense"):
+        lp.add_row({0: 1.0}, ">", 1.0)
     res = solve(lp)
     assert res.status == "infeasible"
     assert res.farkas is not None
 
     lp2 = LinearProgram("min")
     lp2.add_vars([("x", (0, 1))], ub=5.0)
-    lp2.add_row({0: 1.0}, ">", 0.3)
+    lp2.add_row({0: -1.0}, "<", -0.3)
     lp2.set_objective([0], [1.0])
     res2 = solve(lp2)
     assert res2.status == "optimal"
@@ -80,7 +82,7 @@ def test_triangle_lp():
     assert c0 == pytest.approx(0.0, abs=1e-9)
 
     # a pinned non-admissible +pair contributes 1 to the optimum
-    pre_pin = PreclusteredInstance(3, (), frozenset({(0, 2), (1, 2)}), 0.1)
+    pre_pin = PreclusteredInstance(3, (), frozenset({(0, 2), (1, 2)}))
     allp3 = SignedGraph(3, frozenset(all_pairs(3)))
     xp, cp = solve_triangle_lp(allp3, pre_pin)
     assert xp.x(0, 1) == pytest.approx(1.0)
@@ -131,7 +133,7 @@ def test_size_window_boundary_cluster_stays_feasible():
     # epsilon * d_adm exactly integral: a good clustering with a cluster of
     # exactly the boundary size must keep a feasible lift (the forbidden
     # margin is open at the top)
-    pre = PreclusteredInstance(3, (), frozenset({(0, 1), (0, 2)}), 0.1)
+    pre = PreclusteredInstance(3, (), frozenset({(0, 1), (0, 2)}))
     c = Clustering.from_sets(3, [[0, 1], [2]])
     x = Metric.from_clustering(c)
     # vertex 0: atom size 1, d_adm = 2, epsilon = 0.5 -> boundary size 2
@@ -166,7 +168,7 @@ def test_set_lp_pinning_conflict_certificate():
     lp = build_set_lp(range(5), pre, x, epsilon=0.05)
     res = solve(lp)
     assert res.status == "infeasible"
-    cert = separation_from_infeasibility(lp, x, res)
+    cert = separation_from_infeasibility(lp, res)
     assert cert.separates(x)
     assert cert.rejected_value < cert.b
     # the single good clustering here (the atom is all of V) satisfies the plane
@@ -181,7 +183,7 @@ def test_pivot_lp_triangle_violation_certificate():
     lp = build_pivot_lp(g, pre, x)
     res = solve(lp)
     assert res.status == "infeasible"
-    cert = separation_from_infeasibility(lp, x, res)
+    cert = separation_from_infeasibility(lp, res)
     assert cert.separates(x)
     # every good clustering's metric satisfies the plane
     for labels in product(range(3), repeat=3):
@@ -197,7 +199,7 @@ def test_separation_requires_infeasibility():
     res = solve(lp)
     assert res.status == "optimal"
     with pytest.raises(ValueError, match="separation"):
-        separation_from_infeasibility(lp, x, res)
+        separation_from_infeasibility(lp, res)
 
 
 def test_pivot_lp_half_triangle_interval():

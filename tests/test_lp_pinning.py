@@ -185,7 +185,7 @@ def _sweep():
     """Small instances, vertex subsets that split atoms or not, and epsilons
     that put cluster sizes on and off the size-window boundary."""
     rng = np.random.default_rng(3)
-    atoms = PreclusteredInstance(6, (frozenset({0, 1, 2}),), frozenset({(0, 3), (1, 3), (2, 3), (3, 4)}), 0.1)
+    atoms = PreclusteredInstance(6, (frozenset({0, 1, 2}),), frozenset({(0, 3), (1, 3), (2, 3), (3, 4)}))
     yield atoms, Metric(6, dict.fromkeys(all_pairs(6), 0.5)), [[0, 1, 2, 3, 4, 5], [0, 1, 3], [1, 2, 4, 5], [3]]
     for seed, (kind, n, params) in enumerate([
         ("uniform_random", 1, None), ("uniform_random", 2, None), ("uniform_random", 5, None),

@@ -14,7 +14,6 @@ from corrclust.precluster import (
 
 def test_agreement_params():
     p = AgreementParams(0.1)
-    assert p.beta == p.lam == 0.1
     assert p.eps == pytest.approx(0.1**0.5)
     assert p.eps_a == pytest.approx(0.1**6 / 2)
     with pytest.raises(ValueError):
@@ -48,12 +47,14 @@ def test_atomic_preclustering_examples():
 
 
 def test_boundary_comparisons_are_strict():
-    # lost == lam * d must not make a vertex light: with lam = 0 nobody loses
-    # an edge in a clique, so everyone stays heavy and the atom survives (a
-    # non-strict comparison would mark every vertex light and drop all edges)
-    k5 = SignedGraph(5, frozenset(all_pairs(5)))
-    atoms = atomic_preclustering(k5, AgreementParams(epsilon_q=0.5, lam=0.0))
-    assert atoms == (frozenset(range(5)),)
+    # lost == lam * d must not make a vertex light (lam = epsilon_q = 0.5):
+    # 0 and 1 share the closed neighborhood {0,1,2,3}, so their edge is kept,
+    # and each loses its edges to 2 and 3 (which also see 4), so lost = 2 =
+    # 0.5 * degree 4.  Both stay heavy and the atom {0,1} survives; a
+    # non-strict comparison would mark both light and drop the edge.
+    g = SignedGraph(5, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)}))
+    atoms = atomic_preclustering(g, AgreementParams(0.5))
+    assert atoms == (frozenset({0, 1}),)
     # agreement is strict too: |sym diff| == i*beta*max(d) is not agreement
     two = generate_instance("planted_cliques", 8, {"sizes": [4, 4]}, 0)
     # cross pair: sym diff 8, degrees 4; 8 < 20*0.1*4 is false at equality

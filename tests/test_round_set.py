@@ -112,7 +112,7 @@ def test_clustering_probability_identity_mid_loop():
     sol = solved_lift(g, pre, x)
     assert sol is not None
     rng = np.random.default_rng(13)
-    cluster, _ = set_based_cstr_clst(range(7), sol, pre, rng)
+    cluster, _, _ = set_based_cstr_clst(range(7), sol, pre, rng)
     rest = sorted(set(range(7)) - cluster)
     if len(rest) >= 2:
         lp2 = build_set_lp(rest, pre, x, epsilon=0.05)
@@ -167,7 +167,7 @@ def test_sampled_distribution_matches_analysis():
     n_draws = 20000
     hits = dict.fromkeys(range(5), 0)
     for _ in range(n_draws):
-        c, _ = set_based_cstr_clst(range(5), sol, pre, rng)
+        c, _, _ = set_based_cstr_clst(range(5), sol, pre, rng)
         for v in c:
             hits[v] += 1
     for v in range(5):

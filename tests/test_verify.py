@@ -76,17 +76,13 @@ def test_equality_witnesses():
 
 def test_triangle_point_sampling():
     rng = np.random.default_rng(0)
-    for kind in TRIANGLE_KINDS:
-        for _ in range(3):
-            p = sample_triangle_point(kind, rng)
-            p.validate()
+    for _ in range(12):
+        sample_triangle_point(rng).validate()
     # boundary points
     all_split = triangle_point_from_events([0, 0, 0, 0, 1])
     assert all_split.y_ab == all_split.y_ac == all_split.y_bc == 0.0
     together = triangle_point_from_events([1, 0, 0, 0, 0])
     assert together.y_ab == together.y_ac == together.y_bc == 1.0
-    with pytest.raises(ValueError):
-        sample_triangle_point("??", rng)
 
 
 def test_triangle_point_validation():
@@ -158,7 +154,7 @@ def test_case_sides_match_first_principles():
     rng = np.random.default_rng(99)
     for kind in TRIANGLE_KINDS:
         for _ in range(200):
-            p = sample_triangle_point(kind, rng)
+            p = sample_triangle_point(rng)
             lhs, rhs, _ = verify_triangle_case(kind, p)
             lhs2, rhs2 = _sides_from_first_principles(kind, p)
             assert lhs == pytest.approx(lhs2, abs=1e-12)
@@ -168,7 +164,7 @@ def test_case_sides_match_first_principles():
 def test_scalar_case_matches_batch():
     rng = np.random.default_rng(3)
     for kind in TRIANGLE_KINDS:
-        p = sample_triangle_point(kind, rng)
+        p = sample_triangle_point(rng)
         lhs, rhs, ok = verify_triangle_case(kind, p)
         assert ok
         assert np.isfinite(lhs) and np.isfinite(rhs)
