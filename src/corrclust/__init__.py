@@ -31,7 +31,7 @@ from .lp import (
 )
 from .correlated import ConditionedMarginals, measure_pairwise_error, rt_sample
 from .round_set import BudgetLedger, LedgerError, RoundingParams, RoundingReport, set_based_cstr_clst, set_based_round
-from .round_pivot import cleanup, error_charge_diagnostics, pivot_based_round, pivot_budget
+from .round_pivot import cleanup, pivot_based_round, pivot_budget
 from .combine import CombinedReport, PipelineConfig, acn_pivot, combined_round, full_pipeline
 from .verify import (
     TrianglePoint,

@@ -126,7 +126,8 @@ class PipelineConfig:
     independent dials; defaults are the desk-scale working point and the
     CLI's.  The lift order ``r`` is recorded in reports; 3 is the only order
     the lifted LPs implement.  ``oracle_limit`` is at most the exact
-    oracles' own limit."""
+    oracles' own limit.  ``epsilon`` and ``trials`` are checked by
+    :class:`RoundingParams` at construction, before any work."""
 
     epsilon_q: float = 0.1
     epsilon: float = 0.05
@@ -139,6 +140,7 @@ class PipelineConfig:
             raise ValueError(f"lift order r must be 3, got {self.r}")
         if not 0 <= self.oracle_limit <= DEFAULT_LIMIT:
             raise ValueError(f"oracle limit must lie in 0..{DEFAULT_LIMIT}, got {self.oracle_limit}")
+        RoundingParams(self.epsilon, self.trials)
 
 
 def full_pipeline(g: SignedGraph, config: PipelineConfig, seed: int) -> dict:

@@ -9,11 +9,18 @@ a hyperplane separating the input x from the convex hull of good clusterings.
 :func:`solve` hands the model to the HiGHS class that scipy bundles
 (``scipy.optimize._highspy._core._Highs``) as arrays, with exactly the
 options ``linprog(method="highs-ds")`` sets, and maps the model status the
-way scipy does.  HiGHS therefore receives the same model it would receive
-through ``linprog``, without linprog's input cleaning and result packaging.
-That class is private scipy API: it is checked once, at import, by solving a
-one-column probe, and if the check fails every solve goes through
-``linprog`` instead.  The auxiliary Farkas LP always uses ``linprog``.
+way scipy does.  Rows a builder marks lazy are left out at first: after each
+solve, the lazy rows the point violates are added and HiGHS re-runs warm
+from its last basis, until the point violates none.  This is sound because
+the point returned is a vertex of the relaxed program that satisfies every
+row of the full one, hence a vertex (and an optimum) of the full program;
+and a relaxation that is infeasible proves the full program infeasible.  A
+program without lazy rows gets one pass, on the model ``linprog`` would
+build, without linprog's input cleaning and result packaging.  The HiGHS
+class is private scipy API: it is checked once, at import, by solving a
+one-column probe that needs an added row and a warm re-run, and if the check
+fails every solve goes through ``linprog`` on the full model instead.  The
+auxiliary Farkas LP always uses ``linprog``, on the full model.
 
 Three builders are provided:
 
@@ -84,6 +91,7 @@ class LinearProgram:
         self._pentries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._rhs0: list[np.ndarray] = []  # one array per add_rows call
         self._senses: list[np.ndarray] = []
+        self._lazy: list[np.ndarray] = []
         self._num_rows = 0
         self.param_pairs: list[Pair] = []
         self._param_index: dict[Pair, int] = {}
@@ -140,14 +148,18 @@ class LinearProgram:
         rhs,
         entries: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
         param_entries: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]] = (),
+        lazy=False,
     ) -> None:
         """Append ``count`` rows; local row ids in the entry triplets are
-        offset by the current row count.  sense is '<' or '='."""
+        offset by the current row count.  sense is '<' or '='.  ``lazy`` (one
+        flag, or one per row) marks rows that :func:`solve` leaves out until
+        a point violates them; they are part of the model all the same."""
         if sense not in ("<", "="):
             raise ValueError(f"bad sense {sense!r}")
         base = self.num_rows
         self._rhs0.append(np.broadcast_to(np.asarray(rhs, dtype=float), (count,)))
         self._senses.append(np.full(count, sense))
+        self._lazy.append(np.broadcast_to(np.asarray(lazy, dtype=bool), (count,)))
         self._num_rows += count
         for (r, c, v) in entries:
             r = np.asarray(r, dtype=int)
@@ -167,6 +179,11 @@ class LinearProgram:
             pv = np.fromiter(params.values(), dtype=float, count=len(params))
             pe = [(np.zeros(len(params), dtype=int), pc, pv)]
         self.add_rows(1, sense, [rhs], [(np.zeros(len(coeffs), dtype=int), cols, vals)], pe)
+
+    @property
+    def lazy(self) -> np.ndarray:
+        """Per-row flag: True for the rows :func:`solve` adds only when violated."""
+        return np.concatenate(self._lazy) if self._lazy else np.zeros(0, dtype=bool)
 
     def set_objective(self, cols, coefs, constant: float = 0.0) -> None:
         self.objective = (np.asarray(cols, dtype=int), np.asarray(coefs, dtype=float), constant)
@@ -280,14 +297,15 @@ def _find_farkas(lp: LinearProgram) -> np.ndarray | None:
 
 def _load_highs():
     """scipy's bundled HiGHS module if its private interface still works the
-    way :func:`_run_highs` uses it (checked by solving a one-column probe),
-    else None, with a warning."""
+    way :func:`_run_highs` uses it, else None, with a warning.  The check
+    solves a one-column probe that needs a second, warm pass: ``min -u``
+    with the row ``u <= 2``, the lazy row ``u <= 1`` and ``0 <= u <= 3``."""
     try:
         from scipy.optimize._highspy import _core as hc
 
-        # min -u  s.t.  u <= 1,  0 <= u <= 2
-        status, u, fun, _, _ = _run_highs(hc, -np.ones(1), sp.csr_matrix(np.ones((1, 1))), np.ones(1),
-                                          np.ones(1, dtype=bool), np.zeros(1), np.full(1, 2.0))
+        status, u, fun, _, _ = _run_highs(hc, -np.ones(1), sp.csr_matrix(np.ones((2, 1))), np.array([2.0, 1.0]),
+                                          np.ones(2, dtype=bool), np.zeros(1), np.full(1, 3.0),
+                                          np.array([False, True]))
         if status == 0 and u.tolist() == [1.0] and fun == -1.0:
             return hc
         problem = f"probe returned status {status}, u = {u}, objective {fun}"
@@ -298,14 +316,19 @@ def _load_highs():
     return None
 
 
-def _run_highs(hc, c, A, b, ineq, lb, ub):
+def _run_highs(hc, c, A, b, ineq, lb, ub, lazy):
     """Solve ``min c.u  s.t.  A[ineq] u <= b[ineq],  A[~ineq] u = b[~ineq],
-    lb <= u <= ub`` as ``linprog(method="highs-ds")`` would: the same
-    column-wise matrix with inequality rows first, the same options, and the
-    same status mapping and acceptance check.  Returns (scipy status code,
-    u, objective, iterations, message)."""
+    lb <= u <= ub`` by row generation.  The first pass solves the rows not
+    flagged ``lazy`` as ``linprog(method="highs-ds")`` would: the same
+    column-wise matrix with inequality rows first, the same options.  Each
+    further pass adds the lazy rows that the last point violates by more than
+    the primal feasibility tolerance and re-runs warm from the last basis.
+    The point returned passes linprog's acceptance check on every row.
+    Returns (scipy status code, u, objective, iterations summed over the
+    passes, message)."""
     ms = hc.HighsModelStatus
-    rows = np.concatenate([np.flatnonzero(ineq), np.flatnonzero(~ineq)])
+    eager = ~lazy
+    rows = np.concatenate([np.flatnonzero(ineq & eager), np.flatnonzero(~ineq & eager)])
     M = A[rows].tocsc()
     rhs = b[rows]
     lhs = np.where(ineq[rows], -np.inf, rhs)
@@ -324,16 +347,33 @@ def _run_highs(hc, c, A, b, ineq, lb, ub):
                    c, lb, ub, lhs, rhs, M.indptr.astype(np.int32), M.indices.astype(np.int32),
                    M.data, np.zeros(nv, dtype=np.int32)) == hc.HighsStatus.kError:
         return 2, None, None, 0, "HiGHS rejected the model"  # scipy: kModelError
-    h.run()
-    status = h.getModelStatus()
-    info = h.getInfo()
-    code = {ms.kOptimal: 0, ms.kInfeasible: 2, ms.kModelError: 2, ms.kUnbounded: 3,
-            ms.kTimeLimit: 1, ms.kIterationLimit: 1}.get(status, 4)
-    message = h.modelStatusToString(status)
-    nit = info.simplex_iteration_count
-    if code != 0:
-        return code, None, None, nit, message
-    u = np.array(h.getSolution().col_value)
+    L, bL, ineqL = A[lazy], b[lazy], ineq[lazy]
+    nit = 0
+    while True:
+        h.run()
+        status = h.getModelStatus()
+        info = h.getInfo()
+        code = {ms.kOptimal: 0, ms.kInfeasible: 2, ms.kModelError: 2, ms.kUnbounded: 3,
+                ms.kTimeLimit: 1, ms.kIterationLimit: 1}.get(status, 4)
+        message = h.modelStatusToString(status)
+        nit += info.simplex_iteration_count
+        if code == 0:
+            u = np.array(h.getSolution().col_value)
+            gap = L @ u - bL
+            add = np.where(ineqL, gap, np.abs(gap)) > _HIGHS_OPTS["primal_feasibility_tolerance"]
+            if not add.any():
+                break
+        elif code == 3 and L.shape[0]:
+            add = np.ones(L.shape[0], dtype=bool)  # an unbounded relaxation says nothing of the full model
+        else:
+            return code, None, None, nit, message  # an infeasible relaxation: so is the full model
+        R = L[add]
+        if h.addRows(R.shape[0], np.where(ineqL[add], -np.inf, bL[add]), bL[add], R.nnz,
+                     R.indptr[:-1].astype(np.int32), R.indices.astype(np.int32),
+                     R.data) == hc.HighsStatus.kError:
+            return 4, None, None, nit, "HiGHS rejected the added rows"
+        keep = ~add
+        L, bL, ineqL = L[keep], bL[keep], ineqL[keep]
     fun = info.objective_function_value
     # linprog rejects a reported optimum that misses the constraints by more
     # than sqrt(tol) * 10, with its default tol = 1e-9
@@ -369,7 +409,10 @@ def solve(lp: LinearProgram) -> LPResult:
     """Solve (or decide feasibility of) the program.
 
     Returns an optimal point, an infeasibility witness (Farkas weights over
-    the canonical row form), or an 'unbounded' status.
+    the canonical row form of the full program), or an 'unbounded' status.
+    The point is a vertex of a relaxation that leaves out some lazy rows and
+    satisfies every row, hence a vertex of the full program.  ``iterations``
+    sums the simplex iterations of all passes.
     """
     A, P, rhs0, senses, lb, ub = lp.matrices()
     b = lp.effective_rhs()
@@ -388,7 +431,7 @@ def solve(lp: LinearProgram) -> LPResult:
     if _HIGHS is None:
         status, x, fun, nit, message = _run_linprog(c, A, b, ineq, lb, ub)
     else:
-        status, x, fun, nit, message = _run_highs(_HIGHS, c, A, b, ineq, lb, ub)
+        status, x, fun, nit, message = _run_highs(_HIGHS, c, A, b, ineq, lb, ub, lp.lazy)
     if status == 0:
         return LPResult("optimal", values=x, objective=fun + const, iterations=nit)
     if status == 2:
@@ -540,16 +583,19 @@ class _SetIndex:
         self.box = self._box_rows()
         self.growth = self._growth_entries()
         # shared by every LP of this size: keep the arrays read-only
-        for arr in (self.size, self.pa, self.pb, self.ta, self.tb, self.tc, self.pr, *self.box[:3], *self.growth):
+        for arr in (self.size, self.pa, self.pb, self.ta, self.tb, self.tc, self.pr, *self.box[:3], self.box[4],
+                    *self.growth):
             arr.flags.writeable = False
 
     def _box_rows(self):
         """One layer of inclusion-exclusion box rows, as (rows, ranks, coefs,
-        row count), all rows of sense '<= 0'.
+        row count, triple mask), all rows of sense '<= 0'.
 
         For all disjoint (S, T) with 1 <= |T| and |S u T| <= 3, the two-sided
         constraint sum_{T' <= T} (-1)^{|T'|} y_{S u T'} in [0, y_S], skipping
-        sides that reduce to plain sign constraints.
+        sides that reduce to plain sign constraints.  The first n + 4m rows
+        hold sets of size at most 2; the triple mask flags the 11 t rows
+        after them, each of which holds a triple.
         """
         n, m, t = self.n, self.m, self.t
         y0 = np.zeros(n, dtype=int)
@@ -595,7 +641,8 @@ class _SetIndex:
                 ranks.append(rk)
                 coefs.append(np.full(k, coef))
             count += k
-        return np.concatenate(rows), np.concatenate(ranks), np.concatenate(coefs), count
+        return (np.concatenate(rows), np.concatenate(ranks), np.concatenate(coefs), count,
+                np.arange(count) >= n + 4 * m)
 
     def _growth_entries(self):
         """(rows, ranks) of the +1 terms of the size-consistency rows (5):
@@ -638,6 +685,10 @@ def build_set_lp(
     in :class:`_SetIndex`) for y and one per size s = 1..n for y^s.  Rows:
     (1), (3), (4), (7), then (5) for every s, then (9) for every s.  The
     per-layer rows are one pattern tiled over the layers.
+
+    The box rows (9) that hold a triple, 11 per triple and layer, are marked
+    lazy: they are most of the rows, and few of them bind at the point
+    :func:`solve` returns, so it adds them only when violated.
     """
     verts = sorted(vprime)
     n = len(verts)
@@ -742,10 +793,11 @@ def build_set_lp(
          (r_own, c_own, (-(layers[:, None] - si.size[own].astype(float))).ravel())],
     )
 
-    # (9) inclusion-exclusion box constraints, one layer per size s
-    box_rows, box_ranks, box_coefs, count = si.box
+    # (9) inclusion-exclusion box constraints, one layer per size s; the rows
+    # with a triple are lazy
+    box_rows, box_ranks, box_coefs, count, box_triple = si.box
     r_box, c_box = tiled(box_rows, count, box_ranks)
-    lp.add_rows(n * count, "<", 0.0, [(r_box, c_box, np.tile(box_coefs, n))])
+    lp.add_rows(n * count, "<", 0.0, [(r_box, c_box, np.tile(box_coefs, n))], lazy=np.tile(box_triple, n))
     return lp
 
 
@@ -777,7 +829,7 @@ def build_pivot_lp(g: SignedGraph, pre: PreclusteredInstance, x: Metric) -> Line
     lp.add_rows(m, "<", 1.0, [(rows, ypair, np.ones(m))], [(rows, pcols, np.ones(m))])
     lp.add_rows(m, "<", -1.0, [(rows, ypair, -np.ones(m))], [(rows, pcols, -np.ones(m))])
     # box constraints (single layer)
-    box_rows, box_ranks, box_coefs, count = si.box
+    box_rows, box_ranks, box_coefs, count, _ = si.box
     lp.add_rows(count, "<", 0.0, [(box_rows, ycol(box_ranks), box_coefs)])
     # triangle rows: y_ab + y_ac + y_bc - 2 y_abc <= 1
     t = si.t

@@ -14,7 +14,6 @@ pivot, which the order-3 lifted LP enforces).
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -184,41 +183,3 @@ def pivot_based_round(
             "pivot", g, pre, x, params.epsilon, draw, pivot_budget, stream
         ),
     )
-
-
-def error_charge_diagnostics(
-    g: SignedGraph,
-    pre: PreclusteredInstance,
-    x: Metric,
-    remaining: Iterable[int],
-    measured_eps_r: float,
-    epsilon: float,
-) -> dict[int, tuple[float, float]]:
-    """Per-atom error-charging quantities (ALG'_K, Delta'_K) for one
-    iteration state, with the measured pairwise error substituted.
-
-    ALG'_K charges eps_r for every (pivot u in K, unordered pair of
-    admissible +neighbors); Delta'_K sums (1 - min(x_uv, x_uw)) * epsilon
-    over pivots u in the admissible neighborhood N and pairs vw between K
-    and N (x_uu treated as 0 when the pivot coincides with an endpoint).
-    """
-    rem = set(remaining)
-    out: dict[int, tuple[float, float]] = {}
-    for atom in pre.all_atoms:
-        if not atom <= rem:
-            continue
-        rep = min(atom)
-        nbrs = sorted(pre.adm_neighbors(rep) & rem)
-        alg = 0.0
-        for u in atom:
-            plus_adm = sum(1 for w in nbrs if g.is_plus(u, w))
-            alg += measured_eps_r * comb(plus_adm, 2)
-        delta = 0.0
-        for u in nbrs:
-            for v in sorted(atom):
-                for w in nbrs:
-                    xuv = x.x(u, v) if u != v else 0.0
-                    xuw = x.x(u, w) if u != w else 0.0
-                    delta += (1.0 - min(xuv, xuw)) * epsilon
-        out[rep] = (alg, delta)
-    return out

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from corrclust import combine
 from corrclust.cli import _build_parser, _config, main
 from corrclust.combine import PipelineConfig
 from corrclust.core import SignedGraph, write_instance
@@ -63,6 +64,21 @@ def test_run_oracle_limit_above_16(tmp_path, capsys):
     assert code == 1
     assert "oracle limit" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_bad_rounding_knobs(tmp_path, capsys, monkeypatch):
+    # rejected with the flags, before the preclustering or any LP runs
+    def ran(*args, **kwargs):
+        raise AssertionError("the pipeline started")
+
+    monkeypatch.setattr(combine, "precluster", ran)
+    for flag, value, problem in (("--trials", "0", "trials must be at least 1"),
+                                 ("--eps", "0", "epsilon must be positive")):
+        out = tmp_path / "r.json"
+        code = main(["run", "--gen", "uniform:5", "--seed", "0", flag, value, "--out", str(out)])
+        assert code == 1
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_out_dir_env(tmp_path, monkeypatch):

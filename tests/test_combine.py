@@ -92,6 +92,15 @@ def test_pipeline_config_oracle_limit():
             PipelineConfig(oracle_limit=limit)
 
 
+def test_pipeline_config_rounding_knobs():
+    # checked at construction, before the preclustering and the triangle LP
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        PipelineConfig(trials=0)
+    for eps in (0.0, -0.05):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            PipelineConfig(epsilon=eps)
+
+
 def test_full_pipeline_planted():
     g = generate_instance("planted_cliques", 8, {"sizes": [4, 4], "noise": 0.0}, 1)
     rep = full_pipeline(g, PipelineConfig(trials=4), seed=11)

@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from corrclust.core import (
 from corrclust.exact import brute_force_opt_good
 from corrclust.lp import (
     LinearProgram,
+    _canonical_rows,
     build_pivot_lp,
     build_set_lp,
     build_triangle_lp,
@@ -95,6 +97,68 @@ def test_solve_deterministic():
     a = solve(build_triangle_lp(g, pre))
     b = solve(build_triangle_lp(g, pre))
     assert np.array_equal(a.values, b.values)
+
+
+def test_set_lp_lazy_rows_are_the_triple_box_rows():
+    g = generate_instance("adversarial_mix", 7, {"sizes": [3, 3], "noise": 0.05}, 4)
+    pre = precluster(g, AgreementParams(0.1))
+    x, _ = solve_triangle_lp(g, pre)
+    for vprime in ([0], [0, 1], [0, 1, 2], [1, 2, 4, 6], list(range(7))):
+        lp = build_set_lp(vprime, pre, x, 0.05)
+        n, lazy = len(vprime), lp.lazy
+        assert lazy.shape == (lp.num_rows,) and lazy.sum() == n * 11 * comb(n, 3)
+        A = lp.matrices()[0]
+        triple_col = np.array([key[0] == "ys" and len(key[2]) == 3 for key in lp.var_keys])
+        assert all(triple_col[A.indices[A.indptr[i]:A.indptr[i + 1]]].any() for i in np.flatnonzero(lazy))
+
+
+def _lazy_lp(name, lazy_rhs):
+    """min -2u - v  s.t.  u + v <= 1.5,  -u <= -0.5,  lazy u <= lazy_rhs,
+    0 <= u, v <= 1.  Without the lazy row the optimum is u = 1, v = 0.5."""
+    lp = LinearProgram(name)
+    lp.add_vars([("x", (0, 1)), ("x", (0, 2))])
+    lp.add_row({0: 1.0, 1: 1.0}, "<", 1.5)
+    lp.add_row({0: -1.0}, "<", -0.5)
+    lp.add_rows(1, "<", lazy_rhs, [(np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1))], lazy=True)
+    lp.set_objective([0, 1], [-2.0, -1.0])
+    return lp
+
+
+def test_solve_adds_violated_lazy_row():
+    lp = _lazy_lp("lazy-cut", 0.75)
+    assert lp.lazy.tolist() == [False, False, True]
+    res = solve(lp)
+    assert res.status == "optimal"
+    assert lp.residuals(res.values).max() <= 1e-9
+    assert res.values.tolist() == pytest.approx([0.75, 0.75], abs=1e-9)
+    assert res.objective == pytest.approx(-2.25, abs=1e-9)
+
+    # an unbounded relaxation says nothing of the program: every lazy row goes in
+    lp2 = LinearProgram("lazy-bound")
+    lp2.add_vars([("x", (0, 1))], ub=np.inf)
+    lp2.add_rows(1, "<", 2.0, [(np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1))], lazy=True)
+    lp2.set_objective([0], [-1.0])
+    res2 = solve(lp2)
+    assert res2.status == "optimal" and res2.values.tolist() == pytest.approx([2.0], abs=1e-9)
+
+
+def test_solve_infeasible_through_lazy_row():
+    lp = _lazy_lp("lazy-infeasible", 0.25)  # u >= 0.5 and the lazy u <= 0.25
+    res = solve(lp)
+    assert res.status == "infeasible" and res.farkas is not None
+    M, c0, _ = _canonical_rows(lp)
+    assert np.abs(M.T @ res.farkas).max() <= 1e-6
+    assert c0 @ res.farkas < 0
+
+
+def test_set_lp_solve_deterministic():
+    g = generate_instance("adversarial_mix", 9, {"sizes": [4, 4], "noise": 0.02}, 7)
+    pre = precluster(g, AgreementParams(0.1))
+    x, _ = solve_triangle_lp(g, pre)
+    a = solve(build_set_lp(range(9), pre, x, 0.05))
+    b = solve(build_set_lp(range(9), pre, x, 0.05))
+    assert a.status == b.status == "optimal"
+    assert a.values.tobytes() == b.values.tobytes() and a.iterations == b.iterations
 
 
 def _good_clustering_lift_residual(g, seed):

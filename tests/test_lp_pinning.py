@@ -3,8 +3,10 @@
 The golden digests were recorded before the builders were vectorized; any
 change to a model's variable keys, rows, bounds or parameter columns changes
 its digest.  The solver tests check that ``solve()`` returns bitwise what
-``linprog(method="highs-ds")`` returns on the same models, through the direct
-HiGHS call and through the ``linprog`` fallback.
+``linprog(method="highs-ds")`` returns on models without lazy rows, through
+the direct HiGHS call and through the ``linprog`` fallback.  On the set LPs,
+whose triple box rows are lazy, the direct call generates rows; there they
+check linprog's status and a point that satisfies the full model.
 """
 
 import hashlib
@@ -242,11 +244,24 @@ def _assert_same_as_linprog(lp, res):
         assert res.iterations == ref.nit
 
 
+def _assert_solves_full_model(lp, res):
+    """linprog's status and, at an optimum, a point that meets every row of
+    the full model, lazy rows included, and every bound (both to 1e-9; the
+    solver, through linprog too, leaves excursions near 1e-15)."""
+    ref, _ = _reference(lp)
+    assert {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status] == res.status
+    if ref.status == 0:
+        assert lp.residuals(res.values).max() <= 1e-9
+        assert np.all((res.values >= lp.lb - 1e-9) & (res.values <= lp.ub + 1e-9))
+        assert res.iterations > 0
+
+
 def test_solve_matches_linprog_bitwise(fixture_lps):
     assert lpmod._HIGHS is not None, "scipy's bundled HiGHS interface failed its import check"
-    for lp in [*fixture_lps.values(), _infeasible_set_lp()]:
-        _assert_same_as_linprog(lp, solve(lp))
-    assert solve(fixture_lps["set_planted_full"]).iterations > 0
+    for name, lp in [*fixture_lps.items(), ("set_infeasible", _infeasible_set_lp())]:
+        assert lp.lazy.any() == name.startswith("set_")
+        check = _assert_solves_full_model if lp.lazy.any() else _assert_same_as_linprog
+        check(lp, solve(lp))
 
 
 def test_linprog_fallback(fixture_lps, monkeypatch):
@@ -255,7 +270,10 @@ def test_linprog_fallback(fixture_lps, monkeypatch):
     for name, lp in fixture_lps.items():
         res = solve(lp)
         _assert_same_as_linprog(lp, res)
-        assert res.values.tobytes() == direct[name].values.tobytes()
+        if lp.lazy.any():
+            _assert_solves_full_model(lp, direct[name])
+        else:
+            assert res.values.tobytes() == direct[name].values.tobytes()
     infeasible = solve(_infeasible_set_lp())
     assert infeasible.status == "infeasible" and infeasible.farkas is not None
 
@@ -269,6 +287,25 @@ def test_highs_guard_falls_back_on_interface_change(monkeypatch):
     monkeypatch.setattr(lpmod, "_run_highs", changed)
     with pytest.warns(RuntimeWarning, match="incompatible function arguments.*solving through linprog"):
         assert lpmod._load_highs() is None
+
+
+def test_highs_guard_checks_row_generation(monkeypatch):
+    """The probe needs addRows and a warm re-run: a HiGHS class whose
+    addRows fails, or silently adds nothing, sends every solve to linprog."""
+    from scipy.optimize._highspy import _core as hc
+
+    class Failing(hc._Highs):
+        def addRows(self, *args):
+            raise TypeError("addRows(): incompatible function arguments")
+
+    class Silent(hc._Highs):
+        def addRows(self, *args):
+            return hc.HighsStatus.kOk
+
+    for cls, problem in ((Failing, "incompatible function arguments"), (Silent, "probe returned status 4")):
+        monkeypatch.setattr(hc, "_Highs", cls)
+        with pytest.warns(RuntimeWarning, match=f"{problem}.*solving through linprog"):
+            assert lpmod._load_highs() is None
 
 
 def test_extraction_clamps_and_rejects(fixture_lps):

@@ -16,7 +16,6 @@ from corrclust.round_pivot import (
     _pivot_marginals,
     cleanup,
     cleanup_quantities,
-    error_charge_diagnostics,
     pivot_based_round,
     pivot_budget,
 )
@@ -186,25 +185,6 @@ def test_full_run_cost_within_guarantee_bound_random():
         ceiling = sum(pivot_budget(p in g.plus, x.x(*p)) for p in all_pairs(8))
         slack = (0.05 + eps_r) * len(pre.adm)
         assert np.mean(costs) <= ceiling + slack + 3 * np.std(costs) / np.sqrt(len(costs))
-
-
-def test_error_charge_diagnostics():
-    # empty admissible neighborhood: both sides vanish
-    g = SignedGraph(4, frozenset())
-    pre = precluster(g, AgreementParams(0.1))
-    x = Metric(4, dict.fromkeys(all_pairs(4), 1.0))
-    diag = error_charge_diagnostics(g, pre, x, range(4), 0.01, 0.05)
-    assert all(v == (0.0, 0.0) for v in diag.values())
-    # integral marginals mean zero measured error and zero charge
-    g2 = generate_instance("uniform_random", 6, None, 2)
-    pre2 = precluster(g2, AgreementParams(0.1))
-    x2, _ = solve_triangle_lp(g2, pre2)
-    diag2 = error_charge_diagnostics(g2, pre2, x2, range(6), 0.0, 0.05)
-    assert all(a == 0.0 for a, _ in diag2.values())
-    # on random instances both sides are computed; log the charging margin
-    diag3 = error_charge_diagnostics(g2, pre2, x2, range(6), 0.01, 0.05)
-    for rep_v, (alg, delta) in diag3.items():
-        assert alg >= 0.0 and delta >= 0.0
 
 
 def test_infeasible_metric_returns_certificate():
