@@ -149,8 +149,9 @@ def full_pipeline(g: SignedGraph, config: PipelineConfig, seed: int) -> dict:
     The report carries the final cost, the fractional cost, oracle optima
     when n is within the configured limit, the ratio diagnostics, ledger
     totals and the measured correlation error.  A separation certificate
-    outcome is recorded as such (it cannot occur for LP-derived metrics
-    unless something is genuinely broken, so it is flagged)."""
+    outcome is recorded as such and flagged: the triangle-LP metric can lie
+    outside the hull of good clusterings, and on some uniform instances it
+    does, because the pipeline does not yet cut it off and re-solve."""
     pre = precluster(g, AgreementParams(config.epsilon_q))
     x, lp_cost = solve_triangle_lp(g, pre)
     params = RoundingParams(epsilon=config.epsilon, trials=config.trials)

@@ -83,7 +83,8 @@ def _reconstruct(n: int, dp: list[float], w: list[int]) -> list[int]:
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        assert best_s is not None
+        if best_s is None:
+            raise RuntimeError(f"no block of vertex set {mask:#b} attains its table value {dp[mask]}")
         blocks.append(best_s)
         mask ^= best_s
     return blocks

@@ -3,7 +3,7 @@
 A :class:`LinearProgram` separates constraint coefficients on the decision
 variables from coefficients on the *input metric* x (parameter columns).
 Feasibility is decided by HiGHS; when a program with parameter columns is
-infeasible, an auxiliary LP recovers a Farkas combination, which projects to
+infeasible, the HiGHS dual ray gives a Farkas combination, which projects to
 a hyperplane separating the input x from the convex hull of good clusterings.
 
 :func:`solve` hands the model to the HiGHS class that scipy bundles
@@ -16,11 +16,10 @@ the point returned is a vertex of the relaxed program that satisfies every
 row of the full one, hence a vertex (and an optimum) of the full program;
 and a relaxation that is infeasible proves the full program infeasible.  A
 program without lazy rows gets one pass, on the model ``linprog`` would
-build, without linprog's input cleaning and result packaging.  The HiGHS
-class is private scipy API: it is checked once, at import, by solving a
-one-column probe that needs an added row and a warm re-run, and if the check
-fails every solve goes through ``linprog`` on the full model instead.  The
-auxiliary Farkas LP always uses ``linprog``, on the full model.
+build, without linprog's input cleaning and result packaging.  An
+infeasible pass runs once more without presolve, so that HiGHS reports a
+dual ray.  The HiGHS class is private scipy API: two probes check at import
+that it generates rows and reports the ray, and the import fails if not.
 
 Three builders are provided:
 
@@ -37,15 +36,14 @@ required to be nonnegative.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .core import (
     Clustering,
@@ -193,24 +191,14 @@ class LinearProgram:
     def matrices(self):
         """(A, P, rhs0, senses, lb, ub) with A sparse over vars, P over params."""
         if self._mats is None:
-            nr, nv, npar = self.num_rows, self.num_vars, len(self.param_pairs)
-            if self._entries:
-                ri = np.concatenate([e[0] for e in self._entries])
-                ci = np.concatenate([e[1] for e in self._entries])
-                vi = np.concatenate([e[2] for e in self._entries])
-            else:
-                ri = ci = vi = np.zeros(0)
-            A = sp.coo_matrix((vi, (ri, ci)), shape=(nr, nv)).tocsr()
-            if self._pentries:
-                ri = np.concatenate([e[0] for e in self._pentries])
-                ci = np.concatenate([e[1] for e in self._pentries])
-                vi = np.concatenate([e[2] for e in self._pentries])
-            else:
-                ri = ci = vi = np.zeros(0)
-            P = sp.coo_matrix((vi, (ri, ci)), shape=(nr, npar)).tocsr()
+            def csr(entries, ncols):
+                ri, ci, vi = (np.concatenate([e[k] for e in entries]) if entries else np.zeros(0)
+                              for k in range(3))
+                return sp.coo_matrix((vi, (ri, ci)), shape=(self.num_rows, ncols)).tocsr()
+
             self._mats = (
-                A,
-                P,
+                csr(self._entries, self.num_vars),
+                csr(self._pentries, len(self.param_pairs)),
                 np.concatenate(self._rhs0) if self._rhs0 else np.zeros(0),
                 np.concatenate(self._senses) if self._senses else np.zeros(0, dtype="<U1"),
                 self.lb.copy(),
@@ -246,7 +234,7 @@ class LPResult:
     status: str  # optimal | infeasible | unbounded
     values: np.ndarray | None = None
     objective: float | None = None
-    farkas: np.ndarray | None = None  # weights over canonical <= rows
+    farkas: np.ndarray | None = None  # Farkas weights over _canonical_rows, from the dual ray
     iterations: int = 0  # HiGHS simplex iterations
 
 
@@ -254,106 +242,121 @@ def _canonical_rows(lp: LinearProgram):
     """All constraints as <= rows, including equalities (split) and finite
     variable bounds.  Returns (M, c0, P) with M u-columns over lp vars."""
     A, P, rhs0, senses, lb, ub = lp.matrices()
+    ineq, eq = senses == "<", senses == "="
+    fin_ub, fin_lb = np.isfinite(ub), np.isfinite(lb)
+    eye = sp.identity(lp.num_vars, format="csr")
+    M = sp.vstack([A[ineq], A[eq], -A[eq], eye[fin_ub], -eye[fin_lb]], format="csr")
+    bounds_p = sp.csr_matrix((int(fin_ub.sum() + fin_lb.sum()), P.shape[1]))
+    Pc = sp.vstack([P[ineq], P[eq], -P[eq], bounds_p], format="csr")
+    return M, np.concatenate([rhs0[ineq], rhs0[eq], -rhs0[eq], ub[fin_ub], -lb[fin_lb]]), Pc
+
+
+def _farkas(lp: LinearProgram, z: np.ndarray) -> np.ndarray | None:
+    """Farkas weights over :func:`_canonical_rows` from signed weights ``z``
+    over ``lp``'s rows: u >= 0 with u.M = 0 and u.(c0 - P x) = -1, or None.
+
+    A '<' row takes ``max(z, 0)``; an equality puts its positive part on its
+    ``A u <= b`` copy and its negative part on its ``-A u <= -b`` copy.  The
+    bound rows then take the multipliers that cancel the combined row, which
+    needs a finite bound wherever it is nonzero."""
+    A, P, rhs0, senses, lb, ub = lp.matrices()
     ineq = senses == "<"
-    eq = ~ineq
-    blocks_M = [A[ineq], A[eq], -A[eq]]
-    blocks_P = [P[ineq], P[eq], -P[eq]]
-    blocks_c = [rhs0[ineq], rhs0[eq], -rhs0[eq]]
-    nv = lp.num_vars
-    eye = sp.identity(nv, format="csr")
-    fin_ub = np.isfinite(ub)
-    fin_lb = np.isfinite(lb)
-    zero_p = sp.csr_matrix((int(fin_ub.sum()), P.shape[1]))
-    blocks_M.append(eye[fin_ub])
-    blocks_P.append(zero_p)
-    blocks_c.append(ub[fin_ub])
-    zero_p = sp.csr_matrix((int(fin_lb.sum()), P.shape[1]))
-    blocks_M.append(-eye[fin_lb])
-    blocks_P.append(zero_p)
-    blocks_c.append(-lb[fin_lb])
-    M = sp.vstack(blocks_M, format="csr")
-    Pc = sp.vstack(blocks_P, format="csr")
-    c0 = np.concatenate(blocks_c)
-    return M, c0, Pc
-
-
-def _find_farkas(lp: LinearProgram) -> np.ndarray | None:
-    """Weights u >= 0 with u.M = 0 and u.(c0 - P x) = -1 over canonical rows."""
-    M, c0, Pc = _canonical_rows(lp)
-    xv = np.asarray(lp.param_values, dtype=float)
-    b_eff = c0 - (Pc @ xv if len(xv) else 0.0)
-    nr = M.shape[0]
-    A_eq = sp.vstack([M.T.tocsr(), sp.csr_matrix(np.ones((1, nr)))], format="csr")
-    b_eq = np.zeros(A_eq.shape[0])
-    b_eq[-1] = 1.0
-    res = linprog(
-        b_eff, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=dict(_HIGHS_OPTS)
-    )
-    if res.status != 0 or res.fun >= -1e-12:
+    z = np.where(ineq, np.maximum(z, 0.0), z)
+    r = A.T @ z
+    on_ub = np.maximum(-r, 0.0)  # u_j <= ub_j cancels a negative combined coefficient
+    on_lb = np.maximum(r, 0.0)  # -u_j <= -lb_j cancels a positive one
+    fin_ub, fin_lb = np.isfinite(ub), np.isfinite(lb)
+    value = z @ lp.effective_rhs() + on_ub[fin_ub] @ ub[fin_ub] - on_lb[fin_lb] @ lb[fin_lb]  # u.(c0 - P x)
+    if on_ub[~fin_ub].any() or on_lb[~fin_lb].any() or not value < 0.0:
         return None
-    u = res.x / (-res.fun)  # scale so u.(c0 - P x) = -1
-    return u
+    zeq = z[~ineq]
+    u = np.concatenate([z[ineq], np.maximum(zeq, 0.0), np.maximum(-zeq, 0.0), on_ub[fin_ub], on_lb[fin_lb]])
+    return u / -value
+
+
+def _probe(objective: float, coefs, rhs) -> LinearProgram:
+    """``min objective * u``, ``0 <= u <= 3``, one row and one lazy row."""
+    lp = LinearProgram("highs-probe")
+    lp.add_vars([("u",)], ub=3.0)
+    lp.add_rows(2, "<", rhs, [(np.arange(2), np.zeros(2, dtype=int), np.asarray(coefs, dtype=float))],
+                lazy=[False, True])
+    lp.set_objective([0], [objective])
+    return lp
 
 
 def _load_highs():
-    """scipy's bundled HiGHS module if its private interface still works the
-    way :func:`_run_highs` uses it, else None, with a warning.  The check
-    solves a one-column probe that needs a second, warm pass: ``min -u``
-    with the row ``u <= 2``, the lazy row ``u <= 1`` and ``0 <= u <= 3``."""
+    """scipy's bundled HiGHS module, checked to work the way :func:`_run_highs`
+    uses it; else ImportError.  Row generation: ``min -u`` with the row
+    ``u <= 2`` and the lazy row ``u <= 1`` must return ``u = 1``.  Dual ray:
+    ``min 0`` with the row ``u <= 1`` and the lazy row ``-u <= -2`` must come
+    back infeasible with the canonical weights ``[1, 1, 0, 0]``."""
+    probe = "row generation"
     try:
         from scipy.optimize._highspy import _core as hc
 
-        status, u, fun, _, _ = _run_highs(hc, -np.ones(1), sp.csr_matrix(np.ones((2, 1))), np.array([2.0, 1.0]),
-                                          np.ones(2, dtype=bool), np.zeros(1), np.full(1, 3.0),
-                                          np.array([False, True]))
+        status, u, fun, _, message = _run_highs(hc, _probe(-1.0, [1.0, 1.0], [2.0, 1.0]))
         if status == 0 and u.tolist() == [1.0] and fun == -1.0:
-            return hc
-        problem = f"probe returned status {status}, u = {u}, objective {fun}"
-    except Exception as exc:  # any change in the private interface means: use linprog
+            probe, lp = "dual ray", _probe(0.0, [1.0, -1.0], [1.0, -2.0])
+            status, u, fun, _, message = _run_highs(hc, lp)
+            if status == 2 and np.array_equal(_farkas(lp, u), [1.0, 1.0, 0.0, 0.0]):
+                return hc
+        problem = f"status {status} ({message}), returned {u} and objective {fun}"
+    except Exception as exc:  # any change in the private interface fails the check
         problem = repr(exc)
-    warnings.warn(f"scipy's bundled HiGHS interface failed its check ({problem}); solving through linprog",
-                  RuntimeWarning, stacklevel=2)
-    return None
+    raise ImportError(f"scipy {scipy.__version__}: its bundled HiGHS interface failed the {probe} probe "
+                      f"({problem}); corrclust needs scipy>=1.17")
 
 
-def _run_highs(hc, c, A, b, ineq, lb, ub, lazy):
-    """Solve ``min c.u  s.t.  A[ineq] u <= b[ineq],  A[~ineq] u = b[~ineq],
-    lb <= u <= ub`` by row generation.  The first pass solves the rows not
-    flagged ``lazy`` as ``linprog(method="highs-ds")`` would: the same
+def _run_highs(hc, lp: LinearProgram):
+    """Solve ``lp`` by row generation.  The first pass solves the rows not
+    flagged lazy as ``linprog(method="highs-ds")`` would: the same
     column-wise matrix with inequality rows first, the same options.  Each
     further pass adds the lazy rows that the last point violates by more than
     the primal feasibility tolerance and re-runs warm from the last basis.
     The point returned passes linprog's acceptance check on every row.
-    Returns (scipy status code, u, objective, iterations summed over the
-    passes, message)."""
+
+    An infeasible pass proves ``lp`` infeasible.  HiGHS reports a dual ray
+    only without presolve, so that pass re-runs once with presolve off.
+    ``order`` holds the row of ``lp`` behind each HiGHS row.
+
+    Returns (scipy status code, x, objective, iterations summed over every
+    run, message): x is the point at status 0, and at status 2 the negated
+    ray as weights over ``lp``'s rows (0 on lazy rows never added)."""
+    A, P, rhs0, senses, lb, ub = lp.matrices()
+    b = lp.effective_rhs()
+    ineq = senses == "<"
+    lazy = lp.lazy
+    nv = lp.num_vars
+    c = np.zeros(nv)
+    if lp.objective is not None:
+        cols, coefs, _ = lp.objective
+        np.add.at(c, cols, coefs)
     ms = hc.HighsModelStatus
     eager = ~lazy
     rows = np.concatenate([np.flatnonzero(ineq & eager), np.flatnonzero(~ineq & eager)])
     M = A[rows].tocsc()
     rhs = b[rows]
     lhs = np.where(ineq[rows], -np.inf, rhs)
-    nv = len(c)
     h = hc._Highs()
-    h.setOptionValue("presolve", "on")
-    h.setOptionValue("solver", "simplex")
-    h.setOptionValue("simplex_strategy", int(hc.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
-    h.setOptionValue("primal_feasibility_tolerance", _HIGHS_OPTS["primal_feasibility_tolerance"])
-    h.setOptionValue("dual_feasibility_tolerance", _HIGHS_OPTS["dual_feasibility_tolerance"])
-    h.setOptionValue("output_flag", False)
-    h.setOptionValue("log_to_console", False)
-    h.setOptionValue("highs_debug_level", int(hc.HighsDebugLevel.kHighsDebugLevelNone))
+    options = {"presolve": "on", "solver": "simplex", "output_flag": False, "log_to_console": False,
+               "simplex_strategy": int(hc.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+               "highs_debug_level": int(hc.HighsDebugLevel.kHighsDebugLevelNone), **_HIGHS_OPTS}
+    for option, value in options.items():
+        h.setOptionValue(option, value)
     # the array overload of passModel rejects an empty integrality vector
     if h.passModel(nv, len(rhs), M.nnz, hc.MatrixFormat.kColwise, hc.ObjSense.kMinimize, 0.0,
                    c, lb, ub, lhs, rhs, M.indptr.astype(np.int32), M.indices.astype(np.int32),
                    M.data, np.zeros(nv, dtype=np.int32)) == hc.HighsStatus.kError:
-        return 2, None, None, 0, "HiGHS rejected the model"  # scipy: kModelError
+        return 4, None, None, 0, "HiGHS rejected the model"
+    order = [rows]
+    lazy_rows = np.flatnonzero(lazy)
     L, bL, ineqL = A[lazy], b[lazy], ineq[lazy]
     nit = 0
     while True:
         h.run()
         status = h.getModelStatus()
         info = h.getInfo()
-        code = {ms.kOptimal: 0, ms.kInfeasible: 2, ms.kModelError: 2, ms.kUnbounded: 3,
+        code = {ms.kOptimal: 0, ms.kInfeasible: 2, ms.kUnbounded: 3,
                 ms.kTimeLimit: 1, ms.kIterationLimit: 1}.get(status, 4)
         message = h.modelStatusToString(status)
         nit += info.simplex_iteration_count
@@ -365,15 +368,26 @@ def _run_highs(hc, c, A, b, ineq, lb, ub, lazy):
                 break
         elif code == 3 and L.shape[0]:
             add = np.ones(L.shape[0], dtype=bool)  # an unbounded relaxation says nothing of the full model
+        elif code == 2:  # an infeasible relaxation: so is the full model
+            h.setOptionValue("presolve", "off")
+            h.run()
+            nit += h.getInfo().simplex_iteration_count
+            _, has_ray, ray = h.getDualRay()
+            if not has_ray:
+                return 4, None, None, nit, f"{message}, but HiGHS reports no dual ray"
+            z = np.zeros(len(b))
+            z[np.concatenate(order)] = -np.asarray(ray)
+            return 2, z, None, nit, message
         else:
-            return code, None, None, nit, message  # an infeasible relaxation: so is the full model
+            return code, None, None, nit, message
         R = L[add]
         if h.addRows(R.shape[0], np.where(ineqL[add], -np.inf, bL[add]), bL[add], R.nnz,
                      R.indptr[:-1].astype(np.int32), R.indices.astype(np.int32),
                      R.data) == hc.HighsStatus.kError:
             return 4, None, None, nit, "HiGHS rejected the added rows"
+        order.append(lazy_rows[add])
         keep = ~add
-        L, bL, ineqL = L[keep], bL[keep], ineqL[keep]
+        L, bL, ineqL, lazy_rows = L[keep], bL[keep], ineqL[keep], lazy_rows[keep]
     fun = info.objective_function_value
     # linprog rejects a reported optimum that misses the constraints by more
     # than sqrt(tol) * 10, with its default tol = 1e-9
@@ -385,23 +399,6 @@ def _run_highs(hc, c, A, b, ineq, lb, ub, lazy):
     return 0, u, fun, nit, message
 
 
-def _run_linprog(c, A, b, ineq, lb, ub):
-    """The same solve through ``linprog``; used when scipy's private HiGHS
-    interface is unavailable."""
-    eq = ~ineq
-    res = linprog(
-        c,
-        A_ub=A[ineq] if ineq.any() else None,
-        b_ub=b[ineq] if ineq.any() else None,
-        A_eq=A[eq] if eq.any() else None,
-        b_eq=b[eq] if eq.any() else None,
-        bounds=list(zip(lb, ub)),
-        method="highs-ds",
-        options=dict(_HIGHS_OPTS),
-    )
-    return res.status, res.x, res.fun, res.nit, res.message
-
-
 _HIGHS = _load_highs()
 
 
@@ -409,39 +406,35 @@ def solve(lp: LinearProgram) -> LPResult:
     """Solve (or decide feasibility of) the program.
 
     Returns an optimal point, an infeasibility witness (Farkas weights over
-    the canonical row form of the full program), or an 'unbounded' status.
-    The point is a vertex of a relaxation that leaves out some lazy rows and
-    satisfies every row, hence a vertex of the full program.  ``iterations``
-    sums the simplex iterations of all passes.
+    the canonical row form of the full program, mapped from the HiGHS dual
+    ray), or an 'unbounded' status.  The point is a vertex of a relaxation
+    that leaves out some lazy rows and satisfies every row, hence a vertex of
+    the full program.  ``iterations`` sums the simplex iterations of all
+    passes, and of the re-run that reads the ray.
     """
+    const = lp.objective[2] if lp.objective is not None else 0.0
     A, P, rhs0, senses, lb, ub = lp.matrices()
     b = lp.effective_rhs()
-    ineq = senses == "<"
-    c = np.zeros(lp.num_vars)
-    const = 0.0
-    if lp.objective is not None:
-        cols, coefs, const = lp.objective
-        np.add.at(c, cols, coefs)
-    if lp.num_vars == 0:
-        # degenerate but legal (single-vertex instances have no pairs)
-        feasible = (b[ineq] >= -SOLVER_TOL).all() and (np.abs(b[~ineq]) <= SOLVER_TOL).all()
-        if feasible:
-            return LPResult("optimal", values=np.zeros(0), objective=const)
-        return LPResult("infeasible", farkas=_find_farkas(lp))
-    if _HIGHS is None:
-        status, x, fun, nit, message = _run_linprog(c, A, b, ineq, lb, ub)
+    # HiGHS reports no dual ray for a violated row without coefficients
+    # (every row, when there is no column): a unit weight on the worst one
+    violation = np.where(senses == "<", -b, np.abs(b)) * (np.diff(A.indptr) == 0)
+    if (violation > SOLVER_TOL).any():
+        i, z, nit = int(np.argmax(violation)), np.zeros(len(b)), 0
+        z[i] = -np.sign(b[i])
+    elif lp.num_vars == 0:
+        return LPResult("optimal", values=np.zeros(0), objective=const)
     else:
-        status, x, fun, nit, message = _run_highs(_HIGHS, c, A, b, ineq, lb, ub, lp.lazy)
-    if status == 0:
-        return LPResult("optimal", values=x, objective=fun + const, iterations=nit)
-    if status == 2:
-        farkas = _find_farkas(lp)
-        if farkas is None:
-            raise LPError(f"{lp.name}: reported infeasible but no Farkas witness found")
-        return LPResult("infeasible", farkas=farkas, iterations=nit)
-    if status == 3:
-        return LPResult("unbounded", iterations=nit)
-    raise LPError(f"{lp.name}: solver failure: {message}")
+        status, z, fun, nit, message = _run_highs(_HIGHS, lp)
+        if status == 0:
+            return LPResult("optimal", values=z, objective=fun + const, iterations=nit)
+        if status == 3:
+            return LPResult("unbounded", iterations=nit)
+        if status != 2:
+            raise LPError(f"{lp.name}: solver failure: {message}")
+    farkas = _farkas(lp, z)
+    if farkas is None:
+        raise LPError(f"{lp.name}: reported infeasible but no Farkas witness found")
+    return LPResult("infeasible", farkas=farkas, iterations=nit)
 
 
 # ---------------------------------------------------------------------------

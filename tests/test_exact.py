@@ -13,6 +13,7 @@ from corrclust.core import (
     trivial_preclustering,
 )
 from corrclust.exact import (
+    _reconstruct,
     brute_force_opt,
     brute_force_opt_good,
     iter_partitions,
@@ -138,3 +139,10 @@ def test_deterministic_tiebreak_prefers_low_vertices_together():
     c, cost = brute_force_opt(g)
     assert cost == 2
     assert c.together(0, 1)
+
+
+def test_reconstruct_raises_on_inconsistent_table():
+    # dp claims the pair {0, 1} costs -1, but neither block choice reaches it;
+    # a real error, not an assert, so it also fires under python -O
+    with pytest.raises(RuntimeError, match="no block"):
+        _reconstruct(2, [0, 0, 0, -1], [0, 0, 0, 5])

@@ -3,6 +3,9 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from corrclust.core import (
     Clustering,
@@ -15,6 +18,7 @@ from corrclust.core import (
 )
 from corrclust.exact import brute_force_opt_good
 from corrclust.lp import (
+    SOLVER_TOL,
     LinearProgram,
     _canonical_rows,
     build_pivot_lp,
@@ -43,7 +47,7 @@ def test_solve_basics():
         lp.add_row({0: 1.0}, ">", 1.0)
     res = solve(lp)
     assert res.status == "infeasible"
-    assert res.farkas is not None
+    assert separation_from_infeasibility(lp, res).b == pytest.approx(1.0, abs=1e-12)
 
     lp2 = LinearProgram("min")
     lp2.add_vars([("x", (0, 1))], ub=5.0)
@@ -145,10 +149,86 @@ def test_solve_adds_violated_lazy_row():
 def test_solve_infeasible_through_lazy_row():
     lp = _lazy_lp("lazy-infeasible", 0.25)  # u >= 0.5 and the lazy u <= 0.25
     res = solve(lp)
-    assert res.status == "infeasible" and res.farkas is not None
-    M, c0, _ = _canonical_rows(lp)
-    assert np.abs(M.T @ res.farkas).max() <= 1e-6
-    assert c0 @ res.farkas < 0
+    assert res.status == "infeasible" and res.iterations > 0
+    separation_from_infeasibility(lp, res)  # audits |M.T u| and u >= 0
+    _, c0, _ = _canonical_rows(lp)
+    assert c0 @ res.farkas == pytest.approx(-1.0, abs=1e-12)
+    # the lazy row (third) and the row it contradicts (second) carry the witness
+    assert res.farkas[:3].tolist() == pytest.approx([0.0, 4.0, 4.0], abs=1e-9)
+
+
+@st.composite
+def _programs(draw):
+    """A small LinearProgram with '<' and '=' rows, some of them lazy,
+    finite bounds and up to two parameter columns; no column at all in some."""
+    nv = draw(st.integers(0, 4))
+    lp = LinearProgram("fuzz")
+    lb = draw(st.lists(st.integers(-2, 1), min_size=nv, max_size=nv))
+    for j, lo in enumerate(lb):
+        lp.add_vars([("x", (0, j + 1))], lb=float(lo), ub=float(lo + draw(st.integers(0, 3))))
+    params = [lp.param_col((j, j + 1), draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+              for j in range(draw(st.integers(0, 2)))]
+    small = st.integers(-3, 3).map(float)
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = {j: v for j in range(nv) if (v := draw(small))}
+        pcoeffs = {p: v for p in params if (v := draw(small))}
+        lp.add_rows(1, draw(st.sampled_from("<=")), [draw(small)],
+                    [(np.zeros(len(coeffs), dtype=int), list(coeffs), list(coeffs.values()))],
+                    [(np.zeros(len(pcoeffs), dtype=int), list(pcoeffs), list(pcoeffs.values()))],
+                    lazy=draw(st.booleans()))
+    if nv:
+        lp.set_objective(np.arange(nv), draw(st.lists(small, min_size=nv, max_size=nv)))
+    return lp
+
+
+def _reference_status(lp):
+    """linprog's status (0 optimal, 2 infeasible) on the full program; for a
+    program without columns, which linprog rejects, the sign of the rows."""
+    A, _, _, senses, lb, ub = lp.matrices()
+    b = lp.effective_rhs()
+    ineq = senses == "<"
+    if lp.num_vars == 0:
+        return 2 if (b[ineq] < -SOLVER_TOL).any() or (np.abs(b[~ineq]) > SOLVER_TOL).any() else 0
+    c = np.zeros(lp.num_vars)
+    if lp.objective is not None:
+        c[lp.objective[0]] = lp.objective[1]
+    res = linprog(c, A_ub=A[ineq] if ineq.any() else None, b_ub=b[ineq] if ineq.any() else None,
+                  A_eq=A[~ineq] if (~ineq).any() else None, b_eq=b[~ineq] if (~ineq).any() else None,
+                  bounds=list(zip(lb, ub)), method="highs-ds")
+    return res.status
+
+
+@settings(max_examples=300, deadline=None)
+@given(_programs())
+def test_farkas_witness_from_dual_ray_fuzz(lp):
+    status = _reference_status(lp)
+    res = solve(lp)
+    if status == 2:
+        assert res.status == "infeasible"
+        cert = separation_from_infeasibility(lp, res)
+        assert cert.rejected_value < cert.b
+        M, c0, Pc = _canonical_rows(lp)
+        x = np.asarray(lp.param_values, dtype=float)
+        assert res.farkas @ (c0 - (Pc @ x if len(x) else 0.0)) == pytest.approx(-1.0, abs=1e-9)
+    else:
+        assert status == 0 and res.status == "optimal"
+
+
+@pytest.mark.parametrize("n, seed", [(8, 30029), (8, 30031), (7, 140013), (7, 140016)])
+def test_uniform_set_lp_certificates(n, seed):
+    """Uniform instances whose triangle-LP metric has no feasible full-V set
+    lift: the certificate from the dual ray separates that metric and holds
+    at the best good clustering, refined as the size pins assume."""
+    g = generate_instance("uniform_random", n, None, seed)
+    pre = precluster(g, AgreementParams(0.1))
+    x, _ = solve_triangle_lp(g, pre)
+    lp = build_set_lp(range(n), pre, x, epsilon=0.05)
+    res = solve(lp)
+    assert res.status == "infeasible"
+    cert = separation_from_infeasibility(lp, res)
+    assert cert.separates(x)
+    clusters = size_window_refinement([set(c) for c in brute_force_opt_good(g, pre)[0].clusters()], pre, 0.05)
+    assert cert.evaluate(Metric.from_clustering(Clustering.from_sets(n, clusters))) >= cert.b - 1e-9
 
 
 def test_set_lp_solve_deterministic():

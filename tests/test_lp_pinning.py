@@ -3,10 +3,11 @@
 The golden digests were recorded before the builders were vectorized; any
 change to a model's variable keys, rows, bounds or parameter columns changes
 its digest.  The solver tests check that ``solve()`` returns bitwise what
-``linprog(method="highs-ds")`` returns on models without lazy rows, through
-the direct HiGHS call and through the ``linprog`` fallback.  On the set LPs,
-whose triple box rows are lazy, the direct call generates rows; there they
-check linprog's status and a point that satisfies the full model.
+``linprog(method="highs-ds")`` returns on models without lazy rows.  On the
+set LPs, whose triple box rows are lazy, the direct call generates rows;
+there they check linprog's status and a point that satisfies the full model.
+The import guard must raise, not degrade, when scipy's private HiGHS class
+stops generating rows or reporting a dual ray.
 """
 
 import hashlib
@@ -26,6 +27,7 @@ from corrclust.lp import (
     build_set_lp,
     build_triangle_lp,
     lifted_from_result,
+    separation_from_infeasibility,
     solve,
     solve_triangle_lp,
 )
@@ -257,41 +259,26 @@ def _assert_solves_full_model(lp, res):
 
 
 def test_solve_matches_linprog_bitwise(fixture_lps):
-    assert lpmod._HIGHS is not None, "scipy's bundled HiGHS interface failed its import check"
     for name, lp in [*fixture_lps.items(), ("set_infeasible", _infeasible_set_lp())]:
         assert lp.lazy.any() == name.startswith("set_")
         check = _assert_solves_full_model if lp.lazy.any() else _assert_same_as_linprog
         check(lp, solve(lp))
 
 
-def test_linprog_fallback(fixture_lps, monkeypatch):
-    direct = {name: solve(lp) for name, lp in fixture_lps.items()}
-    monkeypatch.setattr(lpmod, "_HIGHS", None)
-    for name, lp in fixture_lps.items():
-        res = solve(lp)
-        _assert_same_as_linprog(lp, res)
-        if lp.lazy.any():
-            _assert_solves_full_model(lp, direct[name])
-        else:
-            assert res.values.tobytes() == direct[name].values.tobytes()
-    infeasible = solve(_infeasible_set_lp())
-    assert infeasible.status == "infeasible" and infeasible.farkas is not None
-
-
-def test_highs_guard_falls_back_on_interface_change(monkeypatch):
+def test_highs_guard_raises_on_interface_change(monkeypatch):
     assert lpmod._load_highs() is lpmod._HIGHS
 
     def changed(*args, **kwargs):
         raise TypeError("incompatible function arguments")
 
     monkeypatch.setattr(lpmod, "_run_highs", changed)
-    with pytest.warns(RuntimeWarning, match="incompatible function arguments.*solving through linprog"):
-        assert lpmod._load_highs() is None
+    with pytest.raises(ImportError, match=r"scipy \S+: .*row generation probe.*incompatible function arguments"):
+        lpmod._load_highs()
 
 
 def test_highs_guard_checks_row_generation(monkeypatch):
-    """The probe needs addRows and a warm re-run: a HiGHS class whose
-    addRows fails, or silently adds nothing, sends every solve to linprog."""
+    """The first probe needs addRows and a warm re-run: a HiGHS class whose
+    addRows fails, or silently adds nothing, fails the import."""
     from scipy.optimize._highspy import _core as hc
 
     class Failing(hc._Highs):
@@ -302,10 +289,31 @@ def test_highs_guard_checks_row_generation(monkeypatch):
         def addRows(self, *args):
             return hc.HighsStatus.kOk
 
-    for cls, problem in ((Failing, "incompatible function arguments"), (Silent, "probe returned status 4")):
+    for cls, problem in ((Failing, "incompatible function arguments"), (Silent, "status 4")):
         monkeypatch.setattr(hc, "_Highs", cls)
-        with pytest.warns(RuntimeWarning, match=f"{problem}.*solving through linprog"):
-            assert lpmod._load_highs() is None
+        with pytest.raises(ImportError, match=f"row generation probe.*{problem}"):
+            lpmod._load_highs()
+
+
+def test_highs_guard_checks_dual_ray(monkeypatch):
+    """The second probe is infeasible only through its lazy row; its
+    witness, mapped from the ray, passes the separation audit."""
+    from scipy.optimize._highspy import _core as hc
+
+    lp = lpmod._probe(0.0, [1.0, -1.0], [1.0, -2.0])
+    res = solve(lp)
+    assert res.status == "infeasible" and res.farkas.tolist() == [1.0, 1.0, 0.0, 0.0]
+    cert = separation_from_infeasibility(lp, res)
+    assert cert.w == {} and cert.b == 1.0
+
+    class NoRay(hc._Highs):
+        def getDualRay(self):
+            status, _, values = super().getDualRay()
+            return status, False, values
+
+    monkeypatch.setattr(hc, "_Highs", NoRay)
+    with pytest.raises(ImportError, match="dual ray probe.*no dual ray"):
+        lpmod._load_highs()
 
 
 def test_extraction_clamps_and_rejects(fixture_lps):
