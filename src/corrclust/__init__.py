@@ -30,7 +30,7 @@ from .lp import (
     solve_triangle_lp,
 )
 from .correlated import ConditionedMarginals, measure_pairwise_error, rt_sample
-from .round_set import BudgetLedger, LedgerError, RoundingParams, RoundingReport, set_based_cstr_clst, set_based_round
+from .round_set import BudgetLedger, LedgerError, RoundingParams, RoundingReport, SeparationFound, set_based_cstr_clst, set_based_round
 from .round_pivot import cleanup, pivot_based_round, pivot_budget
 from .combine import CombinedReport, PipelineConfig, acn_pivot, combined_round, full_pipeline
 from .verify import (

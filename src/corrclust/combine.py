@@ -22,10 +22,10 @@ from .core import (
     all_pairs,
 )
 from .exact import DEFAULT_LIMIT, brute_force_opt, brute_force_opt_good
-from .lp import SeparationCertificate, solve_triangle_lp
+from .lp import solve_triangle_lp
 from .precluster import AgreementParams, precluster
 from .round_pivot import pivot_based_round, pivot_budget
-from .round_set import RoundingParams, RoundingReport, lp_budget, set_based_round
+from .round_set import RoundingParams, RoundingReport, SeparationFound, lp_budget, set_based_round
 from .verify import COMBINED_RATIO_BOUND, MINUS_EDGE_RATIO, PIVOT_WEIGHT, SET_WEIGHT
 
 
@@ -72,8 +72,8 @@ class CombinedReport:
     set_report: RoundingReport
     pivot_report: RoundingReport
     chosen: str
-    clustering: Clustering | None
-    cost: int | None
+    clustering: Clustering
+    cost: int
     edge_bounds: dict
 
     @property
@@ -84,7 +84,7 @@ class CombinedReport:
         return {
             "chosen": self.chosen,
             "cost": self.cost,
-            "clustering": list(self.clustering.assignment) if self.clustering else None,
+            "clustering": list(self.clustering.assignment),
             "measured_eps_r": self.measured_eps_r,
             "edge_bounds": self.edge_bounds,
             "set": self.set_report.to_dict(),
@@ -98,16 +98,12 @@ def combined_round(
     x: Metric,
     params: RoundingParams,
     rng: np.random.Generator,
-) -> CombinedReport | SeparationCertificate:
+) -> CombinedReport:
     """Run both roundings (each best-of-trials) and keep the cheaper output.
-    A separation certificate from either side is propagated unchanged."""
+    :class:`SeparationFound` from either side propagates to the caller."""
     rng_set, rng_pivot = rng.spawn(2)
     set_rep = set_based_round(g, pre, x, params, rng_set)
-    if set_rep.certificate is not None:
-        return set_rep.certificate
     pivot_rep = pivot_based_round(g, pre, x, params, rng_pivot)
-    if pivot_rep.certificate is not None:
-        return pivot_rep.certificate
     chosen = "pivot" if pivot_rep.cost <= set_rep.cost else "set"
     winner = pivot_rep if chosen == "pivot" else set_rep
     return CombinedReport(
@@ -148,14 +144,14 @@ def full_pipeline(g: SignedGraph, config: PipelineConfig, seed: int) -> dict:
 
     The report carries the final cost, the fractional cost, oracle optima
     when n is within the configured limit, the ratio diagnostics, ledger
-    totals and the measured correlation error.  A separation certificate
-    outcome is recorded as such and flagged: the triangle-LP metric can lie
-    outside the hull of good clusterings, and on some uniform instances it
-    does, because the pipeline does not yet cut it off and re-solve."""
+    totals and the measured correlation error.  This is the one place that
+    catches :class:`SeparationFound`: the report then records the
+    certificate instead of a clustering, flagged, because the triangle-LP
+    metric can lie outside the hull of good clusterings, and on some uniform
+    instances it does; the pipeline does not yet cut it off and re-solve."""
     pre = precluster(g, AgreementParams(config.epsilon_q))
     x, lp_cost = solve_triangle_lp(g, pre)
     params = RoundingParams(epsilon=config.epsilon, trials=config.trials)
-    outcome = combined_round(g, pre, x, params, np.random.default_rng([seed, 0]))
     report: dict = {
         "n": g.n,
         "seed": seed,
@@ -173,13 +169,15 @@ def full_pipeline(g: SignedGraph, config: PipelineConfig, seed: int) -> dict:
         },
         "lp_cost": lp_cost,
     }
-    if isinstance(outcome, SeparationCertificate):
+    try:
+        outcome = combined_round(g, pre, x, params, np.random.default_rng([seed, 0]))
+    except SeparationFound as found:
         # With x from the plain metric LP (no ellipsoid re-centering), a cut
         # is a legitimate outcome when x falls outside the hull of good
         # clusterings; it is rare at the default working point, so flag it
         # loudly for inspection.
         report["outcome"] = "separation_certificate"
-        report["certificate"] = outcome.to_dict()
+        report["certificate"] = found.certificate.to_dict()
         report["unexpected_for_lp_derived_metric"] = True
         return report
     report["outcome"] = "clustering"

@@ -390,7 +390,7 @@ def write_instance(g: SignedGraph, default: str | None = None) -> str:
     """Instance text form: header `n <count> default <+|->`, then overrides."""
     if default is None:
         default = "+" if g.num_plus > g.num_minus else "-"
-    if default not in "+-":
+    if default not in ("+", "-"):
         raise ValueError("default sign must be '+' or '-'")
     lines = [f"n {g.n} default {default}"]
     for (u, v) in sorted(all_pairs(g.n)):

@@ -3,23 +3,22 @@
 Samples a subset of a ground set so that every element's inclusion
 probability equals its prescribed marginal exactly, while pairwise joint
 statistics approximately track the prescribed pair values.  The scheme:
-draw the number t of "seed" elements uniformly from {0, 1}, pick the seed
-uniformly, include it with its marginal, then include every other element
-independently with its seed-conditioned marginal.  The marginals carry pair
-joints only (what an order-3 lift provides once a pivot is conditioned on),
-and conditioning on t seeds needs joints of order t + 1, so the sampler
-conditions on at most one seed.  Exactness of the single-element marginals
-is a law-of-total-probability fact; the residual pairwise error is computed
-exactly by enumerating the seed branches, not assumed, and that value is
-what downstream budget checks use.
+with probability 1/2 include every element independently with its
+marginal; otherwise pick one "seed" element uniformly, include it with its
+marginal, then include every other element independently with its
+probability conditioned on the seed being in or out.  The marginals carry
+pair joints only (what an order-3 lift provides once a pivot is conditioned
+on), which is exactly what conditioning on one seed needs.  Exactness of
+the single-element marginals is a law-of-total-probability fact; the
+residual pairwise error is computed exactly by enumerating the seed
+branches, not assumed, and that value is what downstream budget checks use.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -55,38 +54,42 @@ class ConditionedMarginals:
             if pv > cap or pv < -1e-9:
                 raise ValueError(f"pair value y'_{(u, v)} = {pv} violates box bounds")
 
-    def value_of(self, vs: tuple[int, ...]) -> float:
-        """Joint inclusion weight of at most two ground elements."""
-        k = len(vs)
-        if k == 0:
-            return 1.0
-        if k == 1:
-            return min(1.0, max(0.0, float(self.marginal[vs[0]])))
-        if k == 2:
-            return min(1.0, max(0.0, float(self.pair[pair_key(*vs)])))
-        raise ValueError(f"joint of order {k} not available")
+    @classmethod
+    def clamped(
+        cls, ground: Sequence[int], marginal: Mapping[int, float], joint: Callable[[int, int], float]
+    ) -> ConditionedMarginals:
+        """Pair joints from ``joint(a, b)``, clamped into [0, min(m_a, m_b)]."""
+        pair = {
+            pair_key(a, b): min(min(marginal[a], marginal[b]), max(0.0, joint(a, b)))
+            for (a, b) in combinations(ground, 2)
+        }
+        return cls(tuple(ground), marginal, pair)
 
-    def pseudo_prob(self, inside: tuple[int, ...], outside: tuple[int, ...]) -> float:
-        """Weight of the event (all of `inside` in, all of `outside` out),
-        by inclusion-exclusion; tiny negatives are clamped to zero."""
-        total = 0.0
-        for k in range(len(outside) + 1):
-            for extra in combinations(outside, k):
-                total += (-1) ** k * self.value_of(tuple(inside) + extra)
-        return max(0.0, total)
+    def value_of(self, vs: tuple[int, ...]) -> float:
+        """Joint inclusion weight of one or two ground elements, in [0, 1]."""
+        w = self.marginal[vs[0]] if len(vs) == 1 else self.pair[pair_key(*vs)]
+        return min(1.0, max(0.0, float(w)))
 
     def fractional(self) -> list[int]:
         """Elements whose marginal is strictly inside (0, 1)."""
         return [v for v in self.ground if MASS_FLOOR < self.marginal[v] < 1 - MASS_FLOOR]
 
 
-def _conditional_inclusion(
-    m: ConditionedMarginals, v: int, seeds_in: tuple[int, ...], seeds_out: tuple[int, ...]
-) -> float:
-    den = m.pseudo_prob(seeds_in, seeds_out)
+def _seed_mass(m: ConditionedMarginals, s: int, s_in: bool) -> float:
+    """Weight of the event "seed s is in" (``s_in``) or "seed s is out"."""
+    ms = m.value_of((s,))
+    return ms if s_in else max(0.0, 1.0 - ms)
+
+
+def _given_seed(m: ConditionedMarginals, s: int, s_in: bool, v: int) -> float:
+    """Pr[v in C | seed s in or out]: y_sv / m_s, or max(0, m_v - y_sv) /
+    (1 - m_s).  Raises ZeroDivisionError when the seed event's mass is below
+    MASS_FLOOR."""
+    den = _seed_mass(m, s, s_in)
     if den < MASS_FLOOR:
         raise ZeroDivisionError
-    num = m.pseudo_prob(tuple(seeds_in) + (v,), seeds_out)
+    y = m.value_of((s, v))
+    num = y if s_in else max(0.0, m.value_of((v,)) - y)
     return min(1.0, max(0.0, num / den))
 
 
@@ -98,25 +101,17 @@ def rt_sample(m: ConditionedMarginals, rng: np.random.Generator) -> set[int]:
     resampled, with a bounded number of retries.
     """
     ground = m.ground
-    t_max = min(1, len(ground))  # at most one seed, see the module docstring
     for _attempt in range(MAX_RESAMPLES):
+        if not ground or rng.integers(0, 2) == 0:
+            return {v for v in ground if rng.random() < m.value_of((v,))}
+        s = ground[int(rng.choice(len(ground), size=1, replace=False)[0])]
+        s_in = rng.random() < m.value_of((s,))
+        chosen = {s} if s_in else set()
         try:
-            t = int(rng.integers(0, t_max + 1)) if t_max > 0 else 0
-            seeds = tuple(sorted(rng.choice(len(ground), size=t, replace=False).tolist()))
-            seeds = tuple(ground[i] for i in seeds)
-            seeds_in: tuple[int, ...] = ()
-            seeds_out: tuple[int, ...] = ()
-            for sv in seeds:
-                p_in = _conditional_inclusion(m, sv, seeds_in, seeds_out)
-                if rng.random() < p_in:
-                    seeds_in += (sv,)
-                else:
-                    seeds_out += (sv,)
-            chosen = set(seeds_in)
             for v in ground:
-                if v in seeds:
+                if v == s:
                     continue
-                p = _conditional_inclusion(m, v, seeds_in, seeds_out)
+                p = _given_seed(m, s, s_in, v)
                 if rng.random() < p:
                     chosen.add(v)
             return chosen
@@ -133,31 +128,24 @@ def rt_sample(m: ConditionedMarginals, rng: np.random.Generator) -> set[int]:
 def enumerate_branches(m: ConditionedMarginals) -> Iterator[tuple[float, dict[int, float]]]:
     """All (branch weight, per-element conditional inclusion) pairs.
 
-    A branch is a seed count t (0 or 1), a seed subset, and an in/out
-    assignment of the seeds; its weight is the probability the sampler
-    reaches it.  Seeds have conditional inclusion 0 or 1 in their branch.
-    Weights sum to one up to the mass floor (assignments below it are
-    skipped; the sampler resamples them, and their total weight is
-    negligible).
+    The no-seed branch comes first, then for each seed in ground order its
+    "out" and its "in" branch; a branch's weight is the probability the
+    sampler reaches it, and the seed's conditional inclusion is 0 or 1 in
+    its own branch.  Weights sum to one up to the mass floor (seed branches
+    below it are skipped; the sampler resamples them, and their total weight
+    is negligible).
     """
     ground = m.ground
-    t_max = min(1, len(ground))
-    p_t = 1.0 / (t_max + 1)
-    for t in range(t_max + 1):
-        n_subsets = math.comb(len(ground), t)
-        for seeds in combinations(ground, t):
-            for pattern in range(1 << t):
-                s_in = tuple(seeds[i] for i in range(t) if pattern >> i & 1)
-                s_out = tuple(seeds[i] for i in range(t) if not pattern >> i & 1)
-                mass = m.pseudo_prob(s_in, s_out)
-                if mass < MASS_FLOOR:
-                    continue
-                cond: dict[int, float] = {v: 1.0 for v in s_in}
-                cond.update({v: 0.0 for v in s_out})
-                for v in ground:
-                    if v not in cond:
-                        cond[v] = _conditional_inclusion(m, v, s_in, s_out)
-                yield p_t * mass / n_subsets, cond
+    half = 0.5 if ground else 1.0
+    yield half, {v: m.value_of((v,)) for v in ground}
+    for s in ground:
+        for s_in in (False, True):
+            mass = _seed_mass(m, s, s_in)
+            if mass < MASS_FLOOR:
+                continue
+            cond = {v: _given_seed(m, s, s_in, v) for v in ground if v != s}
+            cond[s] = float(s_in)
+            yield half * mass / len(ground), cond
 
 
 def exact_inclusion_probabilities(m: ConditionedMarginals) -> dict[int, float]:

@@ -13,19 +13,17 @@ pivot, which the order-3 lifted LP enforces).
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
 from .core import (
     Metric,
-    Pair,
     PreclusteredInstance,
     SignedGraph,
     pair_key,
 )
-from .correlated import ConditionedMarginals, measure_pairwise_error, rt_sample
+from .correlated import ConditionedMarginals, contract_to_representatives, measure_pairwise_error, rt_sample
 from .lp import (
     LiftedSolution,
     build_pivot_lp,
@@ -36,6 +34,7 @@ from .lp import (
 from .round_set import (
     RoundingParams,
     RoundingReport,
+    SeparationFound,
     best_of_trials,
     rounding_trial,
 )
@@ -109,29 +108,20 @@ def _pivot_marginals(
     set (atoms with a +edge to p) and independently rounded atoms (only
     -edges to p).  Returns (marginals, rep -> members, independent list)."""
     kp = pre.atom_of(p)
+    reps, groups = contract_to_representatives((v for v in rem if v not in kp), pre.atom_of)
     rt_groups: dict[int, list[int]] = {}
     indep: list[tuple[int, list[int], float]] = []
-    seen: set[int] = set()
-    for v in sorted(rem):
-        if v in kp or v in seen:
-            continue
-        atom = sorted(pre.atom_of(v) & rem)
-        seen.update(atom)
-        rep = atom[0]
+    for rep in reps:
         if pre.classify_pair(p, rep) != "admissible":
             continue  # y_pv = 0 by non-admissible pinning; never joins
+        atom = groups[rep]
         y = sol.y_of((p, rep))
         if any(g.is_plus(p, w) for w in atom):
             rt_groups[rep] = atom
         elif y > 0.0:
             indep.append((rep, atom, y))
-    reps = sorted(rt_groups)
-    marg = {rep: sol.y_of((p, rep)) for rep in reps}
-    pairv: dict[Pair, float] = {}
-    for (a, b) in combinations(reps, 2):
-        v = sol.y_of((p, a, b))
-        pairv[pair_key(a, b)] = min(min(marg[a], marg[b]), max(0.0, v))
-    m = ConditionedMarginals(tuple(reps), marg, pairv)
+    marg = {rep: sol.y_of((p, rep)) for rep in rt_groups}
+    m = ConditionedMarginals.clamped(list(rt_groups), marg, lambda a, b: sol.y_of((p, a, b)))
     return m, rt_groups, indep
 
 
@@ -143,14 +133,13 @@ def pivot_based_round(
     rng: np.random.Generator,
 ) -> RoundingReport:
     """Best of ``params.trials`` pivot rounding runs.  The lifted LP is
-    solved once; infeasibility yields a separation certificate instead of a
-    clustering.  Every non-cleanup iteration records the exact correlation
-    error of its conditioned marginals as ``eps_r``."""
+    solved once; if it is infeasible, :class:`SeparationFound` is raised.
+    Every non-cleanup iteration records the exact correlation error of its
+    conditioned marginals as ``eps_r``."""
     lp = build_pivot_lp(g, pre, x)
     res = solve(lp)
     if res.status == "infeasible":
-        cert = separation_from_infeasibility(lp, res)
-        return RoundingReport("pivot", None, None, None, 0.0, [], certificate=cert)
+        raise SeparationFound(separation_from_infeasibility(lp, res))
     sol = lifted_from_result(lp, res)
 
     def draw(rem: set[int], rng: np.random.Generator) -> tuple[set[int], dict]:

@@ -59,6 +59,15 @@ class LedgerError(RuntimeError):
     not asserted, so the checks also run under ``python -O``."""
 
 
+class SeparationFound(Exception):
+    """A lifted LP is infeasible for the metric being rounded.  The run ends
+    without a clustering; ``certificate`` separates that metric."""
+
+    def __init__(self, certificate: SeparationCertificate):
+        super().__init__(certificate.provenance)
+        self.certificate = certificate
+
+
 @dataclass(frozen=True)
 class RoundingParams:
     """Knobs shared by both rounding schemes."""
@@ -145,32 +154,26 @@ class RoundingReport:
     """Outcome of one rounding run (or the best of several trials)."""
 
     scheme: str
-    clustering: Clustering | None
-    cost: int | None
-    ledger: BudgetLedger | None
+    clustering: Clustering
+    cost: int
+    ledger: BudgetLedger
     measured_eps_r: float
     trace: list[dict]
-    certificate: SeparationCertificate | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {
+        return {
             "scheme": self.scheme,
             "cost": self.cost,
             "measured_eps_r": self.measured_eps_r,
             "trace": self.trace,
+            "clustering": list(self.clustering.assignment),
+            "ledger": self.ledger.totals(),
         }
-        if self.clustering is not None:
-            out["clustering"] = list(self.clustering.assignment)
-        if self.ledger is not None:
-            out["ledger"] = self.ledger.totals()
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_dict()
-        return out
 
 
 class SolveCache:
     """Memoizes the builder's result per remaining vertex set; set rounding
-    stores (lp, LP result, lifted solution or None when infeasible)."""
+    stores the lifted solution."""
 
     def __init__(self, builder: Callable[[frozenset[int]], object]):
         self._builder = builder
@@ -201,11 +204,7 @@ def conditioned_marginals_for(
     rest = [v for v in vprime if v not in ku]
     reps, groups = contract_to_representatives(rest, pre.atom_of)
     marg = {rep: min(1.0, max(0.0, sol.ys_of(s, (rep, u)) / ysu)) for rep in reps}
-    pairv: dict[Pair, float] = {}
-    for (a, b) in combinations(reps, 2):
-        v = sol.ys_of(s, (a, b, u)) / ysu
-        pairv[pair_key(a, b)] = min(min(marg[a], marg[b]), max(0.0, v))
-    m = ConditionedMarginals(tuple(reps), marg, pairv)
+    m = ConditionedMarginals.clamped(reps, marg, lambda a, b: sol.ys_of(s, (a, b, u)) / ysu)
     return m, groups
 
 
@@ -278,7 +277,7 @@ def rounding_trial(
     pre: PreclusteredInstance,
     x: Metric,
     epsilon: float,
-    draw: Callable[[set[int], np.random.Generator], tuple[set[int], dict] | SeparationCertificate],
+    draw: Callable[[set[int], np.random.Generator], tuple[set[int], dict]],
     pair_budget: Callable[[bool, float], float],
     rng: np.random.Generator,
     vertex_budget: Callable[[int], float] | None = None,
@@ -286,18 +285,13 @@ def rounding_trial(
     """One run of a scheme: ``draw`` removes clusters until every vertex is
     clustered, each decided by :func:`decide_cluster`, and the ledger is
     reconciled against the closed-form ceilings.  The trial's measured error
-    is the largest ``eps_r`` in its trace; a certificate from ``draw`` ends
-    the trial without a clustering."""
+    is the largest ``eps_r`` in its trace."""
     rem = set(range(g.n))
     ledger = BudgetLedger()
     trace: list[dict] = []
     clusters: list[set[int]] = []
     while rem:
-        out = draw(rem, rng)
-        if isinstance(out, SeparationCertificate):
-            eps_r = _max_eps_r(trace)
-            return RoundingReport(scheme, None, None, None, eps_r, trace, certificate=out)
-        cluster, rec = out
+        cluster, rec = draw(rem, rng)
         if not cluster or not cluster <= rem:
             raise RuntimeError(f"drew {sorted(cluster)}, not a nonempty subset of {sorted(rem)}")
         decide_cluster(g, pre, x, ledger, rem, cluster, pair_budget, epsilon, vertex_budget)
@@ -314,29 +308,18 @@ def rounding_trial(
     if vertex_budget is not None:
         ceilings["difference_budget"] = sum(vertex_budget(v) for v in range(g.n))
     ledger.reconcile(cost, ceilings)
-    return RoundingReport(scheme, clustering, cost, ledger, _max_eps_r(trace), trace)
-
-
-def _max_eps_r(trace: list[dict]) -> float:
-    return max((rec.get("eps_r", 0.0) for rec in trace), default=0.0)
+    eps_r = max((rec.get("eps_r", 0.0) for rec in trace), default=0.0)
+    return RoundingReport(scheme, clustering, cost, ledger, eps_r, trace)
 
 
 def best_of_trials(
     trials: int, rng: np.random.Generator, trial: Callable[[np.random.Generator], RoundingReport]
 ) -> RoundingReport:
     """Cheapest of ``trials`` runs on independent streams (the first on a
-    tie), reporting the largest measured error over all of them.  A trial
-    that returns a separation certificate is returned immediately."""
-    best: RoundingReport | None = None
-    eps_r = 0.0
-    for stream in rng.spawn(trials):
-        rep = trial(stream)
-        if rep.certificate is not None:
-            return rep
-        eps_r = max(eps_r, rep.measured_eps_r)
-        if best is None or rep.cost < best.cost:
-            best = rep
-    best.measured_eps_r = eps_r
+    tie), reporting the largest measured error over all of them."""
+    reports = [trial(stream) for stream in rng.spawn(trials)]
+    best = min(reports, key=lambda rep: rep.cost)
+    best.measured_eps_r = max(rep.measured_eps_r for rep in reports)
     return best
 
 
@@ -350,23 +333,20 @@ def set_based_round(
     """Best of ``params.trials`` independent runs; LP solutions are shared
     across trials through a per-call cache keyed by the remaining vertex set.
     Every sampled iteration records the exact correlation error of its
-    conditioned marginals as ``eps_r``.  If any trial's LP extension is
-    infeasible, the separation certificate is returned immediately (no
-    fallback clustering is substituted)."""
+    conditioned marginals as ``eps_r``.  Raises :class:`SeparationFound` as
+    soon as the LP extension of a remaining vertex set is infeasible."""
 
-    def build(key: frozenset[int]):
+    def build(key: frozenset[int]) -> LiftedSolution:
         lp = build_set_lp(sorted(key), pre, x, params.epsilon)
         res = solve(lp)
-        sol = None if res.status == "infeasible" else lifted_from_result(lp, res)
-        return lp, res, sol
+        if res.status == "infeasible":
+            raise SeparationFound(separation_from_infeasibility(lp, res))
+        return lifted_from_result(lp, res)
 
     cache = SolveCache(build)
 
-    def draw(rem: set[int], rng: np.random.Generator):
-        lp, res, sol = cache.get(frozenset(rem))
-        if res.status == "infeasible":
-            return separation_from_infeasibility(lp, res)
-        cluster, rec, m = set_based_cstr_clst(rem, sol, pre, rng)
+    def draw(rem: set[int], rng: np.random.Generator) -> tuple[set[int], dict]:
+        cluster, rec, m = set_based_cstr_clst(rem, cache.get(frozenset(rem)), pre, rng)
         rec["eps_r"] = measure_pairwise_error(m)
         return cluster, rec
 

@@ -27,6 +27,23 @@ def test_run_reports_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_run_certificate_exits_2(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    args = ["run", "--gen", "uniform:7", "--seed", "140013", "--trials", "16"]
+    assert main(args + ["--out", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    assert rep["outcome"] == "separation_certificate"
+    assert rep["certificate"]["provenance"] == "set-lp(n'=7,r=3)"
+    assert "separation certificate (set-lp(n'=7,r=3))" in capsys.readouterr().out
+
+
+def test_bench_certificate_aborts_sweep(tmp_path, capsys):
+    args = ["bench", "--gen", "uniform:7", "--seed", "140013", "--count", "1", "--trials", "16",
+            "--out", str(tmp_path / "sweep.csv")]
+    assert main(args) == 2
+    assert "seed 140013: separation certificate; aborting sweep" in capsys.readouterr().out
+
+
 def test_run_instance_file(tmp_path):
     g = SignedGraph(8, frozenset())
     path = tmp_path / "empty8.txt"

@@ -19,9 +19,9 @@ from corrclust.core import (
     generate_instance,
     trivial_preclustering,
 )
-from corrclust.lp import SeparationCertificate, solve_triangle_lp
+from corrclust.lp import solve_triangle_lp
 from corrclust.precluster import AgreementParams, precluster
-from corrclust.round_set import RoundingParams
+from corrclust.round_set import RoundingParams, SeparationFound
 
 
 def test_acn_examples():
@@ -69,9 +69,20 @@ def test_certificate_propagates():
     g = SignedGraph(3, frozenset(all_pairs(3)))
     pre = trivial_preclustering(3)
     x = Metric(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
-    out = combined_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(0))
-    assert isinstance(out, SeparationCertificate)
-    assert out.separates(x)
+    with pytest.raises(SeparationFound) as found:
+        combined_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(0))
+    assert found.value.certificate.separates(x)
+
+
+def test_pipeline_reports_certificate():
+    # uniform n=7 seed 140013: the set LP on all of V is infeasible for the
+    # triangle-LP metric, so the run ends with the certificate
+    g = generate_instance("uniform_random", 7, None, 140013)
+    rep = full_pipeline(g, PipelineConfig(trials=16), 140013)
+    assert rep["outcome"] == "separation_certificate"
+    assert rep["certificate"]["provenance"] == "set-lp(n'=7,r=3)"
+    assert rep["unexpected_for_lp_derived_metric"] is True
+    assert not {"combined", "cost", "guarantee", "oracle"} & rep.keys()
 
 
 def test_pipeline_config_lift_order():

@@ -156,6 +156,9 @@ def test_instance_roundtrip_and_errors():
     g = generate_instance("uniform_random", 7, None, 1)
     for default in "+-":
         assert parse_instance(write_instance(g, default)) == g
+    for default in ("", "+-"):
+        with pytest.raises(ValueError, match="default sign"):
+            write_instance(g, default)
     with pytest.raises(ValueError, match="duplicate"):
         parse_instance("n 3 default -\n0 1 +\n0 1 +\n")
     with pytest.raises(ValueError, match="malformed"):

@@ -19,7 +19,7 @@ from corrclust.round_pivot import (
     pivot_based_round,
     pivot_budget,
 )
-from corrclust.round_set import BudgetLedger, RoundingParams, decide_cluster
+from corrclust.round_set import BudgetLedger, RoundingParams, SeparationFound, decide_cluster
 
 
 def test_f_plus_shape():
@@ -191,6 +191,6 @@ def test_infeasible_metric_returns_certificate():
     g = SignedGraph(3, frozenset(all_pairs(3)))
     pre = trivial_preclustering(3)
     x = Metric(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
-    rep = pivot_based_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(0))
-    assert rep.certificate is not None and rep.clustering is None
-    assert rep.certificate.separates(x)
+    with pytest.raises(SeparationFound) as found:
+        pivot_based_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(0))
+    assert found.value.certificate.separates(x)

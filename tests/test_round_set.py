@@ -19,6 +19,7 @@ from corrclust.precluster import AgreementParams, precluster
 from corrclust.round_set import (
     BudgetLedger,
     RoundingParams,
+    SeparationFound,
     analyze_cluster_sampler,
     lp_budget,
     set_based_cstr_clst,
@@ -248,10 +249,9 @@ def test_infeasible_extension_returns_certificate():
     bad = dict.fromkeys(all_pairs(5), 0.0)
     bad[(0, 1)] = 1.0  # contradicts the atomic pin
     x = Metric(5, bad)
-    rep = set_based_round(g, pre, x, RoundingParams(trials=2), np.random.default_rng(0))
-    assert rep.clustering is None
-    assert rep.certificate is not None
-    assert rep.certificate.separates(x)
+    with pytest.raises(SeparationFound) as found:
+        set_based_round(g, pre, x, RoundingParams(trials=2), np.random.default_rng(0))
+    assert found.value.certificate.separates(x)
 
 
 def test_ledger_errors_survive_python_O():
