@@ -9,17 +9,20 @@ a hyperplane separating the input x from the convex hull of good clusterings.
 :func:`solve` hands the model to the HiGHS class that scipy bundles
 (``scipy.optimize._highspy._core._Highs``) as arrays, with exactly the
 options ``linprog(method="highs-ds")`` sets, and maps the model status the
-way scipy does.  Rows a builder marks lazy are left out at first: after each
-solve, the lazy rows the point violates are added and HiGHS re-runs warm
-from its last basis, until the point violates none.  This is sound because
-the point returned is a vertex of the relaxed program that satisfies every
-row of the full one, hence a vertex (and an optimum) of the full program;
-and a relaxation that is infeasible proves the full program infeasible.  A
-program without lazy rows gets one pass, on the model ``linprog`` would
-build, without linprog's input cleaning and result packaging.  An
-infeasible pass runs once more without presolve, so that HiGHS reports a
-dual ray.  The HiGHS class is private scipy API: two probes check at import
-that it generates rows and reports the ray, and the import fails if not.
+way scipy does.  Rows a builder marks lazy are left out at first.  Each lazy
+row carries a label; after each solve, every lazy row that shares a label
+with a row the point violates is added, and HiGHS re-runs warm from its last
+basis, until the point violates none.  This is sound because the point
+returned is a vertex of the relaxed program that satisfies every row of the
+full one, hence a vertex (and an optimum) of the full program; and a
+relaxation that is infeasible proves the full program infeasible.  Which
+rows enter together changes the number of passes and which vertex comes
+back, not that argument.  A program without lazy rows gets one pass, on the
+model ``linprog`` would build, without linprog's input cleaning and result
+packaging.  An infeasible pass runs once more without presolve, so that
+HiGHS reports a dual ray.  The HiGHS
+class is private scipy API: two probes check at import that it generates
+rows and reports the ray, and the import fails if not.
 
 Three builders are provided:
 
@@ -89,7 +92,8 @@ class LinearProgram:
         self._pentries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._rhs0: list[np.ndarray] = []  # one array per add_rows call
         self._senses: list[np.ndarray] = []
-        self._lazy: list[np.ndarray] = []
+        self._labels: list[np.ndarray] = []
+        self._flagged = 0  # lazy rows labelled by a flag so far
         self._num_rows = 0
         self.param_pairs: list[Pair] = []
         self._param_index: dict[Pair, int] = {}
@@ -149,15 +153,30 @@ class LinearProgram:
         lazy=False,
     ) -> None:
         """Append ``count`` rows; local row ids in the entry triplets are
-        offset by the current row count.  sense is '<' or '='.  ``lazy`` (one
-        flag, or one per row) marks rows that :func:`solve` leaves out until
-        a point violates them; they are part of the model all the same."""
+        offset by the current row count.  sense is '<' or '='.  ``lazy`` marks
+        rows that :func:`solve` leaves out until a point violates them; they
+        are part of the model all the same.  A bool flag (one, or one per
+        row) gives each lazy row a label of its own, below -1, which no
+        integer label can reach.  Integer labels (one, or one per row) group
+        rows across the program: a violated row enters with every lazy row of
+        its label.  -1 marks an eager row and 0 is a label, so ``lazy=0``
+        makes lazy rows; integers below -1 raise ``ValueError``."""
         if sense not in ("<", "="):
             raise ValueError(f"bad sense {sense!r}")
         base = self.num_rows
         self._rhs0.append(np.broadcast_to(np.asarray(rhs, dtype=float), (count,)))
         self._senses.append(np.full(count, sense))
-        self._lazy.append(np.broadcast_to(np.asarray(lazy, dtype=bool), (count,)))
+        lazy = np.broadcast_to(np.asarray(lazy), (count,))
+        if lazy.dtype == bool:
+            labels = np.full(count, -1)
+            k = np.count_nonzero(lazy)
+            labels[lazy] = -2 - self._flagged - np.arange(k)
+            self._flagged += k
+        elif np.issubdtype(lazy.dtype, np.integer) and lazy.min(initial=-1) >= -1:
+            labels = lazy.astype(int)
+        else:
+            raise ValueError(f"lazy must be flags or integer labels >= -1, not {lazy!r}")
+        self._labels.append(labels)
         self._num_rows += count
         for (r, c, v) in entries:
             r = np.asarray(r, dtype=int)
@@ -179,9 +198,17 @@ class LinearProgram:
         self.add_rows(1, sense, [rhs], [(np.zeros(len(coeffs), dtype=int), cols, vals)], pe)
 
     @property
+    def labels(self) -> np.ndarray:
+        """Per-row label: -1 for an eager row, below -1 for a row flagged
+        lazy on its own; lazy rows that share a label enter :func:`solve`'s
+        row generation together."""
+        return np.concatenate(self._labels) if self._labels else np.zeros(0, dtype=int)
+
+    @property
     def lazy(self) -> np.ndarray:
-        """Per-row flag: True for the rows :func:`solve` adds only when violated."""
-        return np.concatenate(self._lazy) if self._lazy else np.zeros(0, dtype=bool)
+        """Per-row flag: True for the rows :func:`solve` adds only when a row
+        of their label is violated."""
+        return self.labels != -1
 
     def set_objective(self, cols, coefs, constant: float = 0.0) -> None:
         self.objective = (np.asarray(cols, dtype=int), np.asarray(coefs, dtype=float), constant)
@@ -308,12 +335,13 @@ def _load_highs():
 
 
 def _run_highs(hc, lp: LinearProgram):
-    """Solve ``lp`` by row generation.  The first pass solves the rows not
-    flagged lazy as ``linprog(method="highs-ds")`` would: the same
-    column-wise matrix with inequality rows first, the same options.  Each
-    further pass adds the lazy rows that the last point violates by more than
-    the primal feasibility tolerance and re-runs warm from the last basis.
-    The point returned passes linprog's acceptance check on every row.
+    """Solve ``lp`` by row generation.  The first pass solves the eager rows
+    as ``linprog(method="highs-ds")`` would: the same column-wise matrix with
+    inequality rows first, the same options.  Each further pass adds every
+    lazy row whose label a row violated by the last point (by more than the
+    primal feasibility tolerance) carries, and re-runs warm from the last
+    basis.  The point returned passes linprog's acceptance check on every
+    row.
 
     An infeasible pass proves ``lp`` infeasible.  HiGHS reports a dual ray
     only without presolve, so that pass re-runs once with presolve off.
@@ -325,7 +353,8 @@ def _run_highs(hc, lp: LinearProgram):
     A, P, rhs0, senses, lb, ub = lp.matrices()
     b = lp.effective_rhs()
     ineq = senses == "<"
-    lazy = lp.lazy
+    labels = lp.labels
+    lazy = labels != -1
     nv = lp.num_vars
     c = np.zeros(nv)
     if lp.objective is not None:
@@ -350,7 +379,7 @@ def _run_highs(hc, lp: LinearProgram):
         return 4, None, None, 0, "HiGHS rejected the model"
     order = [rows]
     lazy_rows = np.flatnonzero(lazy)
-    L, bL, ineqL = A[lazy], b[lazy], ineq[lazy]
+    L, bL, ineqL, labelsL = A[lazy], b[lazy], ineq[lazy], labels[lazy]
     nit = 0
     while True:
         h.run()
@@ -363,9 +392,10 @@ def _run_highs(hc, lp: LinearProgram):
         if code == 0:
             u = np.array(h.getSolution().col_value)
             gap = L @ u - bL
-            add = np.where(ineqL, gap, np.abs(gap)) > _HIGHS_OPTS["primal_feasibility_tolerance"]
-            if not add.any():
+            violated = np.where(ineqL, gap, np.abs(gap)) > _HIGHS_OPTS["primal_feasibility_tolerance"]
+            if not violated.any():
                 break
+            add = np.isin(labelsL, labelsL[violated])
         elif code == 3 and L.shape[0]:
             add = np.ones(L.shape[0], dtype=bool)  # an unbounded relaxation says nothing of the full model
         elif code == 2:  # an infeasible relaxation: so is the full model
@@ -387,7 +417,7 @@ def _run_highs(hc, lp: LinearProgram):
             return 4, None, None, nit, "HiGHS rejected the added rows"
         order.append(lazy_rows[add])
         keep = ~add
-        L, bL, ineqL, lazy_rows = L[keep], bL[keep], ineqL[keep], lazy_rows[keep]
+        L, bL, ineqL, labelsL, lazy_rows = L[keep], bL[keep], ineqL[keep], labelsL[keep], lazy_rows[keep]
     fun = info.objective_function_value
     # linprog rejects a reported optimum that misses the constraints by more
     # than sqrt(tol) * 10, with its default tol = 1e-9
@@ -582,13 +612,13 @@ class _SetIndex:
 
     def _box_rows(self):
         """One layer of inclusion-exclusion box rows, as (rows, ranks, coefs,
-        row count, triple mask), all rows of sense '<= 0'.
+        row count, labels), all rows of sense '<= 0'.
 
         For all disjoint (S, T) with 1 <= |T| and |S u T| <= 3, the two-sided
         constraint sum_{T' <= T} (-1)^{|T'|} y_{S u T'} in [0, y_S], skipping
         sides that reduce to plain sign constraints.  The first n + 4m rows
-        hold sets of size at most 2; the triple mask flags the 11 t rows
-        after them, each of which holds a triple.
+        hold sets of size at most 2 and are labelled -1; each of the 11 t
+        rows after them holds a triple and is labelled by its offset.
         """
         n, m, t = self.n, self.m, self.t
         y0 = np.zeros(n, dtype=int)
@@ -634,8 +664,9 @@ class _SetIndex:
                 ranks.append(rk)
                 coefs.append(np.full(k, coef))
             count += k
+        offsets = np.arange(count)
         return (np.concatenate(rows), np.concatenate(ranks), np.concatenate(coefs), count,
-                np.arange(count) >= n + 4 * m)
+                np.where(offsets >= n + 4 * m, offsets, -1))
 
     def _growth_entries(self):
         """(rows, ranks) of the +1 terms of the size-consistency rows (5):
@@ -681,7 +712,11 @@ def build_set_lp(
 
     The box rows (9) that hold a triple, 11 per triple and layer, are marked
     lazy: they are most of the rows, and few of them bind at the point
-    :func:`solve` returns, so it adds them only when violated.
+    :func:`solve` returns, so it adds them only when violated.  Each is
+    labelled by its offset in the layer pattern, so a violated row enters
+    together with its copies in all n layers.  On instances without atoms
+    this takes fewer warm passes and iterations than adding only the
+    violated rows.
     """
     verts = sorted(vprime)
     n = len(verts)
@@ -787,10 +822,10 @@ def build_set_lp(
     )
 
     # (9) inclusion-exclusion box constraints, one layer per size s; the rows
-    # with a triple are lazy
-    box_rows, box_ranks, box_coefs, count, box_triple = si.box
+    # with a triple are lazy, one label per offset across the layers
+    box_rows, box_ranks, box_coefs, count, box_labels = si.box
     r_box, c_box = tiled(box_rows, count, box_ranks)
-    lp.add_rows(n * count, "<", 0.0, [(r_box, c_box, np.tile(box_coefs, n))], lazy=np.tile(box_triple, n))
+    lp.add_rows(n * count, "<", 0.0, [(r_box, c_box, np.tile(box_coefs, n))], lazy=np.tile(box_labels, n))
     return lp
 
 

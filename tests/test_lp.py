@@ -114,6 +114,14 @@ def test_set_lp_lazy_rows_are_the_triple_box_rows():
         A = lp.matrices()[0]
         triple_col = np.array([key[0] == "ys" and len(key[2]) == 3 for key in lp.var_keys])
         assert all(triple_col[A.indices[A.indptr[i]:A.indptr[i + 1]]].any() for i in np.flatnonzero(lazy))
+        # the box rows (9) come last, one pattern per layer; each label sits at
+        # one offset of that pattern, once in every layer, and other rows are -1
+        labels, count = lp.labels, n + 4 * comb(n, 2) + 11 * comb(n, 3)
+        assert np.array_equal(labels >= 0, lazy) and (labels[: lp.num_rows - n * count] == -1).all()
+        layers = labels[lp.num_rows - n * count :].reshape(n, count)
+        assert (layers == layers[0]).all()
+        _, per_layer = np.unique(layers[0][layers[0] >= 0], return_counts=True)
+        assert (per_layer == 1).all() and len(per_layer) == 11 * comb(n, 3)
 
 
 def _lazy_lp(name, lazy_rhs):
@@ -146,6 +154,55 @@ def test_solve_adds_violated_lazy_row():
     assert res2.status == "optimal" and res2.values.tolist() == pytest.approx([2.0], abs=1e-9)
 
 
+@pytest.fixture
+def highs_log(monkeypatch):
+    """Logs "run" for each HiGHS run and the row count of each addRows call."""
+    from scipy.optimize._highspy import _core as hc
+
+    log = []
+
+    class Logged(hc._Highs):
+        def run(self):
+            log.append("run")
+            return super().run()
+
+        def addRows(self, count, *args):
+            log.append(count)
+            return super().addRows(count, *args)
+
+    monkeypatch.setattr(hc, "_Highs", Logged)
+    return log
+
+
+def test_solve_adds_lazy_rows_by_label(highs_log):
+    """min -2u - v  s.t.  u + v <= 1.5,  -u <= -0.5,  lazy rows u <= 0.75 and
+    v <= 0.6 (label 5) and u + 2v <= 3 (label 2).  The relaxed optimum
+    u = 1, v = 0.5 violates only u <= 0.75; v <= 0.6 shares its label and
+    enters in the same warm pass, and u + 2v <= 3 never enters."""
+    lp = LinearProgram("lazy-labels")
+    lp.add_vars([("x", (0, 1)), ("x", (0, 2))])
+    lp.add_row({0: 1.0, 1: 1.0}, "<", 1.5)
+    lp.add_row({0: -1.0}, "<", -0.5)
+    lp.add_rows(3, "<", [0.75, 3.0, 0.6], [(np.array([0, 1, 1, 2]), np.array([0, 0, 1, 1]), np.array([1.0, 1, 2, 1]))],
+                lazy=[5, 2, 5])
+    lp.set_objective([0, 1], [-2.0, -1.0])
+    assert lp.labels.tolist() == [-1, -1, 5, 2, 5] and lp.lazy.tolist() == [False, False, True, True, True]
+    res = solve(lp)
+    assert highs_log == ["run", 2, "run"]
+    assert res.status == "optimal" and lp.residuals(res.values).max() <= 1e-9
+    assert res.values.tolist() == pytest.approx([0.75, 0.6], abs=1e-9)
+    assert res.objective == pytest.approx(-2.1, abs=1e-9)
+    # a flag gives each row a label of its own, below -1, so no integer
+    # label joins it; the integer 0 is a label, not "eager"
+    lp.add_rows(2, "<", 1.0, [(np.arange(2), np.zeros(2, dtype=int), np.ones(2))], lazy=[True, False])
+    lp.add_rows(2, "<", 1.0, [], lazy=np.array([True, True]))
+    lp.add_rows(1, "<", 1.0, [], lazy=0)
+    assert lp.labels.tolist() == [-1, -1, 5, 2, 5, -2, -1, -3, -4, 0]
+    assert lp.lazy.tolist() == [False, False, True, True, True, True, False, True, True, True]
+    with pytest.raises(ValueError, match="labels >= -1"):
+        lp.add_rows(1, "<", 1.0, [], lazy=-2)
+
+
 def test_solve_infeasible_through_lazy_row():
     lp = _lazy_lp("lazy-infeasible", 0.25)  # u >= 0.5 and the lazy u <= 0.25
     res = solve(lp)
@@ -159,8 +216,9 @@ def test_solve_infeasible_through_lazy_row():
 
 @st.composite
 def _programs(draw):
-    """A small LinearProgram with '<' and '=' rows, some of them lazy,
-    finite bounds and up to two parameter columns; no column at all in some."""
+    """A small LinearProgram with '<' and '=' rows, some of them lazy (on
+    their own, or sharing a label), finite bounds and up to two parameter
+    columns; no column at all in some."""
     nv = draw(st.integers(0, 4))
     lp = LinearProgram("fuzz")
     lb = draw(st.lists(st.integers(-2, 1), min_size=nv, max_size=nv))
@@ -175,7 +233,7 @@ def _programs(draw):
         lp.add_rows(1, draw(st.sampled_from("<=")), [draw(small)],
                     [(np.zeros(len(coeffs), dtype=int), list(coeffs), list(coeffs.values()))],
                     [(np.zeros(len(pcoeffs), dtype=int), list(pcoeffs), list(pcoeffs.values()))],
-                    lazy=draw(st.booleans()))
+                    lazy=draw(st.one_of(st.booleans(), st.integers(-1, 2))))
     if nv:
         lp.set_objective(np.arange(nv), draw(st.lists(small, min_size=nv, max_size=nv)))
     return lp
@@ -214,19 +272,25 @@ def test_farkas_witness_from_dual_ray_fuzz(lp):
         assert status == 0 and res.status == "optimal"
 
 
-@pytest.mark.parametrize("n, seed", [(8, 30029), (8, 30031), (7, 140013), (7, 140016)])
-def test_uniform_set_lp_certificates(n, seed):
+_UNIFORM_CERTIFICATE_B = {(8, 30029): -63.408, (8, 30031): -38.615, (7, 140013): -15.0, (7, 140016): -8.812}
+
+
+@pytest.mark.parametrize("n, seed", list(_UNIFORM_CERTIFICATE_B))
+def test_uniform_set_lp_certificates(n, seed, highs_log):
     """Uniform instances whose triangle-LP metric has no feasible full-V set
     lift: the certificate from the dual ray separates that metric and holds
-    at the best good clustering, refined as the size pins assume."""
+    at the best good clustering, refined as the size pins assume.
+    The infeasible first pass re-runs once without presolve to read the
+    ray."""
     g = generate_instance("uniform_random", n, None, seed)
     pre = precluster(g, AgreementParams(0.1))
     x, _ = solve_triangle_lp(g, pre)
+    highs_log.clear()
     lp = build_set_lp(range(n), pre, x, epsilon=0.05)
     res = solve(lp)
-    assert res.status == "infeasible"
+    assert res.status == "infeasible" and highs_log == ["run", "run"]
     cert = separation_from_infeasibility(lp, res)
-    assert cert.separates(x)
+    assert cert.separates(x) and cert.b == pytest.approx(_UNIFORM_CERTIFICATE_B[n, seed], abs=5e-4)
     clusters = size_window_refinement([set(c) for c in brute_force_opt_good(g, pre)[0].clusters()], pre, 0.05)
     assert cert.evaluate(Metric.from_clustering(Clustering.from_sets(n, clusters))) >= cert.b - 1e-9
 
