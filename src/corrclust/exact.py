@@ -1,42 +1,21 @@
 """Brute-force optimal clustering oracles for small instances.
 
-Two independent routes are kept on purpose: a 3^n subset dynamic program
-(`brute_force_opt`, also in an atom-respecting variant) and a plain
-enumeration of set partitions (`naive_opt`) used to cross-check the DP.
+One subset dynamic program over atoms, 3^m for m atoms, serves both exact
+oracles: `brute_force_opt_good` minimizes over good clusterings (atoms kept
+whole, no non-admissible pair joined), and `brute_force_opt` is the same DP
+with every vertex its own atom and every pair admissible.  `naive_opt`, a
+plain enumeration of set partitions, is kept apart on purpose as the
+independent cross-check of that DP.
 """
 
 from __future__ import annotations
 
-from .core import Clustering, PreclusteredInstance, SignedGraph, all_pairs
+from .core import Clustering, PreclusteredInstance, SignedGraph, trivial_preclustering
 
 DEFAULT_LIMIT = 16
 NAIVE_LIMIT = 10
 
 _INF = float("inf")
-
-
-def _pair_masks(g: SignedGraph) -> tuple[list[int], list[int]]:
-    """Bitmask adjacency: plus_mask[v], minus_mask[v] over proper pairs."""
-    plus_mask = [0] * g.n
-    minus_mask = [0] * g.n
-    for (u, v) in all_pairs(g.n):
-        if (u, v) in g.plus:
-            plus_mask[u] |= 1 << v
-            plus_mask[v] |= 1 << u
-        else:
-            minus_mask[u] |= 1 << v
-            minus_mask[v] |= 1 << u
-    return plus_mask, minus_mask
-
-
-def _subset_weights(n: int, plus_mask: list[int], minus_mask: list[int]) -> list[int]:
-    """w[S] = (#minus pairs inside S) - (#plus pairs inside S) for all masks."""
-    w = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        v = mask.bit_length() - 1
-        rest = mask ^ (1 << v)
-        w[mask] = w[rest] + (minus_mask[v] & rest).bit_count() - (plus_mask[v] & rest).bit_count()
-    return w
 
 
 def _partition_dp(n: int, w: list[int]) -> list[float]:
@@ -90,25 +69,10 @@ def _reconstruct(n: int, dp: list[float], w: list[int]) -> list[int]:
     return blocks
 
 
-def _blocks_to_clustering(n: int, blocks: list[int]) -> Clustering:
-    labels = [0] * n
-    for cid, b in enumerate(blocks):
-        for v in range(n):
-            if b >> v & 1:
-                labels[v] = cid
-    return Clustering.from_assignment(labels)
-
-
 def brute_force_opt(g: SignedGraph, limit_n: int = DEFAULT_LIMIT) -> tuple[Clustering, int]:
-    """Minimum-cost clustering by subset DP. Exact for n <= limit_n."""
-    if g.n > limit_n:
-        raise ValueError(f"n = {g.n} above oracle limit {limit_n}")
-    plus_mask, minus_mask = _pair_masks(g)
-    w = _subset_weights(g.n, plus_mask, minus_mask)
-    dp = _partition_dp(g.n, w)
-    blocks = _reconstruct(g.n, dp, w)
-    cost = int(dp[(1 << g.n) - 1]) + g.num_plus
-    return _blocks_to_clustering(g.n, blocks), cost
+    """Minimum-cost clustering: the good-clustering DP with every vertex its
+    own atom and every pair admissible.  Exact for n <= limit_n."""
+    return brute_force_opt_good(g, trivial_preclustering(g.n), limit_n)
 
 
 def brute_force_opt_good(
@@ -118,22 +82,12 @@ def brute_force_opt_good(
     co-clustering forbidden. Always feasible (all atoms as singleton clusters)."""
     if g.n > limit_n:
         raise ValueError(f"n = {g.n} above oracle limit {limit_n}")
-    atoms = pre.all_atoms
-    m = len(atoms)
-    members = [sorted(a) for a in atoms]
-    # aggregated pair counts between (and inside, on the diagonal) atoms
-    plus_cnt = [[0] * m for _ in range(m)]
-    minus_cnt = [[0] * m for _ in range(m)]
-    atom_id = [0] * g.n
-    for i, a in enumerate(members):
-        for v in a:
-            atom_id[v] = i
-    for (u, v) in all_pairs(g.n):
-        i, j = sorted((atom_id[u], atom_id[v]))
-        if (u, v) in g.plus:
-            plus_cnt[i][j] += 1
-        else:
-            minus_cnt[i][j] += 1
+    members = [sorted(a) for a in pre.all_atoms]
+    m = len(members)
+    plus = [0] * g.n
+    for (u, v) in g.plus:
+        plus[u] |= 1 << v
+        plus[v] |= 1 << u
     # conflict[i]: atoms that can never share a cluster with atom i
     conflict = [0] * m
     for i in range(m):
@@ -144,23 +98,25 @@ def brute_force_opt_good(
             if bad:
                 conflict[i] |= 1 << j
                 conflict[j] |= 1 << i
+    # w[S] = (#minus pairs) - (#plus pairs) inside the union of atom set S:
+    # the top atom's members join the vertices U of the other atoms one by one
     w: list[float] = [0] * (1 << m)
+    union = [0] * (1 << m)
     for mask in range(1, 1 << m):
         i = mask.bit_length() - 1
         rest = mask ^ (1 << i)
         if w[rest] is _INF or conflict[i] & rest:
             w[mask] = _INF
             continue
-        delta = minus_cnt[i][i] - plus_cnt[i][i]
-        for j in range(m):
-            if rest >> j & 1:
-                a, b = sorted((i, j))
-                delta += minus_cnt[a][b] - plus_cnt[a][b]
+        U, delta = union[rest], 0
+        for v in members[i]:
+            delta += (U & ~plus[v]).bit_count() - (U & plus[v]).bit_count()
+            U |= 1 << v
+        union[mask] = U
         w[mask] = w[rest] + delta
     dp = _partition_dp(m, w)
-    blocks = _reconstruct(m, dp, w)
     labels = [0] * g.n
-    for cid, b in enumerate(blocks):
+    for cid, b in enumerate(_reconstruct(m, dp, w)):
         for i in range(m):
             if b >> i & 1:
                 for v in members[i]:

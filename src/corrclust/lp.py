@@ -93,7 +93,6 @@ class LinearProgram:
         self._rhs0: list[np.ndarray] = []  # one array per add_rows call
         self._senses: list[np.ndarray] = []
         self._labels: list[np.ndarray] = []
-        self._flagged = 0  # lazy rows labelled by a flag so far
         self._num_rows = 0
         self.param_pairs: list[Pair] = []
         self._param_index: dict[Pair, int] = {}
@@ -150,33 +149,25 @@ class LinearProgram:
         rhs,
         entries: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
         param_entries: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]] = (),
-        lazy=False,
+        lazy=-1,
     ) -> None:
         """Append ``count`` rows; local row ids in the entry triplets are
-        offset by the current row count.  sense is '<' or '='.  ``lazy`` marks
-        rows that :func:`solve` leaves out until a point violates them; they
-        are part of the model all the same.  A bool flag (one, or one per
-        row) gives each lazy row a label of its own, below -1, which no
-        integer label can reach.  Integer labels (one, or one per row) group
-        rows across the program: a violated row enters with every lazy row of
-        its label.  -1 marks an eager row and 0 is a label, so ``lazy=0``
-        makes lazy rows; integers below -1 raise ``ValueError``."""
+        offset by the current row count.  sense is '<' or '='.  ``lazy``
+        holds integer labels (one, or one per row).  -1, the default, marks
+        an eager row.  A label >= 0 marks a lazy row, which :func:`solve`
+        leaves out until a point violates a row of its label; then every lazy
+        row of that label, across the program, enters together.  Lazy rows
+        are part of the model all the same.  Bools and integers below -1
+        raise ``ValueError``."""
         if sense not in ("<", "="):
             raise ValueError(f"bad sense {sense!r}")
         base = self.num_rows
         self._rhs0.append(np.broadcast_to(np.asarray(rhs, dtype=float), (count,)))
         self._senses.append(np.full(count, sense))
-        lazy = np.broadcast_to(np.asarray(lazy), (count,))
-        if lazy.dtype == bool:
-            labels = np.full(count, -1)
-            k = np.count_nonzero(lazy)
-            labels[lazy] = -2 - self._flagged - np.arange(k)
-            self._flagged += k
-        elif np.issubdtype(lazy.dtype, np.integer) and lazy.min(initial=-1) >= -1:
-            labels = lazy.astype(int)
-        else:
-            raise ValueError(f"lazy must be flags or integer labels >= -1, not {lazy!r}")
-        self._labels.append(labels)
+        labels = np.broadcast_to(np.asarray(lazy), (count,))
+        if not np.issubdtype(labels.dtype, np.integer) or labels.min(initial=-1) < -1:
+            raise ValueError(f"lazy must be integer labels >= -1, not {lazy!r}")
+        self._labels.append(labels.astype(int))
         self._num_rows += count
         for (r, c, v) in entries:
             r = np.asarray(r, dtype=int)
@@ -199,9 +190,8 @@ class LinearProgram:
 
     @property
     def labels(self) -> np.ndarray:
-        """Per-row label: -1 for an eager row, below -1 for a row flagged
-        lazy on its own; lazy rows that share a label enter :func:`solve`'s
-        row generation together."""
+        """Per-row label: -1 for an eager row; lazy rows that share a label
+        enter :func:`solve`'s row generation together."""
         return np.concatenate(self._labels) if self._labels else np.zeros(0, dtype=int)
 
     @property
@@ -306,7 +296,7 @@ def _probe(objective: float, coefs, rhs) -> LinearProgram:
     lp = LinearProgram("highs-probe")
     lp.add_vars([("u",)], ub=3.0)
     lp.add_rows(2, "<", rhs, [(np.arange(2), np.zeros(2, dtype=int), np.asarray(coefs, dtype=float))],
-                lazy=[False, True])
+                lazy=[-1, 0])
     lp.set_objective([0], [objective])
     return lp
 

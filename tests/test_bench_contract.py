@@ -68,3 +68,6 @@ def test_traced_pipeline_records_every_rounding_layer():
     assert counts["round_pivot.cleanup_s"] == len(pivot_trace)
     assert rec.counts["lp.set.lookups"] == len(set_trace)
     assert rec.eps_r_max == plain["combined"]["measured_eps_r"]
+    # brute_force_opt calls brute_force_opt_good inside corrclust.exact, so
+    # that inner call is not a second traced oracle span
+    assert counts["exact.opt_s"] == counts["exact.opt_good_s"] == 1

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,11 @@ def test_good_oracle_all_non_admissible():
     c, cost = brute_force_opt_good(g, pre)
     assert c.num_clusters == 6
     assert cost == g.num_plus
+    # all-plus triangle with the atom {1, 2}, which sorts after vertex 0: the
+    # conflict must also bar a proper atom from joining the atoms below it
+    tri = SignedGraph(3, frozenset(all_pairs(3)))
+    c, cost = brute_force_opt_good(tri, PreclusteredInstance(3, (frozenset({1, 2}),), frozenset()))
+    assert c.assignment == (0, 1, 1) and cost == 2
 
 
 def test_good_oracle_vs_enumeration():
@@ -146,3 +153,37 @@ def test_reconstruct_raises_on_inconsistent_table():
     # a real error, not an assert, so it also fires under python -O
     with pytest.raises(RuntimeError, match="no block"):
         _reconstruct(2, [0, 0, 0, -1], [0, 0, 0, 5])
+
+
+# SHA-256 of repr of every (assignment, cost) that _oracle_outputs lists,
+# recorded before both oracles shared one subset DP
+ORACLE_GOLDEN = "4bb4c0ac431eb05c57ae6bf3fccabe3a12f556021b4ba7d51327453631a6d21a"
+
+
+def _oracle_outputs():
+    """Both oracles on planted and adversarial n = 12 and uniform n = 9, each
+    with its computed preclustering; the uniform ones also with the trivial
+    and the all-non-admissible preclusterings.  Atoms and ties make the
+    returned clustering depend on the tie-break, not only the cost."""
+    cases = []
+    for kind, sizes in (("planted_cliques", [4, 4, 4]), ("adversarial_mix", [5, 5])):
+        for seed in range(10_000, 10_006):
+            g = generate_instance(kind, 12, {"sizes": sizes, "noise": 0.02}, seed)
+            cases.append((g, [precluster(g, AgreementParams(0.1))]))
+    for seed in range(6):
+        g = generate_instance("uniform_random", 9, None, seed)
+        cases.append((g, [precluster(g, AgreementParams(0.1)), trivial_preclustering(9),
+                          PreclusteredInstance(9, (), frozenset())]))
+    out = []
+    for g, pres in cases:
+        c, cost = brute_force_opt(g)
+        out.append((c.assignment, cost))
+        for pre in pres:
+            c, cost = brute_force_opt_good(g, pre)
+            out.append((c.assignment, cost))
+    return out
+
+
+def test_oracle_outputs_match_golden_digest():
+    digest = hashlib.sha256(repr(_oracle_outputs()).encode()).hexdigest()
+    assert digest == ORACLE_GOLDEN

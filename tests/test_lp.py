@@ -131,7 +131,7 @@ def _lazy_lp(name, lazy_rhs):
     lp.add_vars([("x", (0, 1)), ("x", (0, 2))])
     lp.add_row({0: 1.0, 1: 1.0}, "<", 1.5)
     lp.add_row({0: -1.0}, "<", -0.5)
-    lp.add_rows(1, "<", lazy_rhs, [(np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1))], lazy=True)
+    lp.add_rows(1, "<", lazy_rhs, [(np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1))], lazy=0)
     lp.set_objective([0, 1], [-2.0, -1.0])
     return lp
 
@@ -148,7 +148,7 @@ def test_solve_adds_violated_lazy_row():
     # an unbounded relaxation says nothing of the program: every lazy row goes in
     lp2 = LinearProgram("lazy-bound")
     lp2.add_vars([("x", (0, 1))], ub=np.inf)
-    lp2.add_rows(1, "<", 2.0, [(np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1))], lazy=True)
+    lp2.add_rows(1, "<", 2.0, [(np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1))], lazy=0)
     lp2.set_objective([0], [-1.0])
     res2 = solve(lp2)
     assert res2.status == "optimal" and res2.values.tolist() == pytest.approx([2.0], abs=1e-9)
@@ -192,15 +192,15 @@ def test_solve_adds_lazy_rows_by_label(highs_log):
     assert res.status == "optimal" and lp.residuals(res.values).max() <= 1e-9
     assert res.values.tolist() == pytest.approx([0.75, 0.6], abs=1e-9)
     assert res.objective == pytest.approx(-2.1, abs=1e-9)
-    # a flag gives each row a label of its own, below -1, so no integer
-    # label joins it; the integer 0 is a label, not "eager"
-    lp.add_rows(2, "<", 1.0, [(np.arange(2), np.zeros(2, dtype=int), np.ones(2))], lazy=[True, False])
-    lp.add_rows(2, "<", 1.0, [], lazy=np.array([True, True]))
+    # labels are integers only: -1 (the default) is eager and 0 is a label;
+    # bools and integers below -1 raise rather than guess
+    lp.add_rows(2, "<", 1.0, [])
     lp.add_rows(1, "<", 1.0, [], lazy=0)
-    assert lp.labels.tolist() == [-1, -1, 5, 2, 5, -2, -1, -3, -4, 0]
-    assert lp.lazy.tolist() == [False, False, True, True, True, True, False, True, True, True]
-    with pytest.raises(ValueError, match="labels >= -1"):
-        lp.add_rows(1, "<", 1.0, [], lazy=-2)
+    assert lp.labels.tolist() == [-1, -1, 5, 2, 5, -1, -1, 0]
+    for bad in (-2, True, [True, False], np.array([False, False]), 0.5):
+        with pytest.raises(ValueError, match="integer labels >= -1"):
+            lp.add_rows(2, "<", 1.0, [], lazy=bad)
+    assert lp.num_rows == 8
 
 
 def test_solve_infeasible_through_lazy_row():
@@ -216,9 +216,9 @@ def test_solve_infeasible_through_lazy_row():
 
 @st.composite
 def _programs(draw):
-    """A small LinearProgram with '<' and '=' rows, some of them lazy (on
-    their own, or sharing a label), finite bounds and up to two parameter
-    columns; no column at all in some."""
+    """A small LinearProgram with '<' and '=' rows, some of them lazy (some
+    sharing a label), finite bounds and up to two parameter columns; no
+    column at all in some."""
     nv = draw(st.integers(0, 4))
     lp = LinearProgram("fuzz")
     lb = draw(st.lists(st.integers(-2, 1), min_size=nv, max_size=nv))
@@ -233,7 +233,7 @@ def _programs(draw):
         lp.add_rows(1, draw(st.sampled_from("<=")), [draw(small)],
                     [(np.zeros(len(coeffs), dtype=int), list(coeffs), list(coeffs.values()))],
                     [(np.zeros(len(pcoeffs), dtype=int), list(pcoeffs), list(pcoeffs.values()))],
-                    lazy=draw(st.one_of(st.booleans(), st.integers(-1, 2))))
+                    lazy=draw(st.integers(-1, 2)))
     if nv:
         lp.set_objective(np.arange(nv), draw(st.lists(small, min_size=nv, max_size=nv)))
     return lp

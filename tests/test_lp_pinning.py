@@ -1,8 +1,10 @@
 """Pins the LP models and the solver path.
 
-The golden digests were recorded before the builders were vectorized; any
-change to a model's variable keys, rows, bounds or parameter columns changes
-its digest.  The solver tests check that ``solve()`` returns bitwise what
+The golden models are the ones recorded before the builders were
+vectorized; the digests were re-recorded on those unchanged models once the
+objective and the row labels joined the hash.  Any change to a model's
+variable keys, rows, bounds, parameter columns, objective or lazy-row labels
+changes its digest.  The solver tests check that ``solve()`` returns bitwise what
 ``linprog(method="highs-ds")`` returns on models without lazy rows.  On the
 set LPs, whose triple box rows are lazy, the direct call generates rows;
 there they check linprog's status and a point that satisfies the full model.
@@ -34,11 +36,11 @@ from corrclust.lp import (
 from corrclust.precluster import AgreementParams, precluster
 
 GOLDEN = {
-    "set_planted_full": "3afd3381b721381b3731eafb0ce2b311427b82bb1d210b1e18d079f665cc109b",
-    "set_planted_atoms": "a904a171cb848c5f6cb90c554ca000700d1863d5b8e73b19fb0c30426c63eee0",
-    "set_adversarial_atoms": "f7b728158546f05450aaf67fdbe6ac23c2b0288bb6d63e05da60c25e2c185dd7",
-    "pivot_planted": "f990c56da7025564e28dea6ecd4cebb9e67bcfc2cccf1a41512d27da98538165",
-    "triangle_planted": "6e1ce74d3a8ffc7488c3c11f5cfb3ad7428932c90586abaa83a1918f1be66992",
+    "set_planted_full": "ebf82367acb111613443e1edb3a9afe25184e472f54924758ba614bd3939b8da",
+    "set_planted_atoms": "78b49fa1458e43ce043c71fd0c4ed6822480d6a8a90d57527e498f30a536b183",
+    "set_adversarial_atoms": "88b1aea95578c6e18ba2a47de6ead1ee1bfadc9eafa6084657134991de7183f8",
+    "pivot_planted": "537bed92f5b841aac10a9ff4b4afd2cbbfe90a824503f26f118533f5b20e5556",
+    "triangle_planted": "a8028a338bf4313e8063c3ec7e15115368940070089eaa152a153d7942296c5d",
 }
 
 
@@ -49,8 +51,9 @@ def _ints(v):
 
 
 def _digest(lp) -> str:
-    """SHA-256 over the keys, parameters and every array HiGHS is built from;
-    integers are normalized, floats hashed by their bytes (so -0.0 != 0.0)."""
+    """SHA-256 over the keys, parameters, every array HiGHS is built from,
+    the objective and the row labels; integers are normalized, floats hashed
+    by their bytes (so -0.0 != 0.0)."""
     h = hashlib.sha256()
     h.update(repr([_ints(k) for k in lp.var_keys]).encode())
     h.update(repr([_ints(p) for p in lp.param_pairs]).encode())
@@ -64,6 +67,14 @@ def _digest(lp) -> str:
     h.update("".join(senses.tolist()).encode())
     h.update(np.asarray(lb, dtype=np.float64).tobytes())
     h.update(np.asarray(ub, dtype=np.float64).tobytes())
+    if lp.objective is None:
+        h.update(b"no objective")
+    else:
+        cols, coefs, constant = lp.objective
+        h.update(np.ascontiguousarray(cols, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(coefs, dtype=np.float64).tobytes())
+        h.update(np.float64(constant).tobytes())
+    h.update(np.ascontiguousarray(lp.labels, dtype=np.int64).tobytes())
     return h.hexdigest()
 
 
@@ -179,9 +190,10 @@ def _loop_set_lp(vprime, pre, x, epsilon):
             grow = {ys(s, tuple(sorted(S + (u,)))): 1.0 for u in loc if u not in S}
             # float arithmetic, as in the builder: s = |S| gives a stored -0.0
             lp.add_row({**grow, ys(s, S): -(s - float(len(S)))}, "=", 0.0)
-    for s in range(1, n + 1):  # (9)
-        for row in _loop_box_rows(lambda S: ys(s, S), n):
-            lp.add_row(row, "<", 0.0)
+    for s in range(1, n + 1):  # (9), lazy from the first triple row on, labelled by offset
+        for off, row in enumerate(_loop_box_rows(lambda S: ys(s, S), n)):
+            lp.add_rows(1, "<", 0.0, [(np.zeros(len(row), dtype=int), list(row), list(row.values()))],
+                        lazy=off if off >= n + 2 * n * (n - 1) else -1)
     return lp
 
 
