@@ -165,7 +165,10 @@ class LinearProgram:
         self._rhs0.append(np.broadcast_to(np.asarray(rhs, dtype=float), (count,)))
         self._senses.append(np.full(count, sense))
         labels = np.broadcast_to(np.asarray(lazy), (count,))
-        if not np.issubdtype(labels.dtype, np.integer) or labels.min(initial=-1) < -1:
+        # numpy promotes [True, 2] to integers, so look for bools in a list too
+        items = lazy if isinstance(lazy, (list, tuple)) else ()
+        if (not np.issubdtype(labels.dtype, np.integer) or labels.min(initial=-1) < -1
+                or any(isinstance(x, (bool, np.bool_)) for x in items)):
             raise ValueError(f"lazy must be integer labels >= -1, not {lazy!r}")
         self._labels.append(labels.astype(int))
         self._num_rows += count

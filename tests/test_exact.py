@@ -14,7 +14,11 @@ from corrclust.core import (
     pair_key,
     trivial_preclustering,
 )
+from corrclust import exact
 from corrclust.exact import (
+    _INF,
+    _blocks,
+    _partition_dp,
     _reconstruct,
     brute_force_opt,
     brute_force_opt_good,
@@ -35,6 +39,9 @@ def test_examples():
     assert brute_force_opt(ppm)[1] == 1
     assert naive_opt(ppm) == 1
     assert naive_opt(SignedGraph(4, frozenset(all_pairs(4)))) == 0
+    for n, assignment in ((0, ()), (1, (0,))):
+        c, cost = brute_force_opt(SignedGraph(n, frozenset()))
+        assert (c.assignment, cost) == (assignment, 0)
 
 
 def test_dp_matches_naive_all_n4_signings():
@@ -146,6 +153,50 @@ def test_deterministic_tiebreak_prefers_low_vertices_together():
     c, cost = brute_force_opt(g)
     assert cost == 2
     assert c.together(0, 1)
+
+
+def _loop_partition_dp(n, w):
+    """Reference: the plain-Python subset recurrence, every submask of every
+    mask that holds the mask's lowest vertex."""
+    dp = [_INF] * (1 << n)
+    dp[0] = 0
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = mask ^ low
+        sub = rest
+        while True:
+            s = sub | low
+            dp[mask] = min(dp[mask], w[s] + dp[mask ^ s])
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+    return dp
+
+
+@pytest.mark.parametrize("chunk", [None, 8])
+def test_partition_dp_matches_loop_reference_table(monkeypatch, chunk):
+    # _reconstruct reads the whole table, so every entry must match, not only
+    # the full mask; _INF weights also make some masks unreachable.  A chunk of
+    # 8 candidates splits every layer of more than 8 into many row chunks.
+    if chunk is not None:
+        monkeypatch.setattr(exact, "_CHUNK", chunk)
+    for m in range(11):
+        for seed in range(4):
+            rng = np.random.default_rng(1000 * m + seed)
+            w = [int(x) for x in rng.integers(-6, 7, 1 << m)]
+            w[0] = 0
+            for s in np.flatnonzero(rng.random(1 << m) < 0.3):
+                w[s] = _INF
+            assert _partition_dp(m, w) == _loop_partition_dp(m, w)
+
+
+def test_dp_tables_are_shared_and_read_only():
+    assert _blocks(5) is _blocks(5)
+    for blocks in _blocks(5):
+        with pytest.raises(ValueError, match="read-only"):
+            blocks[0, 0] = 0
+    with pytest.raises(ValueError, match="at most 16"):
+        _partition_dp(17, [])
 
 
 def test_reconstruct_raises_on_inconsistent_table():

@@ -197,7 +197,7 @@ def test_solve_adds_lazy_rows_by_label(highs_log):
     lp.add_rows(2, "<", 1.0, [])
     lp.add_rows(1, "<", 1.0, [], lazy=0)
     assert lp.labels.tolist() == [-1, -1, 5, 2, 5, -1, -1, 0]
-    for bad in (-2, True, [True, False], np.array([False, False]), 0.5):
+    for bad in (-2, True, [True, False], [True, 2], [2, False], np.array([False, False]), 0.5):
         with pytest.raises(ValueError, match="integer labels >= -1"):
             lp.add_rows(2, "<", 1.0, [], lazy=bad)
     assert lp.num_rows == 8
