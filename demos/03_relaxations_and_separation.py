@@ -45,7 +45,7 @@ print(f"  cluster-count variable y_empty = {sol.y0:.3f} "
 
 # A dump of the first few rows, for debugging by eye.
 print("\nfirst rows of the pivot lift, human-readable:")
-for line in write_lp_text(pivot_lp, max_rows=4).splitlines()[1:5]:
+for line in write_lp_text(pivot_lp).splitlines()[1:5]:
     print("   ", line)
 
 # Now a metric that is NOT a mixture of clusterings: it violates the

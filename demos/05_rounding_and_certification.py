@@ -67,7 +67,7 @@ print(f"\ncombined 0.42/0.58 mix on this instance: per-edge check ok = {edge['pe
 ratio = verify_final_ratio(grid_step=1e-4)
 print(f"\ncertified ratio: max combined +edge factor {ratio.max_value:.6f} "
       f"at x = {ratio.argmax:.3f}; -edge factor {ratio.minus_edge_value:.2f}")
-fres = verify_f_constant(grid_step=1e-5)
+fres = verify_f_constant()
 print(f"budget constant 1.515: inequality holds on (0, 1/2], equality gap at 1/2 = "
       f"{fres.equality_gap_at_half:.1e}")
 rng = np.random.default_rng(0)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, round_pivot
 from .combine import PipelineConfig, full_pipeline
 from .core import SignedGraph, generate_instance, parse_instance
 from .verify import (
@@ -117,15 +117,15 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     checks: list[tuple[str, bool, str]] = []
-    ratio = verify_final_ratio(args.grid_step, constant=args.f_constant)
+    ratio = verify_final_ratio(args.grid_step)
     checks.append(
         (
             "combined-ratio",
-            ratio.ok and abs(ratio.argmax - (2 - args.f_constant)) <= 2 * args.grid_step,
+            ratio.ok and abs(ratio.argmax - (2 - round_pivot.F_PLUS_CONSTANT)) <= 2 * args.grid_step,
             f"max {ratio.max_value:.6f} at x = {ratio.argmax:.4f}, -edge {ratio.minus_edge_value}",
         )
     )
-    fres = verify_f_constant(1e-5, constant=args.f_constant)
+    fres = verify_f_constant()
     checks.append(
         (
             "plus-budget-constant",
@@ -233,7 +233,6 @@ def _build_parser() -> _Parser:
     ver.add_argument("--grid-step", type=float, default=1e-4, help="grid step for the ratio scan, in (0, 1e-3]")
     ver.add_argument("--samples", type=int, default=100_000, help="random feasible points per triangle kind (at least 1)")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--f-constant", type=float, default=1.515, help=argparse.SUPPRESS)
     ver.set_defaults(func=cmd_verify)
 
     ben = sub.add_parser("bench", help="seed sweep with ratio statistics")

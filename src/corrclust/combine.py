@@ -10,7 +10,7 @@ clusterings; per +edge the weighted bound 0.42 * 2x/(1+x) +
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -118,12 +118,14 @@ def combined_round(
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """End-to-end knobs. The theory's parameter cascade is exposed as
-    independent dials; defaults are the desk-scale working point and the
-    CLI's.  The lift order ``r`` is recorded in reports; 3 is the only order
-    the lifted LPs implement.  ``oracle_limit`` is at most the exact
-    oracles' own limit.  ``epsilon`` and ``trials`` are checked by
-    :class:`RoundingParams` at construction, before any work."""
+    """End-to-end knobs, and the only home of their defaults: the
+    desk-scale working point, which the CLI offers too.  The theory's
+    parameter cascade is exposed as independent dials; every other value
+    the pipeline uses is a module constant.  The lift order ``r`` is
+    recorded in reports; 3 is the only order the lifted LPs implement.
+    ``oracle_limit`` is at most the exact oracles' own limit.  ``epsilon``
+    and ``trials`` are checked by :class:`RoundingParams` at construction,
+    before any work."""
 
     epsilon_q: float = 0.1
     epsilon: float = 0.05
@@ -155,13 +157,7 @@ def full_pipeline(g: SignedGraph, config: PipelineConfig, seed: int) -> dict:
     report: dict = {
         "n": g.n,
         "seed": seed,
-        "config": {
-            "epsilon_q": config.epsilon_q,
-            "epsilon": config.epsilon,
-            "r": config.r,
-            "trials": config.trials,
-            "oracle_limit": config.oracle_limit,
-        },
+        "config": asdict(config),
         "num_plus": g.num_plus,
         "preclustering": {
             "atoms": [sorted(a) for a in pre.proper_atoms],

@@ -20,6 +20,12 @@ import numpy as np
 
 Pair = tuple[int, int]
 
+METRIC_TOL = 1e-7  # solver noise a validated metric may carry
+
+# pair classes of a preclustered instance, as codes of its pair-class table
+ATOMIC, ADMISSIBLE, NON_ADMISSIBLE = range(3)
+PAIR_CLASSES = ("atomic", "admissible", "non_admissible")
+
 
 def pair_key(u: int, v: int) -> Pair:
     """Canonical unordered-pair key. Rejects u == v."""
@@ -179,8 +185,9 @@ class Metric:
         vals = {p: 0.0 if c.together(*p) else 1.0 for p in all_pairs(c.n)}
         return Metric(c.n, vals)
 
-    def validate(self, pre: "PreclusteredInstance | None" = None, tol: float = 1e-7) -> None:
+    def validate(self, pre: "PreclusteredInstance | None" = None) -> None:
         """Raise ValueError on range, triangle-inequality, or pinning violations."""
+        tol = METRIC_TOL
         for p in all_pairs(self.n):
             xv = self.values.get(p)
             if xv is None:
@@ -253,14 +260,23 @@ class PreclusteredInstance:
         i = self.atom_index[v]
         return self.proper_atoms[i] if i >= 0 else frozenset([v])
 
+    @cached_property
+    def pair_class(self) -> np.ndarray:
+        """Read-only n x n table of pair-class codes, which every stage reads:
+        ATOMIC inside one proper atom and on the diagonal, else ADMISSIBLE if
+        the pair is in ``adm``, else NON_ADMISSIBLE."""
+        table = np.full((self.n, self.n), NON_ADMISSIBLE, dtype=np.int8)
+        u, v = np.array(sorted(self.adm), dtype=int).reshape(-1, 2).T
+        table[u, v] = table[v, u] = ADMISSIBLE
+        atom = np.asarray(self.atom_index)
+        table[(atom[:, None] == atom[None, :]) & (atom[:, None] >= 0)] = ATOMIC
+        np.fill_diagonal(table, ATOMIC)
+        table.flags.writeable = False
+        return table
+
     def classify_pair(self, u: int, v: int) -> str:
-        p = pair_key(u, v)
-        iu, iv = self.atom_index[p[0]], self.atom_index[p[1]]
-        if iu != -1 and iu == iv:
-            return "atomic"
-        if p in self.adm:
-            return "admissible"
-        return "non_admissible"
+        """'atomic', 'admissible' or 'non_admissible'; rejects u == v."""
+        return PAIR_CLASSES[self.pair_class[pair_key(u, v)]]
 
     @cached_property
     def _adm_adj(self) -> tuple[frozenset[int], ...]:
@@ -286,29 +302,23 @@ class PreclusteredInstance:
             if len(atom) < 2:
                 raise ValueError("proper atom of size < 2")
         for (u, v) in self.adm:
+            if not u < v:
+                raise ValueError(f"admissible pair ({u},{v}) is not a canonical (u, v) with u < v")
             if self.atom_index[u] != -1 and self.atom_index[v] != -1:
                 raise ValueError(f"admissible pair ({u},{v}) with both endpoints in atoms")
         # members of one atom must have identical admissible neighborhoods
         for atom in self.proper_atoms:
-            members = sorted(atom)
-            base = self._adm_adj[members[0]] - atom
-            for v in members[1:]:
-                if self._adm_adj[v] - atom != base:
-                    raise ValueError(f"atom {sorted(atom)} has non-uniform admissible neighborhoods")
+            rows = self.pair_class[sorted(atom)]
+            if (rows != rows[0]).any():
+                raise ValueError(f"atom {sorted(atom)} has non-uniform admissible neighborhoods")
 
 
 def is_good_clustering(pre: PreclusteredInstance, c: Clustering) -> bool:
     """True iff all atomic pairs are together and no non-admissible pair is."""
-    for atom in pre.proper_atoms:
-        members = iter(atom)
-        first = next(members)
-        if any(not c.together(first, v) for v in members):
-            return False
-    for cluster in c.clusters():
-        for (u, v) in combinations(sorted(cluster), 2):
-            if pre.classify_pair(u, v) == "non_admissible":
-                return False
-    return True
+    a = np.asarray(c.assignment)
+    together = a[:, None] == a[None, :]
+    cls = pre.pair_class
+    return not ((cls == ATOMIC) & ~together | (cls == NON_ADMISSIBLE) & together).any()
 
 
 def trivial_preclustering(n: int) -> PreclusteredInstance:
@@ -337,14 +347,14 @@ def generate_instance(kind: str, n: int, params: Mapping | None, seed: int) -> S
     params = dict(params or {})
     rng = np.random.default_rng(seed)
     if kind == "uniform_random":
-        p_plus = float(params.pop("p_plus", 0.5))
+        p_plus = _probability(params.pop("p_plus", 0.5), "p_plus")
         _reject_extra(params)
         plus = {p for p in all_pairs(n) if rng.random() < p_plus}
         return SignedGraph(n, frozenset(plus))
     if kind in ("planted_cliques", "adversarial_mix"):
         sizes = list(params.pop("sizes"))
-        noise = float(params.pop("noise", 0.0))
-        p_plus = float(params.pop("p_plus", 0.5)) if kind == "adversarial_mix" else None
+        noise = _probability(params.pop("noise", 0.0), "noise")
+        p_plus = _probability(params.pop("p_plus", 0.5), "p_plus") if kind == "adversarial_mix" else None
         _reject_extra(params)
         if any(s < 1 for s in sizes):
             raise ValueError("clique sizes must be positive")
@@ -353,8 +363,6 @@ def generate_instance(kind: str, n: int, params: Mapping | None, seed: int) -> S
             raise ValueError(f"clique sizes sum to {total}, expected n = {n}")
         if total > n:
             raise ValueError(f"clique sizes sum to {total} > n = {n}")
-        if not (0.0 <= noise <= 1.0):
-            raise ValueError("noise must lie in [0,1]")
         block = [-1] * n
         v = 0
         for b, s in enumerate(sizes):
@@ -374,6 +382,13 @@ def generate_instance(kind: str, n: int, params: Mapping | None, seed: int) -> S
                 plus.add((u, w))
         return SignedGraph(n, frozenset(plus))
     raise ValueError(f"unknown generator kind {kind!r}")
+
+
+def _probability(value, name: str) -> float:
+    p = float(value)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name} must lie in [0,1]")
+    return p
 
 
 def _reject_extra(params: Mapping) -> None:

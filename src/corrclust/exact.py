@@ -22,10 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Clustering, PreclusteredInstance, SignedGraph, trivial_preclustering
+from .core import NON_ADMISSIBLE, Clustering, PreclusteredInstance, SignedGraph, trivial_preclustering
 
-DEFAULT_LIMIT = 16
-NAIVE_LIMIT = 10
+DEFAULT_LIMIT = 16  # largest n the subset-DP oracles accept
+NAIVE_LIMIT = 10  # largest n naive_opt enumerates
 
 _INF = float("inf")
 _MASK_BITS = 16  # the DP tables store vertex sets as uint16 masks
@@ -92,7 +92,7 @@ def _reconstruct(n: int, dp: list[float], w: list[int]) -> list[int]:
         sub = rest
         while True:
             s = sub | low
-            if w[s] is not _INF and w[s] + dp[mask ^ s] == dp[mask]:
+            if w[s] != _INF and w[s] + dp[mask ^ s] == dp[mask]:
                 # prefer blocks containing the lowest-index vertices
                 key = sum(1 << (n - 1 - v) for v in range(n) if s >> v & 1)
                 if key > best_key:
@@ -107,19 +107,17 @@ def _reconstruct(n: int, dp: list[float], w: list[int]) -> list[int]:
     return blocks
 
 
-def brute_force_opt(g: SignedGraph, limit_n: int = DEFAULT_LIMIT) -> tuple[Clustering, int]:
+def brute_force_opt(g: SignedGraph) -> tuple[Clustering, int]:
     """Minimum-cost clustering: the good-clustering DP with every vertex its
-    own atom and every pair admissible.  Exact for n <= limit_n."""
-    return brute_force_opt_good(g, trivial_preclustering(g.n), limit_n)
+    own atom and every pair admissible.  Exact for n <= DEFAULT_LIMIT."""
+    return brute_force_opt_good(g, trivial_preclustering(g.n))
 
 
-def brute_force_opt_good(
-    g: SignedGraph, pre: PreclusteredInstance, limit_n: int = DEFAULT_LIMIT
-) -> tuple[Clustering, int]:
+def brute_force_opt_good(g: SignedGraph, pre: PreclusteredInstance) -> tuple[Clustering, int]:
     """Minimum cost over good clusterings: atoms contracted, non-admissible
     co-clustering forbidden. Always feasible (all atoms as singleton clusters)."""
-    if g.n > limit_n:
-        raise ValueError(f"n = {g.n} above oracle limit {limit_n}")
+    if g.n > DEFAULT_LIMIT:
+        raise ValueError(f"n = {g.n} above oracle limit {DEFAULT_LIMIT}")
     members = [sorted(a) for a in pre.all_atoms]
     m = len(members)
     plus = [0] * g.n
@@ -127,34 +125,27 @@ def brute_force_opt_good(
         plus[u] |= 1 << v
         plus[v] |= 1 << u
     # conflict[i]: atoms that can never share a cluster with atom i
-    conflict = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            bad = any(
-                pre.classify_pair(u, v) == "non_admissible" for u in members[i] for v in members[j]
-            )
-            if bad:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
-    # w[S] = (#minus pairs) - (#plus pairs) inside the union of atom set S:
-    # the top atom's members join the vertices U of the other atoms one by one
-    w: list[float] = [0] * (1 << m)
-    union = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        i = mask.bit_length() - 1
-        rest = mask ^ (1 << i)
-        if w[rest] is _INF or conflict[i] & rest:
-            w[mask] = _INF
-            continue
-        U, delta = union[rest], 0
-        for v in members[i]:
-            delta += (U & ~plus[v]).bit_count() - (U & plus[v]).bit_count()
-            U |= 1 << v
-        union[mask] = U
-        w[mask] = w[rest] + delta
+    atom_of = np.empty(g.n, dtype=np.intp)
+    for i, atom in enumerate(members):
+        atom_of[atom] = i
+    bad = np.zeros((m, m), dtype=bool)
+    np.logical_or.at(bad, (atom_of[:, None], atom_of), pre.pair_class == NON_ADMISSIBLE)
+    conflict = bad @ (1 << np.arange(m))
+    # w[S] = (#minus pairs) - (#plus pairs) inside the union of atom set S,
+    # one top atom i at a time: its members join the unions of all S < 2^i
+    w = np.zeros(1 << m)
+    union = np.zeros(1 << m, dtype=np.int64)
+    for i, atom in enumerate(members):
+        U, delta = union[:1 << i], np.zeros(1 << i, dtype=np.int64)
+        for v in atom:
+            delta += np.bitwise_count(U & ~plus[v])
+            delta -= np.bitwise_count(U & plus[v])
+            U = U | (1 << v)
+        union[1 << i:2 << i] = U
+        w[1 << i:2 << i] = np.where(np.arange(1 << i) & conflict[i], _INF, w[:1 << i] + delta)
     dp = _partition_dp(m, w)
     labels = [0] * g.n
-    for cid, b in enumerate(_reconstruct(m, dp, w)):
+    for cid, b in enumerate(_reconstruct(m, dp, w.tolist())):
         for i in range(m):
             if b >> i & 1:
                 for v in members[i]:
@@ -163,11 +154,12 @@ def brute_force_opt_good(
     return Clustering.from_assignment(labels), cost
 
 
-def naive_opt(g: SignedGraph, limit_n: int = NAIVE_LIMIT) -> int:
+def naive_opt(g: SignedGraph) -> int:
     """Optimal cost by exhaustive enumeration of set partitions
-    (restricted-growth order, incremental cost, branch-and-bound)."""
-    if g.n > limit_n:
-        raise ValueError(f"n = {g.n} above naive enumeration limit {limit_n}")
+    (restricted-growth order, incremental cost, branch-and-bound), for
+    n <= NAIVE_LIMIT."""
+    if g.n > NAIVE_LIMIT:
+        raise ValueError(f"n = {g.n} above naive enumeration limit {NAIVE_LIMIT}")
     n = g.n
     plus = [[u != v and g.is_plus(u, v) for u in range(n)] for v in range(n)]
     best = [_INF]

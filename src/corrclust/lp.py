@@ -8,11 +8,13 @@ a hyperplane separating the input x from the convex hull of good clusterings.
 
 :func:`solve` hands the model to the HiGHS class that scipy bundles
 (``scipy.optimize._highspy._core._Highs``) as arrays, with exactly the
-options ``linprog(method="highs-ds")`` sets, and maps the model status the
-way scipy does.  Rows a builder marks lazy are left out at first.  Each lazy
-row carries a label; after each solve, every lazy row that shares a label
-with a row the point violates is added, and HiGHS re-runs warm from its last
-basis, until the point violates none.  This is sound because the point
+options ``linprog(method="highs-ds")`` sets, and translates the HiGHS model
+status once: into an :class:`LPResult` (optimal, infeasible with its Farkas
+weights, or unbounded), or an :class:`LPError` for every other outcome.
+Rows a builder marks lazy are left out at first.  Each lazy row carries a
+label; after each solve, every lazy row that shares a label with a row the
+point violates is added, and HiGHS re-runs warm from its last basis, until
+the point violates none.  This is sound because the point
 returned is a vertex of the relaxed program that satisfies every row of the
 full one, hence a vertex (and an optimum) of the full program; and a
 relaxation that is infeasible proves the full program infeasible.  Which
@@ -20,9 +22,9 @@ rows enter together changes the number of passes and which vertex comes
 back, not that argument.  A program without lazy rows gets one pass, on the
 model ``linprog`` would build, without linprog's input cleaning and result
 packaging.  An infeasible pass runs once more without presolve, so that
-HiGHS reports a dual ray.  The HiGHS
-class is private scipy API: two probes check at import that it generates
-rows and reports the ray, and the import fails if not.
+HiGHS reports a dual ray.  The HiGHS class is private scipy API: two probes
+check at import that it generates rows and reports the ray, and the import
+fails if not.
 
 Three builders are provided:
 
@@ -49,12 +51,13 @@ import scipy
 import scipy.sparse as sp
 
 from .core import (
+    ATOMIC,
+    NON_ADMISSIBLE,
     Clustering,
     Metric,
     Pair,
     PreclusteredInstance,
     SignedGraph,
-    all_pairs,
     pair_key,
 )
 
@@ -314,20 +317,28 @@ def _load_highs():
     try:
         from scipy.optimize._highspy import _core as hc
 
-        status, u, fun, _, message = _run_highs(hc, _probe(-1.0, [1.0, 1.0], [2.0, 1.0]))
-        if status == 0 and u.tolist() == [1.0] and fun == -1.0:
-            probe, lp = "dual ray", _probe(0.0, [1.0, -1.0], [1.0, -2.0])
-            status, u, fun, _, message = _run_highs(hc, lp)
-            if status == 2 and np.array_equal(_farkas(lp, u), [1.0, 1.0, 0.0, 0.0]):
+        res = _run_highs(hc, _probe(-1.0, [1.0, 1.0], [2.0, 1.0]))
+        if res.status == "optimal" and res.values.tolist() == [1.0] and res.objective == -1.0:
+            probe = "dual ray"
+            res = _run_highs(hc, _probe(0.0, [1.0, -1.0], [1.0, -2.0]))
+            if res.status == "infeasible" and np.array_equal(res.farkas, [1.0, 1.0, 0.0, 0.0]):
                 return hc
-        problem = f"status {status} ({message}), returned {u} and objective {fun}"
+        problem = f"returned {res}"
     except Exception as exc:  # any change in the private interface fails the check
         problem = repr(exc)
     raise ImportError(f"scipy {scipy.__version__}: its bundled HiGHS interface failed the {probe} probe "
                       f"({problem}); corrclust needs scipy>=1.17")
 
 
-def _run_highs(hc, lp: LinearProgram):
+def _infeasible(lp: LinearProgram, z: np.ndarray, iterations: int) -> LPResult:
+    """The infeasible result for signed weights ``z`` over ``lp``'s rows."""
+    farkas = _farkas(lp, z)
+    if farkas is None:
+        raise LPError(f"{lp.name}: reported infeasible but no Farkas witness found")
+    return LPResult("infeasible", farkas=farkas, iterations=iterations)
+
+
+def _run_highs(hc, lp: LinearProgram) -> LPResult:
     """Solve ``lp`` by row generation.  The first pass solves the eager rows
     as ``linprog(method="highs-ds")`` would: the same column-wise matrix with
     inequality rows first, the same options.  Each further pass adds every
@@ -337,23 +348,29 @@ def _run_highs(hc, lp: LinearProgram):
     row.
 
     An infeasible pass proves ``lp`` infeasible.  HiGHS reports a dual ray
-    only without presolve, so that pass re-runs once with presolve off.
-    ``order`` holds the row of ``lp`` behind each HiGHS row.
+    only without presolve, so that pass re-runs once with presolve off; the
+    negated ray, as weights over ``lp``'s rows (0 on lazy rows never added),
+    gives the Farkas weights.  ``order`` holds the row of ``lp`` behind each
+    HiGHS row.
 
-    Returns (scipy status code, x, objective, iterations summed over every
-    run, message): x is the point at status 0, and at status 2 the negated
-    ray as weights over ``lp``'s rows (0 on lazy rows never added)."""
+    Returns the optimal, infeasible or unbounded :class:`LPResult`, with the
+    simplex iterations summed over every run; raises :class:`LPError` for
+    every other outcome."""
     A, P, rhs0, senses, lb, ub = lp.matrices()
     b = lp.effective_rhs()
     ineq = senses == "<"
     labels = lp.labels
     lazy = labels != -1
     nv = lp.num_vars
-    c = np.zeros(nv)
+    c, const = np.zeros(nv), 0.0
     if lp.objective is not None:
-        cols, coefs, _ = lp.objective
+        cols, coefs, const = lp.objective
         np.add.at(c, cols, coefs)
     ms = hc.HighsModelStatus
+
+    def failure(why: str) -> LPError:
+        return LPError(f"{lp.name}: solver failure: {why}")
+
     eager = ~lazy
     rows = np.concatenate([np.flatnonzero(ineq & eager), np.flatnonzero(~ineq & eager)])
     M = A[rows].tocsc()
@@ -369,7 +386,7 @@ def _run_highs(hc, lp: LinearProgram):
     if h.passModel(nv, len(rhs), M.nnz, hc.MatrixFormat.kColwise, hc.ObjSense.kMinimize, 0.0,
                    c, lb, ub, lhs, rhs, M.indptr.astype(np.int32), M.indices.astype(np.int32),
                    M.data, np.zeros(nv, dtype=np.int32)) == hc.HighsStatus.kError:
-        return 4, None, None, 0, "HiGHS rejected the model"
+        raise failure("HiGHS rejected the model")
     order = [rows]
     lazy_rows = np.flatnonzero(lazy)
     L, bL, ineqL, labelsL = A[lazy], b[lazy], ineq[lazy], labels[lazy]
@@ -378,36 +395,36 @@ def _run_highs(hc, lp: LinearProgram):
         h.run()
         status = h.getModelStatus()
         info = h.getInfo()
-        code = {ms.kOptimal: 0, ms.kInfeasible: 2, ms.kUnbounded: 3,
-                ms.kTimeLimit: 1, ms.kIterationLimit: 1}.get(status, 4)
         message = h.modelStatusToString(status)
         nit += info.simplex_iteration_count
-        if code == 0:
+        if status == ms.kOptimal:
             u = np.array(h.getSolution().col_value)
             gap = L @ u - bL
             violated = np.where(ineqL, gap, np.abs(gap)) > _HIGHS_OPTS["primal_feasibility_tolerance"]
             if not violated.any():
                 break
             add = np.isin(labelsL, labelsL[violated])
-        elif code == 3 and L.shape[0]:
+        elif status == ms.kUnbounded:
+            if not L.shape[0]:
+                return LPResult("unbounded", iterations=nit)
             add = np.ones(L.shape[0], dtype=bool)  # an unbounded relaxation says nothing of the full model
-        elif code == 2:  # an infeasible relaxation: so is the full model
+        elif status == ms.kInfeasible:  # an infeasible relaxation: so is the full model
             h.setOptionValue("presolve", "off")
             h.run()
             nit += h.getInfo().simplex_iteration_count
             _, has_ray, ray = h.getDualRay()
             if not has_ray:
-                return 4, None, None, nit, f"{message}, but HiGHS reports no dual ray"
+                raise failure(f"{message}, but HiGHS reports no dual ray")
             z = np.zeros(len(b))
             z[np.concatenate(order)] = -np.asarray(ray)
-            return 2, z, None, nit, message
+            return _infeasible(lp, z, nit)
         else:
-            return code, None, None, nit, message
+            raise failure(message)
         R = L[add]
         if h.addRows(R.shape[0], np.where(ineqL[add], -np.inf, bL[add]), bL[add], R.nnz,
                      R.indptr[:-1].astype(np.int32), R.indices.astype(np.int32),
                      R.data) == hc.HighsStatus.kError:
-            return 4, None, None, nit, "HiGHS rejected the added rows"
+            raise failure("HiGHS rejected the added rows")
         order.append(lazy_rows[add])
         keep = ~add
         L, bL, ineqL, labelsL, lazy_rows = L[keep], bL[keep], ineqL[keep], labelsL[keep], lazy_rows[keep]
@@ -418,8 +435,8 @@ def _run_highs(hc, lp: LinearProgram):
     gap = A @ u - b
     if not (np.isfinite(fun) and np.all((u >= lb - tol) & (u <= ub + tol))
             and np.all(np.where(ineq, gap, np.abs(gap)) <= tol)):
-        return 4, None, None, nit, f"{message}, but the point misses the constraints by more than {tol:.2e}"
-    return 0, u, fun, nit, message
+        raise failure(f"{message}, but the point misses the constraints by more than {tol:.2e}")
+    return LPResult("optimal", values=u, objective=fun + const, iterations=nit)
 
 
 _HIGHS = _load_highs()
@@ -430,34 +447,24 @@ def solve(lp: LinearProgram) -> LPResult:
 
     Returns an optimal point, an infeasibility witness (Farkas weights over
     the canonical row form of the full program, mapped from the HiGHS dual
-    ray), or an 'unbounded' status.  The point is a vertex of a relaxation
-    that leaves out some lazy rows and satisfies every row, hence a vertex of
-    the full program.  ``iterations`` sums the simplex iterations of all
-    passes, and of the re-run that reads the ray.
+    ray), or an 'unbounded' status; every other solver outcome raises
+    :class:`LPError`.  The point is a vertex of a relaxation that leaves out
+    some lazy rows and satisfies every row, hence a vertex of the full
+    program.  ``iterations`` sums the simplex iterations of all passes, and
+    of the re-run that reads the ray.
     """
-    const = lp.objective[2] if lp.objective is not None else 0.0
     A, P, rhs0, senses, lb, ub = lp.matrices()
     b = lp.effective_rhs()
     # HiGHS reports no dual ray for a violated row without coefficients
     # (every row, when there is no column): a unit weight on the worst one
     violation = np.where(senses == "<", -b, np.abs(b)) * (np.diff(A.indptr) == 0)
     if (violation > SOLVER_TOL).any():
-        i, z, nit = int(np.argmax(violation)), np.zeros(len(b)), 0
+        i, z = int(np.argmax(violation)), np.zeros(len(b))
         z[i] = -np.sign(b[i])
-    elif lp.num_vars == 0:
-        return LPResult("optimal", values=np.zeros(0), objective=const)
-    else:
-        status, z, fun, nit, message = _run_highs(_HIGHS, lp)
-        if status == 0:
-            return LPResult("optimal", values=z, objective=fun + const, iterations=nit)
-        if status == 3:
-            return LPResult("unbounded", iterations=nit)
-        if status != 2:
-            raise LPError(f"{lp.name}: solver failure: {message}")
-    farkas = _farkas(lp, z)
-    if farkas is None:
-        raise LPError(f"{lp.name}: reported infeasible but no Farkas witness found")
-    return LPResult("infeasible", farkas=farkas, iterations=nit)
+        return _infeasible(lp, z, 0)
+    if lp.num_vars == 0:
+        return LPResult("optimal", values=np.zeros(0), objective=lp.objective[2] if lp.objective else 0.0)
+    return _run_highs(_HIGHS, lp)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +485,8 @@ class SeparationCertificate:
     def evaluate(self, x: Metric) -> float:
         return sum(coef * x.x(*p) for p, coef in self.w.items())
 
-    def separates(self, x: Metric, tol: float = 1e-9) -> bool:
-        return self.evaluate(x) < self.b - tol
+    def separates(self, x: Metric) -> bool:
+        return self.evaluate(x) < self.b - SOLVER_TOL
 
     def to_dict(self) -> dict:
         """Report form: the offset, the weights sorted by pair, the LP name."""
@@ -511,7 +518,7 @@ def separation_from_infeasibility(lp: LinearProgram, result: LPResult) -> Separa
         provenance=lp.name,
         rejected_value=float(sum(w.get(p, 0.0) * xv for p, xv in zip(lp.param_pairs, lp.param_values))),
     )
-    if not cert.rejected_value < b - 1e-9:
+    if not cert.rejected_value < b - SOLVER_TOL:
         raise LPError(f"{lp.name}: certificate does not separate the rejected x")
     return cert
 
@@ -525,22 +532,15 @@ def build_triangle_lp(g: SignedGraph, pre: PreclusteredInstance) -> LinearProgra
     """Metric LP over x: triangle inequalities, preclustering pins, and the
     disagreement objective."""
     lp = LinearProgram(f"triangle-lp(n={g.n})")
-    pairs = list(all_pairs(g.n))
-    cols = lp.add_vars([("x", p) for p in pairs])
-    col_of = {p: int(c) for p, c in zip(pairs, cols)}
-    for p in pairs:
-        cls = pre.classify_pair(*p)
-        if cls == "atomic":
-            lp.fix_vars([col_of[p]], 0.0)
-        elif cls == "non_admissible":
-            lp.fix_vars([col_of[p]], 1.0)
-    tri = list(combinations(range(g.n), 3))
-    if tri:
-        t = len(tri)
+    si = _set_index(g.n)
+    cols = lp.add_vars([("x", p) for p in si.pairs])  # column = pair rank
+    cls = pre.pair_class[si.pa, si.pb]
+    lp.fix_vars(cols[cls == ATOMIC], 0.0)
+    lp.fix_vars(cols[cls == NON_ADMISSIBLE], 1.0)
+    t = si.t
+    if t:
         rows = np.arange(3 * t)
-        cuv = np.array([col_of[(a, b)] for (a, b, c) in tri])
-        cuw = np.array([col_of[(a, c)] for (a, b, c) in tri])
-        cvw = np.array([col_of[(b, c)] for (a, b, c) in tri])
+        cuv, cuw, cvw = si.pr[si.ta, si.tb], si.pr[si.ta, si.tc], si.pr[si.tb, si.tc]
         # x_uv <= x_uw + x_wv, all three rotations
         long_side = np.concatenate([cuv, cuw, cvw])
         short1 = np.concatenate([cuw, cuv, cuv])
@@ -555,7 +555,7 @@ def build_triangle_lp(g: SignedGraph, pre: PreclusteredInstance) -> LinearProgra
                 (rows, short2, -np.ones(3 * t)),
             ],
         )
-    coefs = np.array([1.0 if p in g.plus else -1.0 for p in pairs])
+    coefs = np.array([1.0 if p in g.plus else -1.0 for p in si.pairs])
     lp.set_objective(cols, coefs, constant=float(g.num_minus))
     return lp
 
@@ -688,7 +688,7 @@ def build_set_lp(
     vprime: Sequence[int],
     pre: PreclusteredInstance,
     x: Metric,
-    epsilon: float = 0.05,
+    epsilon: float,
 ) -> LinearProgram:
     """Size-stratified lifted feasibility LP on the remaining vertex set.
 
@@ -736,14 +736,9 @@ def build_set_lp(
     # (2) y_u = 1
     lp.fix_vars(m + 1 + np.arange(n), 1.0)
 
-    # pair classes: atomic (same proper atom), admissible, non-admissible
-    atom = np.asarray(pre.atom_index)[verts]
-    same = (atom[:, None] == atom[None, :]) & (atom[:, None] >= 0) | np.eye(n, dtype=bool)
-    non_adm = np.zeros((n, n), dtype=bool)
-    non_adm[si.pa, si.pb] = ~same[si.pa, si.pb] & ~np.fromiter(
-        (p in pre.adm for p in gpairs), dtype=bool, count=m
-    )
-    non_adm |= non_adm.T
+    # pair classes on V'; a vertex counts as in its own atom
+    cls = pre.pair_class[np.ix_(verts, verts)]
+    same, non_adm = cls == ATOMIC, cls == NON_ADMISSIBLE
     # (6) atomic xt = 0
     lp.fix_vars(np.flatnonzero(same[si.pa, si.pb]), 0.0)
     d_adm = [pre.d_adm(v) for v in verts]
@@ -1021,14 +1016,13 @@ def _key_name(key: tuple) -> str:
     return str(key)
 
 
-def write_lp_text(lp: LinearProgram, max_rows: int | None = None) -> str:
+def write_lp_text(lp: LinearProgram) -> str:
     """Human-readable inequality dump for debugging."""
     A, P, rhs0, senses, lb, ub = lp.matrices()
     b = lp.effective_rhs()
     lines = [f"# {lp.name}: {lp.num_rows} rows, {lp.num_vars} vars"]
     A = A.tocsr()
-    count = lp.num_rows if max_rows is None else min(max_rows, lp.num_rows)
-    for i in range(count):
+    for i in range(lp.num_rows):
         row = A.getrow(i)
         terms = " + ".join(
             f"{row.data[k]:g} {_key_name(lp.var_keys[row.indices[k]])}" for k in range(row.nnz)

@@ -70,10 +70,11 @@ class SeparationFound(Exception):
 
 @dataclass(frozen=True)
 class RoundingParams:
-    """Knobs shared by both rounding schemes."""
+    """Knobs shared by both rounding schemes; their defaults live in
+    :class:`corrclust.combine.PipelineConfig`."""
 
-    epsilon: float = 0.05
-    trials: int = 1
+    epsilon: float
+    trials: int
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .round_pivot import F_PLUS_CONSTANT
+from . import round_pivot
 
 SET_WEIGHT = 0.42
 PIVOT_WEIGHT = 0.58
@@ -24,10 +24,13 @@ COMBINED_RATIO_BOUND = 1.7257
 MINUS_EDGE_RATIO = SET_WEIGHT * 1.0 + PIVOT_WEIGHT * 2.0  # = 1.58
 
 TRIANGLE_KINDS = ("+++", "++-", "+--", "---")
+TOL = 1e-9  # slack allowed on every certified inequality
+F_GRID_STEP = 1e-5  # grid of the budget-constant check on (0, 1/2]
 
 
-def f_plus(x, constant: float = F_PLUS_CONSTANT):
-    return np.minimum(constant + x, 2.0)
+def f_plus(x):
+    """min(F_PLUS_CONSTANT + x, 2), with the constant pivot_budget charges."""
+    return np.minimum(round_pivot.F_PLUS_CONSTANT + x, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -67,16 +70,16 @@ class TrianglePoint:
     def events(self) -> tuple[float, float, float, float, float]:
         return (self.y_abc, self.y_ab_c, self.y_ac_b, self.y_a_bc, self.y_split)
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         ev = self.events()
-        if min(ev) < -tol:
+        if min(ev) < -TOL:
             raise ValueError(f"negative partition event weight: {ev}")
-        if abs(sum(ev) - 1.0) > 1e-9:
+        if abs(sum(ev) - 1.0) > TOL:
             raise ValueError(f"partition event weights sum to {sum(ev)}")
         for y in (self.y_ab, self.y_ac, self.y_bc):
-            if not (-tol <= y <= 1 + tol):
+            if not (-TOL <= y <= 1 + TOL):
                 raise ValueError("pair value outside [0,1]")
-            if self.y_abc > y + tol:
+            if self.y_abc > y + TOL:
                 raise ValueError("triple value exceeds a pair value")
 
 
@@ -97,7 +100,7 @@ def triangle_point_from_events(ev) -> TrianglePoint:
 # ---------------------------------------------------------------------------
 
 
-def triangle_case_sides(kind: str, y_ab, y_ac, y_bc, y_abc, constant: float = F_PLUS_CONSTANT):
+def triangle_case_sides(kind: str, y_ab, y_ac, y_bc, y_abc):
     """(cost side, budget side) of the per-triangle inequality, vectorized.
 
     Sign conventions: '++-' has +edges ab, ac and -edge bc; '+--' has +edge
@@ -126,8 +129,8 @@ def triangle_case_sides(kind: str, y_ab, y_ac, y_bc, y_abc, constant: float = F_
         lhs = y_abc + y_ab + y_ac + 2 * y_bc - 2 * (y_ab + y_ac) * y_bc
         rhs = (
             2 * (y_ab + y_ac - y_abc) * y_bc
-            + f_plus(x_ac, constant) * (y_ab + y_bc - y_ab * y_bc) * (1 - y_ac)
-            + f_plus(x_ab, constant) * (y_ac + y_bc - y_ac * y_bc) * (1 - y_ab)
+            + f_plus(x_ac) * (y_ab + y_bc - y_ab * y_bc) * (1 - y_ac)
+            + f_plus(x_ab) * (y_ac + y_bc - y_ac * y_bc) * (1 - y_ab)
         )
     elif kind == "+++":
         lhs = 2 * (y_ab + y_ac + y_bc) - 6 * y_abc
@@ -141,13 +144,11 @@ def triangle_case_sides(kind: str, y_ab, y_ac, y_bc, y_abc, constant: float = F_
     return lhs, rhs
 
 
-def verify_triangle_case(
-    kind: str, point: TrianglePoint, tol: float = 1e-9
-) -> tuple[float, float, bool]:
-    """Both sides of the charging inequality at one point; ok iff lhs <= rhs + tol."""
+def verify_triangle_case(kind: str, point: TrianglePoint) -> tuple[float, float, bool]:
+    """Both sides of the charging inequality at one point; ok iff lhs <= rhs + TOL."""
     point.validate()
     lhs, rhs = triangle_case_sides(kind, point.y_ab, point.y_ac, point.y_bc, point.y_abc)
-    return float(lhs), float(rhs), bool(lhs <= rhs + tol)
+    return float(lhs), float(rhs), bool(lhs <= rhs + TOL)
 
 
 def case2c_quartic(y) -> np.ndarray:
@@ -170,20 +171,20 @@ class FinalRatioResult:
     ok: bool
 
 
-def combined_plus_ratio(x, constant: float = F_PLUS_CONSTANT):
+def combined_plus_ratio(x):
     """Weighted per-+edge ratio of the two schemes at distance x."""
     x = np.asarray(x, dtype=float)
-    return SET_WEIGHT * 2.0 / (1.0 + x) + PIVOT_WEIGHT * f_plus(x, constant)
+    return SET_WEIGHT * 2.0 / (1.0 + x) + PIVOT_WEIGHT * f_plus(x)
 
 
-def verify_final_ratio(grid_step: float = 1e-4, constant: float = F_PLUS_CONSTANT) -> FinalRatioResult:
+def verify_final_ratio(grid_step: float = 1e-4) -> FinalRatioResult:
     """Maximize the combined +edge ratio over [0,1] (grid plus the two
-    critical points 0 and 2 - constant); report the -edge combination too."""
+    critical points 0 and 2 - F_PLUS_CONSTANT); report the -edge combination too."""
     if not 0 < grid_step <= 1e-3:
         raise ValueError(f"grid-step {grid_step} outside (0, 1e-3]")
     xs = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    xs = np.append(xs, [0.0, 2.0 - constant])
-    vals = combined_plus_ratio(xs, constant)
+    xs = np.append(xs, [0.0, 2.0 - round_pivot.F_PLUS_CONSTANT])
+    vals = combined_plus_ratio(xs)
     i = int(np.argmax(vals))
     mx, arg = float(vals[i]), float(xs[i])
     return FinalRatioResult(
@@ -203,20 +204,21 @@ class FConstantResult:
     min_gap_near_touch: float
 
 
-def verify_f_constant(grid_step: float = 1e-5, constant: float = F_PLUS_CONSTANT) -> FConstantResult:
-    """Check min(constant+x, 2) >= (-1+4x-2x^2)/x^2 on (0, 1/2]: pointwise on
-    the grid, exact equality at x = 1/2, and near-tightness around 0.485."""
-    xs = np.arange(grid_step, 0.5 + grid_step / 2, grid_step)
-    touch = 2.0 - constant  # where the two branches of f meet
+def verify_f_constant() -> FConstantResult:
+    """Check f_plus(x) >= (-1+4x-2x^2)/x^2 on (0, 1/2]: pointwise on
+    the F_GRID_STEP grid, exact equality at x = 1/2, and near-tightness
+    around 0.485."""
+    xs = np.arange(F_GRID_STEP, 0.5 + F_GRID_STEP / 2, F_GRID_STEP)
+    touch = 2.0 - round_pivot.F_PLUS_CONSTANT  # where the two branches of f meet
     extras = [0.5, touch] if 0.0 < touch <= 0.5 else [0.5]
     xs = np.unique(np.append(xs, extras))
     rhs = (-1.0 + 4.0 * xs - 2.0 * xs**2) / xs**2
-    lhs = f_plus(xs, constant)
+    lhs = f_plus(xs)
     gap = lhs - rhs
     i = int(np.argmin(gap))
     window = (xs >= 0.45) & (xs <= 0.5)
     min_gap_near = float(gap[window].min()) if window.any() else float("inf")
-    at_half = float(f_plus(0.5, constant) - ((-1.0 + 4.0 * 0.5 - 2.0 * 0.25) / 0.25))
+    at_half = float(f_plus(0.5) - ((-1.0 + 4.0 * 0.5 - 2.0 * 0.25) / 0.25))
     return FConstantResult(
         ok=bool((gap >= -1e-12).all()),
         max_violation=float(max(0.0, -gap[i])),
@@ -231,9 +233,7 @@ def verify_f_constant(grid_step: float = 1e-5, constant: float = F_PLUS_CONSTANT
 # ---------------------------------------------------------------------------
 
 
-def certify_triangle_kind(
-    kind: str, samples: int, rng: np.random.Generator, tol: float = 1e-9
-) -> dict:
+def certify_triangle_kind(kind: str, samples: int, rng: np.random.Generator) -> dict:
     """Check the charging inequality on uniformly sampled feasible points.
     Returns counts and the worst margin (rhs - lhs)."""
     if samples < 1:
@@ -245,7 +245,7 @@ def certify_triangle_kind(
     y_bc = ev[:, 0] + ev[:, 3]
     lhs, rhs = triangle_case_sides(kind, y_ab, y_ac, y_bc, y_abc)
     margin = rhs - lhs
-    failures = int((margin < -tol).sum())
+    failures = int((margin < -TOL).sum())
     i = int(np.argmin(margin))
     return {
         "kind": kind,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from corrclust import combine
+from corrclust import combine, round_pivot
 from corrclust.cli import _build_parser, _config, main
 from corrclust.combine import PipelineConfig
 from corrclust.core import SignedGraph, write_instance
@@ -110,11 +110,18 @@ def test_verify_passes(capsys):
     assert out.count("PASS") == 8 and "FAIL" not in out
 
 
-def test_verify_catches_wrong_constant(capsys):
-    code = main(["verify", "--seed", "0", "--samples", "500", "--f-constant", "1.4"])
+def test_verify_catches_wrong_constant(monkeypatch, capsys):
+    # the certifier reads the constant that pivot_budget charges
+    monkeypatch.setattr(round_pivot, "F_PLUS_CONSTANT", 1.4)
+    code = main(["verify", "--seed", "0", "--samples", "500"])
     assert code == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out and "plus-budget-constant" in out
+    assert "FAIL  plus-budget-constant" in out
+
+
+def test_verify_has_no_constant_flag(capsys):
+    assert main(["verify", "--seed", "0", "--samples", "500", "--f-constant", "1.4"]) == 1
+    assert "unrecognized arguments: --f-constant" in capsys.readouterr().err
 
 
 def test_verify_grid_step_usage_error(capsys):

@@ -39,7 +39,7 @@ def test_combined_integral_tie_prefers_pivot():
     g = generate_instance("planted_cliques", 8, {"sizes": [4, 4]}, 0)
     pre = precluster(g, AgreementParams(0.1))
     x, _ = solve_triangle_lp(g, pre)
-    rep = combined_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(0))
+    rep = combined_round(g, pre, x, RoundingParams(epsilon=0.05, trials=1), np.random.default_rng(0))
     assert isinstance(rep, CombinedReport)
     assert rep.set_report.cost == rep.pivot_report.cost == 0
     assert rep.chosen == "pivot"
@@ -51,7 +51,7 @@ def test_combined_cost_is_min_of_both():
         g = generate_instance("uniform_random", 8, None, seed)
         pre = precluster(g, AgreementParams(0.1))
         x, _ = solve_triangle_lp(g, pre)
-        rep = combined_round(g, pre, x, RoundingParams(trials=2), np.random.default_rng(seed))
+        rep = combined_round(g, pre, x, RoundingParams(epsilon=0.05, trials=2), np.random.default_rng(seed))
         assert rep.cost == min(rep.set_report.cost, rep.pivot_report.cost)
 
 
@@ -70,7 +70,7 @@ def test_certificate_propagates():
     pre = trivial_preclustering(3)
     x = Metric(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
     with pytest.raises(SeparationFound) as found:
-        combined_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(0))
+        combined_round(g, pre, x, RoundingParams(epsilon=0.05, trials=1), np.random.default_rng(0))
     assert found.value.certificate.separates(x)
 
 

@@ -4,6 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from corrclust.core import (
+    ADMISSIBLE,
+    PAIR_CLASSES,
     Clustering,
     Metric,
     PreclusteredInstance,
@@ -150,6 +152,16 @@ def test_generators():
     assert mix.n == 9
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("uniform_random", {}),
+    ("adversarial_mix", {"sizes": [3, 3]}),
+])
+@pytest.mark.parametrize("p_plus", [2.0, -1.0, float("nan")])
+def test_generators_reject_p_plus_outside_unit_interval(kind, params, p_plus):
+    with pytest.raises(ValueError, match="p_plus must lie in"):
+        generate_instance(kind, 8, {**params, "p_plus": p_plus}, 0)
+
+
 def test_instance_roundtrip_and_errors():
     k5 = complete_plus(5)
     assert parse_instance(write_instance(k5)) == k5
@@ -218,6 +230,10 @@ def test_preclustered_instance_validation():
         parse_preclustering("atom 0: 0 -1\n", 5)
     with pytest.raises(ValueError, match="outside"):
         parse_preclustering("adm: 0 7\n", 5)
+    # an admissible pair is a canonical (u, v) with u < v, never a self pair
+    for pair in ((2, 1), (0, 0)):
+        with pytest.raises(ValueError, match="canonical"):
+            PreclusteredInstance(3, (), frozenset({pair})).validate()
     with pytest.raises(ValueError, match="non-uniform"):
         parse_preclustering("atom 0: 0 1\nadm: 0 2\n", 3)
 
@@ -302,6 +318,40 @@ def preclusterings(draw):
     }
     atoms = tuple(frozenset(gr) for gr in groups if len(gr) > 1)
     return PreclusteredInstance(n, atoms, frozenset(adm))
+
+
+@given(preclusterings())
+def test_pair_class_table_matches_rule(pre):
+    # atomic inside one proper atom; otherwise admissible if the canonical
+    # pair is in adm; otherwise non-admissible
+    table = pre.pair_class
+    assert table.shape == (pre.n, pre.n) and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = ADMISSIBLE
+    for (u, v) in all_pairs(pre.n):
+        iu, iv = pre.atom_index[u], pre.atom_index[v]
+        if iu != -1 and iu == iv:
+            expected = "atomic"
+        elif (u, v) in pre.adm:
+            expected = "admissible"
+        else:
+            expected = "non_admissible"
+        assert pre.classify_pair(u, v) == pre.classify_pair(v, u) == expected
+        assert table[u, v] == table[v, u] == PAIR_CLASSES.index(expected)
+    for v in range(pre.n):
+        with pytest.raises(ValueError, match="self-pair"):
+            pre.classify_pair(v, v)
+
+
+@given(preclusterings(), st.lists(st.integers(0, 3), min_size=9, max_size=9))
+def test_is_good_clustering_matches_pair_rule(pre, labels):
+    c = Clustering.from_assignment(labels[:pre.n])
+    expected = all(
+        c.together(u, v) if pre.classify_pair(u, v) == "atomic"
+        else pre.classify_pair(u, v) == "admissible" or not c.together(u, v)
+        for (u, v) in all_pairs(pre.n)
+    )
+    assert is_good_clustering(pre, c) == expected
 
 
 @given(preclusterings())

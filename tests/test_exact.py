@@ -137,13 +137,14 @@ def test_good_at_least_unconstrained():
 
 
 def test_limits():
-    g = generate_instance("uniform_random", 6, None, 0)
-    with pytest.raises(ValueError, match="limit"):
-        brute_force_opt(g, limit_n=5)
-    with pytest.raises(ValueError, match="limit"):
-        naive_opt(g, limit_n=5)
-    with pytest.raises(ValueError, match="limit"):
-        brute_force_opt_good(g, trivial_preclustering(6), limit_n=5)
+    # the limits are module constants: 16 for the DP oracles, 10 for naive_opt
+    g = generate_instance("uniform_random", 17, None, 0)
+    with pytest.raises(ValueError, match="limit 16"):
+        brute_force_opt(g)
+    with pytest.raises(ValueError, match="limit 16"):
+        brute_force_opt_good(g, trivial_preclustering(17))
+    with pytest.raises(ValueError, match="limit 10"):
+        naive_opt(generate_instance("uniform_random", 11, None, 0))
 
 
 def test_deterministic_tiebreak_prefers_low_vertices_together():
@@ -188,6 +189,49 @@ def test_partition_dp_matches_loop_reference_table(monkeypatch, chunk):
             for s in np.flatnonzero(rng.random(1 << m) < 0.3):
                 w[s] = _INF
             assert _partition_dp(m, w) == _loop_partition_dp(m, w)
+
+
+def _loop_weights(g, pre):
+    """The per-mask recurrence brute_force_opt_good vectorizes: w[S] is
+    (#minus) - (#plus) pairs inside the union of atom set S, or _INF when S
+    holds a non-admissible pair."""
+    members = [sorted(a) for a in pre.all_atoms]
+    m = len(members)
+    plus = [sum(1 << u for u in g.plus_neighbors(v)) for v in range(g.n)]
+    w, union = [0] * (1 << m), [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        i = mask.bit_length() - 1
+        rest = mask ^ (1 << i)
+        conflict = any(pre.classify_pair(u, v) == "non_admissible"
+                       for j in range(i) if rest >> j & 1 for u in members[i] for v in members[j])
+        if w[rest] == _INF or conflict:
+            w[mask] = _INF
+            continue
+        U, delta = union[rest], 0
+        for v in members[i]:
+            delta += (U & ~plus[v]).bit_count() - (U & plus[v]).bit_count()
+            U |= 1 << v
+        union[mask], w[mask] = U, w[rest] + delta
+    return w
+
+
+def test_weights_match_loop_reference(monkeypatch):
+    seen = []
+
+    def spy(m, w):
+        seen.append(list(w))
+        return _partition_dp(m, w)
+
+    monkeypatch.setattr(exact, "_partition_dp", spy)
+    for kind, params in (("planted_cliques", {"sizes": [4, 4, 2]}), ("uniform_random", None),
+                         ("adversarial_mix", {"sizes": [4, 3], "noise": 0.05})):
+        for seed in range(3):
+            g = generate_instance(kind, 10, params, seed)
+            for pre in (precluster(g, AgreementParams(0.1)), trivial_preclustering(10),
+                        PreclusteredInstance(10, (), frozenset())):
+                seen.clear()
+                brute_force_opt_good(g, pre)
+                assert seen == [_loop_weights(g, pre)], (kind, seed, pre)
 
 
 def test_dp_tables_are_shared_and_read_only():

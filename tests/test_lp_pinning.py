@@ -301,7 +301,7 @@ def test_highs_guard_checks_row_generation(monkeypatch):
         def addRows(self, *args):
             return hc.HighsStatus.kOk
 
-    for cls, problem in ((Failing, "incompatible function arguments"), (Silent, "status 4")):
+    for cls, problem in ((Failing, "incompatible function arguments"), (Silent, "misses the constraints")):
         monkeypatch.setattr(hc, "_Highs", cls)
         with pytest.raises(ImportError, match=f"row generation probe.*{problem}"):
             lpmod._load_highs()

@@ -39,7 +39,7 @@ def test_all_minus_singletons_via_cleanup():
     g = SignedGraph(5, frozenset())
     pre = precluster(g, AgreementParams(0.1))
     x = Metric(5, dict.fromkeys(all_pairs(5), 1.0))
-    rep = pivot_based_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(0))
+    rep = pivot_based_round(g, pre, x, RoundingParams(epsilon=0.05, trials=1), np.random.default_rng(0))
     assert rep.cost == 0
     assert rep.clustering.num_clusters == 5
     assert all("cleanup" in t for t in rep.trace)
@@ -49,7 +49,7 @@ def test_all_plus_k4_single_cluster():
     g = SignedGraph(4, frozenset(all_pairs(4)))
     pre = precluster(g, AgreementParams(0.1))
     x = Metric(4, dict.fromkeys(all_pairs(4), 0.0))
-    rep = pivot_based_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(1))
+    rep = pivot_based_round(g, pre, x, RoundingParams(epsilon=0.05, trials=1), np.random.default_rng(1))
     assert rep.cost == 0
     assert rep.clustering.num_clusters == 1
 
@@ -123,7 +123,7 @@ def test_atoms_never_split_and_pivot_atom_joins():
     x, _ = solve_triangle_lp(g, pre)
     for seed in range(6):
         rep = pivot_based_round(
-            g, pre, x, RoundingParams(trials=1), np.random.default_rng(seed)
+            g, pre, x, RoundingParams(epsilon=0.05, trials=1), np.random.default_rng(seed)
         )
         for atom in pre.proper_atoms:
             assert len({rep.clustering.cluster_of(v) for v in atom}) == 1
@@ -156,7 +156,7 @@ def test_monte_carlo_cost_vs_guarantee_bound():
     eps_r = 0.0
     for seed in range(800):
         rep = pivot_based_round(
-            g, pre, x, RoundingParams(trials=1),
+            g, pre, x, RoundingParams(epsilon=0.05, trials=1),
             np.random.default_rng(seed),
         )
         costs.append(rep.cost)
@@ -177,7 +177,7 @@ def test_full_run_cost_within_guarantee_bound_random():
         eps_r = 0.0
         for t in range(60):
             rep = pivot_based_round(
-                g, pre, x, RoundingParams(trials=1),
+                g, pre, x, RoundingParams(epsilon=0.05, trials=1),
                 np.random.default_rng([seed, t]),
             )
             costs.append(rep.cost)
@@ -192,5 +192,5 @@ def test_infeasible_metric_returns_certificate():
     pre = trivial_preclustering(3)
     x = Metric(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
     with pytest.raises(SeparationFound) as found:
-        pivot_based_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(0))
+        pivot_based_round(g, pre, x, RoundingParams(epsilon=0.05, trials=1), np.random.default_rng(0))
     assert found.value.certificate.separates(x)

@@ -39,16 +39,16 @@ def solved_lift(g, pre, x, epsilon=0.05):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        RoundingParams(epsilon=0.0)
+        RoundingParams(epsilon=0.0, trials=1)
     with pytest.raises(ValueError):
-        RoundingParams(trials=0)
+        RoundingParams(epsilon=0.05, trials=0)
 
 
 def test_integral_metric_reproduces_clustering():
     g = generate_instance("planted_cliques", 8, {"sizes": [4, 4]}, 0)
     pre = precluster(g, AgreementParams(0.1))
     x, _ = solve_triangle_lp(g, pre)
-    rep = set_based_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(0))
+    rep = set_based_round(g, pre, x, RoundingParams(epsilon=0.05, trials=1), np.random.default_rng(0))
     assert rep.cost == 0
     assert rep.clustering.together(0, 1) and not rep.clustering.together(0, 4)
 
@@ -57,7 +57,7 @@ def test_all_minus_gives_singletons():
     g = SignedGraph(6, frozenset())
     pre = precluster(g, AgreementParams(0.1))
     x = Metric(6, dict.fromkeys(all_pairs(6), 1.0))
-    rep = set_based_round(g, pre, x, RoundingParams(trials=1), np.random.default_rng(1))
+    rep = set_based_round(g, pre, x, RoundingParams(epsilon=0.05, trials=1), np.random.default_rng(1))
     assert rep.cost == 0
     assert rep.clustering.num_clusters == 6
 
@@ -182,7 +182,7 @@ def test_atoms_never_split():
     x, _ = solve_triangle_lp(g, pre)
     for seed in range(5):
         rep = set_based_round(
-            g, pre, x, RoundingParams(trials=1), np.random.default_rng(seed)
+            g, pre, x, RoundingParams(epsilon=0.05, trials=1), np.random.default_rng(seed)
         )
         for atom in pre.proper_atoms:
             ids = {rep.clustering.cluster_of(v) for v in atom}
@@ -233,7 +233,7 @@ def test_measured_eps_r_is_trace_maximum(monkeypatch):
         x, _ = solve_triangle_lp(g, pre)
         for fn in (set_based_round, round_pivot.pivot_based_round):
             runs.clear()
-            rep = fn(g, pre, x, RoundingParams(trials=3), np.random.default_rng(seed))
+            rep = fn(g, pre, x, RoundingParams(epsilon=0.05, trials=3), np.random.default_rng(seed))
             assert len(runs) == 3 and rep in runs
             records = [rec for run in runs for rec in run.trace]
             assert all(("eps_r" in rec) == ("cleanup" not in rec) for rec in records)
@@ -250,7 +250,7 @@ def test_infeasible_extension_returns_certificate():
     bad[(0, 1)] = 1.0  # contradicts the atomic pin
     x = Metric(5, bad)
     with pytest.raises(SeparationFound) as found:
-        set_based_round(g, pre, x, RoundingParams(trials=2), np.random.default_rng(0))
+        set_based_round(g, pre, x, RoundingParams(epsilon=0.05, trials=2), np.random.default_rng(0))
     assert found.value.certificate.separates(x)
 
 
@@ -274,7 +274,7 @@ def test_ledger_errors_survive_python_O():
         x, _ = solve_triangle_lp(g, pre)
         for fn in (set_based_round, pivot_based_round):
             try:
-                fn(g, pre, x, RoundingParams(), np.random.default_rng(0))
+                fn(g, pre, x, RoundingParams(epsilon=0.05, trials=1), np.random.default_rng(0))
                 print(fn.__name__, "passed")
             except LedgerError as e:
                 print(fn.__name__, "LedgerError", e)

@@ -16,3 +16,19 @@ def test_no_assert_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_identity_compares_only_with_none():
+    # `is` tests object identity: against a float such as inf it holds only
+    # while every copy is one shared object, which numpy values are not
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, sides, sides[1:]):
+                none = [isinstance(s, ast.Constant) and s.value is None for s in (left, right)]
+                if isinstance(op, (ast.Is, ast.IsNot)) and not any(none):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from corrclust import round_pivot
 from corrclust.verify import (
     COMBINED_RATIO_BOUND,
     TRIANGLE_KINDS,
@@ -41,8 +42,8 @@ def test_ratio_shape():
     assert (np.diff(v2, 2) >= -1e-9).all()
 
 
-def test_f_constant():
-    res = verify_f_constant(1e-5)
+def test_f_constant(monkeypatch):
+    res = verify_f_constant()
     assert res.ok
     assert res.equality_gap_at_half == 0.0
     assert res.min_gap_near_touch < 0.01  # near-tight inside [0.45, 0.5]
@@ -53,8 +54,10 @@ def test_f_constant():
     assert rhs_0485 <= 2.0
     rhs_01 = (-1 + 0.4 - 0.02) / 0.01
     assert rhs_01 < 0 <= f_plus(0.1)
-    # a wrong constant is caught, with a witness near the touch point
-    bad = verify_f_constant(1e-5, constant=1.4)
+    # a wrong constant is caught, with a witness near the touch point: the
+    # certifier reads the constant that pivot_budget charges, at call time
+    monkeypatch.setattr(round_pivot, "F_PLUS_CONSTANT", 1.4)
+    bad = verify_f_constant()
     assert not bad.ok
     assert 0.4 < bad.witness_x <= 0.5
     assert bad.max_violation > 0.1
