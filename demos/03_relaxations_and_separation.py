@@ -15,7 +15,6 @@ from corrclust import (
     build_pivot_lp,
     build_set_lp,
     generate_instance,
-    separation_from_infeasibility,
     solve,
     solve_triangle_lp,
 )
@@ -49,13 +48,13 @@ for line in write_lp_text(pivot_lp).splitlines()[1:5]:
     print("   ", line)
 
 # Now a metric that is NOT a mixture of clusterings: it violates the
-# triangle inequality, so the lifted extension is infeasible and the
-# machinery recovers a separating hyperplane.
+# triangle inequality, so the lifted extension is infeasible, and solve
+# returns a separating hyperplane, built from the dual ray, with that result.
 g3 = SignedGraph(3, frozenset(all_pairs(3)))
 bad = Metric(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
 lp_bad = build_pivot_lp(g3, trivial_preclustering(3), bad)
 res_bad = solve(lp_bad)
-cert = separation_from_infeasibility(lp_bad, res_bad)
+cert = res_bad.certificate
 print("\ntriangle-violating metric (x01 = x02 = 0, x12 = 1):", res_bad.status)
 print("  recovered plane:", {k: round(v, 3) for k, v in cert.w.items()}, ">=", round(cert.b, 3))
 print("  value at the rejected x:", round(cert.rejected_value, 3), "(strictly below)")

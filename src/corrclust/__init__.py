@@ -25,7 +25,6 @@ from .lp import (
     build_pivot_lp,
     build_set_lp,
     build_triangle_lp,
-    separation_from_infeasibility,
     solve,
     solve_triangle_lp,
 )

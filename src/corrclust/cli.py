@@ -19,6 +19,7 @@ from . import __version__, round_pivot
 from .combine import PipelineConfig, full_pipeline
 from .core import SignedGraph, generate_instance, parse_instance
 from .verify import (
+    RATIO_GRID_STEP,
     TRIANGLE_KINDS,
     TrianglePoint,
     case2c_quartic,
@@ -230,7 +231,7 @@ def _build_parser() -> _Parser:
     run.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="certify the closed-form analysis")
-    ver.add_argument("--grid-step", type=float, default=1e-4, help="grid step for the ratio scan, in (0, 1e-3]")
+    ver.add_argument("--grid-step", type=float, default=RATIO_GRID_STEP, help="grid step for the ratio scan, in (0, 1e-3]")
     ver.add_argument("--samples", type=int, default=100_000, help="random feasible points per triangle kind (at least 1)")
     ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(func=cmd_verify)

@@ -229,12 +229,16 @@ class PreclusteredInstance:
 
     ``proper_atoms`` are the size >= 2 components found by the preclustering;
     vertices outside them are treated as singleton pseudo-atoms wherever a
-    full atom list is needed (``all_atoms``).
+    full atom list is needed (``all_atoms``).  Construction checks the
+    invariants (:meth:`validate`), so no table is built from a bad instance.
     """
 
     n: int
     proper_atoms: tuple[frozenset[int], ...]
     adm: frozenset[Pair]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @cached_property
     def atom_index(self) -> tuple[int, ...]:
@@ -507,6 +511,4 @@ def parse_preclustering(text: str, n: int) -> PreclusteredInstance:
             adm.add(pair_key(u, v))
         else:
             raise ValueError(f"malformed preclustering line: {ln!r}")
-    pre = PreclusteredInstance(n, tuple(atoms), frozenset(adm))
-    pre.validate()
-    return pre
+    return PreclusteredInstance(n, tuple(atoms), frozenset(adm))

@@ -10,10 +10,11 @@ independent cross-check of that DP.
 The DP runs in numpy, one popcount layer at a time.  Each vertex set of k
 atoms picks its block among the 2^(k-1) subsets that hold its lowest atom;
 those candidates form one dense uint16 table per layer, built on the first
-call for each atom count and kept, read-only, for the process.  Over all
-layers the tables hold (3^m - 1) / 2 entries: 0.5 MB for m = 12 and 43 MB for
-m = 16.  At n = 16 a fresh process running `brute_force_opt` peaked near
-130 MB RSS (Python 3.11, numpy 2.4; see BENCH_exact_dp.json).
+call for each atom count and kept, read-only, for the process.  Each set
+keeps the block it chose, and the optimal partition follows those choices.
+Over all layers the tables hold (3^m - 1) / 2 entries: 0.5 MB for m = 12 and
+43 MB for m = 16.  At n = 16 a fresh process running `brute_force_opt`
+peaked near 130 MB RSS (Python 3.11, numpy 2.4; see BENCH_exact_dp.json).
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ _CHUNK = 1 << 14  # candidates per numpy step: temporaries stay small and in cac
 def _blocks(n: int) -> tuple[np.ndarray, ...]:
     """For k = 1..n, the candidate blocks of the vertex sets of size k: row i
     holds the 2^(k-1) subsets of the i-th such set (ascending) that contain
-    its lowest vertex, and the last of them is the set itself.  uint16 masks,
-    so n <= 16.  Depends only on n; shared by every call and read-only."""
+    its lowest vertex.  A row is ordered by the tie-break: blocks that hold
+    the set's lower vertices come first, so the first block is the set
+    itself.  uint16 masks, so n <= 16.  Depends only on n; shared by every
+    call and read-only."""
     if n > _MASK_BITS:
         raise ValueError(f"subset DP over {n} atoms: masks hold at most {_MASK_BITS}")
     masks = np.arange(1 << n)
@@ -45,66 +48,47 @@ def _blocks(n: int) -> tuple[np.ndarray, ...]:
     tables = []
     for k in range(1, n + 1):
         layer = masks[size == k]
-        blocks = np.empty((len(layer), 1 << (k - 1)), dtype=np.uint16)
         low = layer & -layer
-        blocks[:, 0] = low
         rest = (layer ^ low).astype(np.uint16)
-        # each further vertex of the set doubles the blocks: without it, with it
-        for t in range(k - 1):
-            bit = rest & -rest
-            rest ^= bit
-            h = 1 << t
-            np.bitwise_or(blocks[:, :h], bit[:, None], out=blocks[:, h:2 * h])
+        bits = []
+        for _ in range(k - 1):
+            bits.append(rest & -rest)
+            rest ^= bits[-1]
+        # each further vertex of the set, highest first, doubles the blocks in
+        # place: with it, then without it, so blocks with lower vertices lead
+        blocks = np.empty((len(layer), 1 << (k - 1)), dtype=np.uint16)
+        blocks[:, 0] = low
+        for t, bit in enumerate(reversed(bits)):
+            blocks[:, 1 << t:2 << t] = blocks[:, :1 << t]
+            blocks[:, :1 << t] |= bit[:, None]
         blocks.flags.writeable = False
         tables.append(blocks)
     return tuple(tables)
 
 
-def _partition_dp(n: int, w: list[int]) -> list[float]:
-    """dp[mask] = min total w over partitions of mask; anchor on lowest vertex.
+def _partition_dp(n: int, w: list[int]) -> tuple[list[float], list[int]]:
+    """dp[mask] = min total w over partitions of mask; anchor on lowest
+    vertex.  Also returns choice[mask], the block of mask that attains it.
 
     Masks of k vertices depend only on smaller masks, so each popcount layer
     is one vectorized step: dp[mask] = min over its blocks s of
-    w[s] + dp[mask ^ s], in row chunks of at most _CHUNK candidates."""
+    w[s] + dp[mask ^ s], in row chunks of at most _CHUNK candidates.  The
+    first minimum of a row is the block the tie-break prefers."""
     w = np.asarray(w, dtype=float)
     dp = np.empty(1 << n)
     dp[0] = 0.0
+    choice = np.zeros(1 << n, dtype=np.intp)
     for blocks in _blocks(n):
         rows = max(1, _CHUNK // blocks.shape[1])
         for a in range(0, len(blocks), rows):
             s = blocks[a:a + rows].astype(np.intp)
-            masks = s[:, -1:]  # the last block of a set is the set itself
+            masks = s[:, 0]  # the first block of a set is the set itself
             cost = w.take(s)
-            cost += dp.take(s ^ masks)
-            dp[masks[:, 0]] = cost.min(axis=1)
-    return dp.tolist()
-
-
-def _reconstruct(n: int, dp: list[float], w: list[int]) -> list[int]:
-    """Extract blocks, breaking ties toward the lexicographically smallest
-    canonical assignment (prefer low vertices in earlier clusters)."""
-    blocks = []
-    mask = (1 << n) - 1
-    while mask:
-        low = mask & (-mask)
-        rest = mask ^ low
-        best_s, best_key = None, -1
-        sub = rest
-        while True:
-            s = sub | low
-            if w[s] != _INF and w[s] + dp[mask ^ s] == dp[mask]:
-                # prefer blocks containing the lowest-index vertices
-                key = sum(1 << (n - 1 - v) for v in range(n) if s >> v & 1)
-                if key > best_key:
-                    best_s, best_key = s, key
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        if best_s is None:
-            raise RuntimeError(f"no block of vertex set {mask:#b} attains its table value {dp[mask]}")
-        blocks.append(best_s)
-        mask ^= best_s
-    return blocks
+            cost += dp.take(s ^ masks[:, None])
+            best = (np.arange(len(s)), cost.argmin(axis=1))
+            dp[masks] = cost[best]
+            choice[masks] = s[best]
+    return dp.tolist(), choice.tolist()
 
 
 def brute_force_opt(g: SignedGraph) -> tuple[Clustering, int]:
@@ -143,13 +127,17 @@ def brute_force_opt_good(g: SignedGraph, pre: PreclusteredInstance) -> tuple[Clu
             U = U | (1 << v)
         union[1 << i:2 << i] = U
         w[1 << i:2 << i] = np.where(np.arange(1 << i) & conflict[i], _INF, w[:1 << i] + delta)
-    dp = _partition_dp(m, w)
+    dp, choice = _partition_dp(m, w)
     labels = [0] * g.n
-    for cid, b in enumerate(_reconstruct(m, dp, w.tolist())):
+    mask, cid = (1 << m) - 1, 0
+    while mask:
+        b = choice[mask]
         for i in range(m):
             if b >> i & 1:
                 for v in members[i]:
                     labels[v] = cid
+        mask ^= b
+        cid += 1
     cost = int(dp[(1 << m) - 1]) + g.num_plus
     return Clustering.from_assignment(labels), cost
 

@@ -3,14 +3,15 @@
 A :class:`LinearProgram` separates constraint coefficients on the decision
 variables from coefficients on the *input metric* x (parameter columns).
 Feasibility is decided by HiGHS; when a program with parameter columns is
-infeasible, the HiGHS dual ray gives a Farkas combination, which projects to
-a hyperplane separating the input x from the convex hull of good clusterings.
+infeasible, the weights of the HiGHS dual ray on the program's rows give a
+hyperplane separating the input x from the convex hull of good clusterings.
 
 :func:`solve` hands the model to the HiGHS class that scipy bundles
 (``scipy.optimize._highspy._core._Highs``) as arrays, with exactly the
 options ``linprog(method="highs-ds")`` sets, and translates the HiGHS model
-status once: into an :class:`LPResult` (optimal, infeasible with its Farkas
-weights, or unbounded), or an :class:`LPError` for every other outcome.
+status once: into an :class:`LPResult` (optimal, or infeasible with its
+:class:`SeparationCertificate`), or an :class:`LPError` for every other
+outcome.  Every column is boxed, so no program is unbounded.
 Rows a builder marks lazy are left out at first.  Each lazy row carries a
 label; after each solve, every lazy row that shares a label with a row the
 point violates is added, and HiGHS re-runs warm from its last basis, until
@@ -21,10 +22,9 @@ relaxation that is infeasible proves the full program infeasible.  Which
 rows enter together changes the number of passes and which vertex comes
 back, not that argument.  A program without lazy rows gets one pass, on the
 model ``linprog`` would build, without linprog's input cleaning and result
-packaging.  An infeasible pass runs once more without presolve, so that
-HiGHS reports a dual ray.  The HiGHS class is private scipy API: two probes
-check at import that it generates rows and reports the ray, and the import
-fails if not.
+packaging.  The HiGHS class is private scipy API: two probes check at
+import that it generates rows and reports the ray, and the import fails if
+not.
 
 Three builders are provided:
 
@@ -35,8 +35,7 @@ Three builders are provided:
                                 constraints, used by pivot-based rounding.
 
 Variables indexed by nonempty sets live in [0,1]; the empty-set variables
-count clusters (of a given size, for the stratified lift) and are only
-required to be nonnegative.
+count clusters (of a given size, for the stratified lift) and live in [0,n].
 """
 
 from __future__ import annotations
@@ -73,6 +72,12 @@ class LPError(RuntimeError):
     """Solver failure that is not plain infeasibility."""
 
 
+def _check_finite(*bounds) -> None:
+    for bound in bounds:
+        if bound is not None and not np.isfinite(np.asarray(bound, dtype=float)).all():
+            raise ValueError(f"column bounds must be finite, not {bound!r}")
+
+
 # ---------------------------------------------------------------------------
 # Generic LP container
 # ---------------------------------------------------------------------------
@@ -106,6 +111,9 @@ class LinearProgram:
     # -- variables ----------------------------------------------------------
 
     def add_vars(self, keys: Sequence[tuple], lb: float = 0.0, ub: float = 1.0) -> np.ndarray:
+        """Append columns with bounds [lb, ub]; a non-finite bound raises
+        ``ValueError``, so every program is bounded."""
+        _check_finite(lb, ub)
         base = len(self.var_keys)
         self.var_keys.extend(keys)
         self.lb = np.concatenate([self.lb, np.full(len(keys), lb, dtype=float)])
@@ -122,6 +130,7 @@ class LinearProgram:
         return self._num_rows
 
     def set_bounds(self, cols, lb=None, ub=None) -> None:
+        _check_finite(lb, ub)
         cols = np.asarray(cols, dtype=int)
         if lb is not None:
             self.lb[cols] = lb
@@ -252,49 +261,46 @@ class LinearProgram:
         return vec
 
 
+# ---------------------------------------------------------------------------
+# Solve results and separation certificates
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SeparationCertificate:
+    """Hyperplane (w, b) with w.x' >= b for every metric x' of a good
+    clustering, but w.x < b for the rejected input x."""
+
+    w: dict[Pair, float]
+    b: float
+    provenance: str
+    rejected_value: float  # w.x at the rejected point
+
+    def evaluate(self, x: Metric) -> float:
+        return sum(coef * x.x(*p) for p, coef in self.w.items())
+
+    def separates(self, x: Metric) -> bool:
+        return self.evaluate(x) < self.b - SOLVER_TOL
+
+    def to_dict(self) -> dict:
+        """Report form: the offset, the weights sorted by pair, the LP name."""
+        return {
+            "b": self.b,
+            "w": sorted((list(p), c) for p, c in self.w.items()),
+            "provenance": self.provenance,
+        }
+
+
 @dataclass
 class LPResult:
-    status: str  # optimal | infeasible | unbounded
+    """What :func:`solve` returns: an optimal point and its objective, or,
+    for an infeasible program, the certificate that separates its x."""
+
+    status: str  # optimal | infeasible
     values: np.ndarray | None = None
     objective: float | None = None
-    farkas: np.ndarray | None = None  # Farkas weights over _canonical_rows, from the dual ray
+    certificate: SeparationCertificate | None = None  # of an infeasible program, from the dual ray
     iterations: int = 0  # HiGHS simplex iterations
-
-
-def _canonical_rows(lp: LinearProgram):
-    """All constraints as <= rows, including equalities (split) and finite
-    variable bounds.  Returns (M, c0, P) with M u-columns over lp vars."""
-    A, P, rhs0, senses, lb, ub = lp.matrices()
-    ineq, eq = senses == "<", senses == "="
-    fin_ub, fin_lb = np.isfinite(ub), np.isfinite(lb)
-    eye = sp.identity(lp.num_vars, format="csr")
-    M = sp.vstack([A[ineq], A[eq], -A[eq], eye[fin_ub], -eye[fin_lb]], format="csr")
-    bounds_p = sp.csr_matrix((int(fin_ub.sum() + fin_lb.sum()), P.shape[1]))
-    Pc = sp.vstack([P[ineq], P[eq], -P[eq], bounds_p], format="csr")
-    return M, np.concatenate([rhs0[ineq], rhs0[eq], -rhs0[eq], ub[fin_ub], -lb[fin_lb]]), Pc
-
-
-def _farkas(lp: LinearProgram, z: np.ndarray) -> np.ndarray | None:
-    """Farkas weights over :func:`_canonical_rows` from signed weights ``z``
-    over ``lp``'s rows: u >= 0 with u.M = 0 and u.(c0 - P x) = -1, or None.
-
-    A '<' row takes ``max(z, 0)``; an equality puts its positive part on its
-    ``A u <= b`` copy and its negative part on its ``-A u <= -b`` copy.  The
-    bound rows then take the multipliers that cancel the combined row, which
-    needs a finite bound wherever it is nonzero."""
-    A, P, rhs0, senses, lb, ub = lp.matrices()
-    ineq = senses == "<"
-    z = np.where(ineq, np.maximum(z, 0.0), z)
-    r = A.T @ z
-    on_ub = np.maximum(-r, 0.0)  # u_j <= ub_j cancels a negative combined coefficient
-    on_lb = np.maximum(r, 0.0)  # -u_j <= -lb_j cancels a positive one
-    fin_ub, fin_lb = np.isfinite(ub), np.isfinite(lb)
-    value = z @ lp.effective_rhs() + on_ub[fin_ub] @ ub[fin_ub] - on_lb[fin_lb] @ lb[fin_lb]  # u.(c0 - P x)
-    if on_ub[~fin_ub].any() or on_lb[~fin_lb].any() or not value < 0.0:
-        return None
-    zeq = z[~ineq]
-    u = np.concatenate([z[ineq], np.maximum(zeq, 0.0), np.maximum(-zeq, 0.0), on_ub[fin_ub], on_lb[fin_lb]])
-    return u / -value
 
 
 def _probe(objective: float, coefs, rhs) -> LinearProgram:
@@ -312,7 +318,8 @@ def _load_highs():
     uses it; else ImportError.  Row generation: ``min -u`` with the row
     ``u <= 2`` and the lazy row ``u <= 1`` must return ``u = 1``.  Dual ray:
     ``min 0`` with the row ``u <= 1`` and the lazy row ``-u <= -2`` must come
-    back infeasible with the canonical weights ``[1, 1, 0, 0]``."""
+    back infeasible with the certificate ``0 >= 1``: the program has no
+    parameter column, so no x makes it feasible."""
     probe = "row generation"
     try:
         from scipy.optimize._highspy import _core as hc
@@ -321,7 +328,7 @@ def _load_highs():
         if res.status == "optimal" and res.values.tolist() == [1.0] and res.objective == -1.0:
             probe = "dual ray"
             res = _run_highs(hc, _probe(0.0, [1.0, -1.0], [1.0, -2.0]))
-            if res.status == "infeasible" and np.array_equal(res.farkas, [1.0, 1.0, 0.0, 0.0]):
+            if res.status == "infeasible" and res.certificate.w == {} and res.certificate.b == 1.0:
                 return hc
         problem = f"returned {res}"
     except Exception as exc:  # any change in the private interface fails the check
@@ -331,11 +338,35 @@ def _load_highs():
 
 
 def _infeasible(lp: LinearProgram, z: np.ndarray, iterations: int) -> LPResult:
-    """The infeasible result for signed weights ``z`` over ``lp``'s rows."""
-    farkas = _farkas(lp, z)
-    if farkas is None:
+    """The infeasible result for signed weights ``z`` over ``lp``'s rows.
+
+    A '<' row takes ``max(z, 0)``.  Wherever the rows hold, so does their
+    combination ``r.u <= z.rhs0 - (z.P).x`` with ``r = z.A``, and the column
+    bounds give ``r.u >= max(r, 0).lb - max(-r, 0).ub``.  So every x' whose
+    program is feasible has ``(z.P).x' <= c``, where
+    ``c = z.rhs0 + max(-r, 0).ub - max(r, 0).lb``.  ``z`` is a Farkas witness
+    when the input x misses that bound, ``value = c - (z.P).x < 0``; divided
+    by ``value``, the bound becomes the certificate ``w.x' >= b``, and
+    ``w.x = b - 1``."""
+    A, P, rhs0, senses, lb, ub = lp.matrices()
+    z = np.where(senses == "<", np.maximum(z, 0.0), z)
+    r = A.T @ z
+    c = z @ rhs0 + np.maximum(-r, 0.0) @ ub - np.maximum(r, 0.0) @ lb
+    zP = P.T @ z
+    value = c - zP @ np.asarray(lp.param_values, dtype=float)
+    if not value < 0.0:
         raise LPError(f"{lp.name}: reported infeasible but no Farkas witness found")
-    return LPResult("infeasible", farkas=farkas, iterations=iterations)
+    w_vec = zP / value
+    w = {p: float(w_vec[i]) for i, p in enumerate(lp.param_pairs) if abs(w_vec[i]) > 1e-14}
+    cert = SeparationCertificate(
+        w=w,
+        b=float(c / value),
+        provenance=lp.name,
+        rejected_value=float(sum(w.get(p, 0.0) * xv for p, xv in zip(lp.param_pairs, lp.param_values))),
+    )
+    if not cert.rejected_value < cert.b - SOLVER_TOL:
+        raise LPError(f"{lp.name}: certificate does not separate the rejected x")
+    return LPResult("infeasible", certificate=cert, iterations=iterations)
 
 
 def _run_highs(hc, lp: LinearProgram) -> LPResult:
@@ -347,15 +378,17 @@ def _run_highs(hc, lp: LinearProgram) -> LPResult:
     basis.  The point returned passes linprog's acceptance check on every
     row.
 
-    An infeasible pass proves ``lp`` infeasible.  HiGHS reports a dual ray
-    only without presolve, so that pass re-runs once with presolve off; the
-    negated ray, as weights over ``lp``'s rows (0 on lazy rows never added),
-    gives the Farkas weights.  ``order`` holds the row of ``lp`` behind each
-    HiGHS row.
+    An infeasible pass proves ``lp`` infeasible.  The negated dual ray, as
+    weights over ``lp``'s rows (0 on lazy rows never added), gives the
+    certificate.  When the pass leaves no basis of the model (presolve
+    found the infeasibility), HiGHS's ``getDualRay`` first solves the model
+    again without presolve, and those iterations count too; after a pass
+    with a basis it reads the ray straight off it.  ``order`` holds the row
+    of ``lp`` behind each HiGHS row.
 
-    Returns the optimal, infeasible or unbounded :class:`LPResult`, with the
-    simplex iterations summed over every run; raises :class:`LPError` for
-    every other outcome."""
+    Returns the optimal or infeasible :class:`LPResult`, with the simplex
+    iterations summed over every run; raises :class:`LPError` for every
+    other outcome."""
     A, P, rhs0, senses, lb, ub = lp.matrices()
     b = lp.effective_rhs()
     ineq = senses == "<"
@@ -404,15 +437,11 @@ def _run_highs(hc, lp: LinearProgram) -> LPResult:
             if not violated.any():
                 break
             add = np.isin(labelsL, labelsL[violated])
-        elif status == ms.kUnbounded:
-            if not L.shape[0]:
-                return LPResult("unbounded", iterations=nit)
-            add = np.ones(L.shape[0], dtype=bool)  # an unbounded relaxation says nothing of the full model
         elif status == ms.kInfeasible:  # an infeasible relaxation: so is the full model
-            h.setOptionValue("presolve", "off")
-            h.run()
-            nit += h.getInfo().simplex_iteration_count
+            resolves = not h.getBasis().valid
             _, has_ray, ray = h.getDualRay()
+            if resolves:
+                nit += h.getInfo().simplex_iteration_count
             if not has_ray:
                 raise failure(f"{message}, but HiGHS reports no dual ray")
             z = np.zeros(len(b))
@@ -445,13 +474,13 @@ _HIGHS = _load_highs()
 def solve(lp: LinearProgram) -> LPResult:
     """Solve (or decide feasibility of) the program.
 
-    Returns an optimal point, an infeasibility witness (Farkas weights over
-    the canonical row form of the full program, mapped from the HiGHS dual
-    ray), or an 'unbounded' status; every other solver outcome raises
+    Returns an optimal point, or for an infeasible program the
+    :class:`SeparationCertificate` built from the HiGHS dual ray's weights
+    on the program's rows; every other solver outcome raises
     :class:`LPError`.  The point is a vertex of a relaxation that leaves out
     some lazy rows and satisfies every row, hence a vertex of the full
     program.  ``iterations`` sums the simplex iterations of all passes, and
-    of the re-run that reads the ray.
+    of the solve that reads the ray.
     """
     A, P, rhs0, senses, lb, ub = lp.matrices()
     b = lp.effective_rhs()
@@ -465,62 +494,6 @@ def solve(lp: LinearProgram) -> LPResult:
     if lp.num_vars == 0:
         return LPResult("optimal", values=np.zeros(0), objective=lp.objective[2] if lp.objective else 0.0)
     return _run_highs(_HIGHS, lp)
-
-
-# ---------------------------------------------------------------------------
-# Separation certificates
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SeparationCertificate:
-    """Hyperplane (w, b) with w.x' >= b for every metric x' of a good
-    clustering, but w.x < b for the rejected input x."""
-
-    w: dict[Pair, float]
-    b: float
-    provenance: str
-    rejected_value: float  # w.x at the rejected point
-
-    def evaluate(self, x: Metric) -> float:
-        return sum(coef * x.x(*p) for p, coef in self.w.items())
-
-    def separates(self, x: Metric) -> bool:
-        return self.evaluate(x) < self.b - SOLVER_TOL
-
-    def to_dict(self) -> dict:
-        """Report form: the offset, the weights sorted by pair, the LP name."""
-        return {
-            "b": self.b,
-            "w": sorted((list(p), c) for p, c in self.w.items()),
-            "provenance": self.provenance,
-        }
-
-
-def separation_from_infeasibility(lp: LinearProgram, result: LPResult) -> SeparationCertificate:
-    """Project the Farkas witness of an infeasible lift onto x-space; the
-    rejected x is the one the lift was built for."""
-    if result.status != "infeasible" or result.farkas is None:
-        raise ValueError(f"{lp.name}: separation requested but LP is {result.status}")
-    u = result.farkas
-    M, c0, Pc = _canonical_rows(lp)
-    audit = np.abs(M.T @ u)
-    if audit.max(initial=0.0) > 1e-6:
-        raise LPError(f"{lp.name}: Farkas audit failed, |u.A| = {audit.max():.2e}")
-    if u.min(initial=0.0) < -1e-12:
-        raise LPError(f"{lp.name}: Farkas weights not nonnegative")
-    w_vec = -(Pc.T @ u)
-    b = -float(c0 @ u)
-    w = {p: float(w_vec[i]) for i, p in enumerate(lp.param_pairs) if abs(w_vec[i]) > 1e-14}
-    cert = SeparationCertificate(
-        w=w,
-        b=b,
-        provenance=lp.name,
-        rejected_value=float(sum(w.get(p, 0.0) * xv for p, xv in zip(lp.param_pairs, lp.param_values))),
-    )
-    if not cert.rejected_value < b - SOLVER_TOL:
-        raise LPError(f"{lp.name}: certificate does not separate the rejected x")
-    return cert
 
 
 # ---------------------------------------------------------------------------

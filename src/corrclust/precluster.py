@@ -131,24 +131,15 @@ def admissible_edges(
         )
         if good * den >= num * min(deg[u], deg[v]):
             adm.add((u, v))
-    # normalization: if v is in an atom with u and uw is not admissible,
-    # vw may not be admissible either; iterate to a fixpoint
-    atom_of: dict[int, frozenset[int]] = {}
+    # normalization: a pair (u, y) with u in atom K survives only if every
+    # (u', y), u' in K, is admissible.  No admissible pair has both ends in
+    # atoms, so each (atom, outside vertex) group stands or falls whole.
+    outside = [y for y in range(g.n) if not in_atom[y]]
     for a in atoms:
-        for v in a:
-            atom_of[v] = a
-    changed = True
-    while changed:
-        changed = False
-        for (v, w) in sorted(adm):
-            for x, y in ((v, w), (w, v)):
-                a = atom_of.get(x)
-                if a is None:
-                    continue
-                if any(u != x and pair_key(u, y) not in adm for u in a):
-                    adm.discard((v, w))
-                    changed = True
-                    break
+        for y in outside:
+            group = {pair_key(u, y) for u in a}
+            if not group <= adm:
+                adm -= group
     return frozenset(adm)
 
 
@@ -156,6 +147,4 @@ def precluster(g: SignedGraph, params: AgreementParams) -> PreclusteredInstance:
     """Full preclustering: atoms, then normalized admissible pairs."""
     atoms = atomic_preclustering(g, params)
     adm = admissible_edges(g, atoms, params)
-    pre = PreclusteredInstance(g.n, atoms, adm)
-    pre.validate()
-    return pre
+    return PreclusteredInstance(g.n, atoms, adm)

@@ -28,7 +28,6 @@ from .lp import (
     LiftedSolution,
     build_pivot_lp,
     lifted_from_result,
-    separation_from_infeasibility,
     solve,
 )
 from .round_set import (
@@ -139,7 +138,7 @@ def pivot_based_round(
     lp = build_pivot_lp(g, pre, x)
     res = solve(lp)
     if res.status == "infeasible":
-        raise SeparationFound(separation_from_infeasibility(lp, res))
+        raise SeparationFound(res.certificate)
     sol = lifted_from_result(lp, res)
 
     def draw(rem: set[int], rng: np.random.Generator) -> tuple[set[int], dict]:

@@ -46,7 +46,6 @@ from .lp import (
     SeparationCertificate,
     build_set_lp,
     lifted_from_result,
-    separation_from_infeasibility,
     solve,
 )
 
@@ -341,7 +340,7 @@ def set_based_round(
         lp = build_set_lp(sorted(key), pre, x, params.epsilon)
         res = solve(lp)
         if res.status == "infeasible":
-            raise SeparationFound(separation_from_infeasibility(lp, res))
+            raise SeparationFound(res.certificate)
         return lifted_from_result(lp, res)
 
     cache = SolveCache(build)

@@ -26,6 +26,7 @@ MINUS_EDGE_RATIO = SET_WEIGHT * 1.0 + PIVOT_WEIGHT * 2.0  # = 1.58
 TRIANGLE_KINDS = ("+++", "++-", "+--", "---")
 TOL = 1e-9  # slack allowed on every certified inequality
 F_GRID_STEP = 1e-5  # grid of the budget-constant check on (0, 1/2]
+RATIO_GRID_STEP = 1e-4  # default grid of the combined-ratio scan on [0, 1]
 
 
 def f_plus(x):
@@ -177,7 +178,7 @@ def combined_plus_ratio(x):
     return SET_WEIGHT * 2.0 / (1.0 + x) + PIVOT_WEIGHT * f_plus(x)
 
 
-def verify_final_ratio(grid_step: float = 1e-4) -> FinalRatioResult:
+def verify_final_ratio(grid_step: float = RATIO_GRID_STEP) -> FinalRatioResult:
     """Maximize the combined +edge ratio over [0,1] (grid plus the two
     critical points 0 and 2 - F_PLUS_CONSTANT); report the -edge combination too."""
     if not 0 < grid_step <= 1e-3:

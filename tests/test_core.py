@@ -218,14 +218,14 @@ def test_metric_validation():
 
 def test_preclustered_instance_validation():
     with pytest.raises(ValueError, match="two atoms"):
-        PreclusteredInstance(4, (frozenset({0, 1}), frozenset({1, 2})), frozenset()).atom_index
+        PreclusteredInstance(4, (frozenset({0, 1}), frozenset({1, 2})), frozenset())
     with pytest.raises(ValueError, match="both endpoints"):
-        PreclusteredInstance(4, (frozenset({0, 1}), frozenset({2, 3})), frozenset({(0, 2)})).validate()
+        PreclusteredInstance(4, (frozenset({0, 1}), frozenset({2, 3})), frozenset({(0, 2)}))
     with pytest.raises(ValueError, match="non-uniform"):
-        PreclusteredInstance(4, (frozenset({0, 1}),), frozenset({(0, 2)})).validate()
+        PreclusteredInstance(4, (frozenset({0, 1}),), frozenset({(0, 2)}))
     # ids outside 0..n-1 are rejected, never aliased by negative indexing
     with pytest.raises(ValueError, match="outside"):
-        PreclusteredInstance(5, (frozenset({3, 5}),), frozenset()).validate()
+        PreclusteredInstance(5, (frozenset({3, 5}),), frozenset())
     with pytest.raises(ValueError, match="outside"):
         parse_preclustering("atom 0: 0 -1\n", 5)
     with pytest.raises(ValueError, match="outside"):
@@ -233,9 +233,16 @@ def test_preclustered_instance_validation():
     # an admissible pair is a canonical (u, v) with u < v, never a self pair
     for pair in ((2, 1), (0, 0)):
         with pytest.raises(ValueError, match="canonical"):
-            PreclusteredInstance(3, (), frozenset({pair})).validate()
+            PreclusteredInstance(3, (), frozenset({pair}))
     with pytest.raises(ValueError, match="non-uniform"):
         parse_preclustering("atom 0: 0 1\nadm: 0 2\n", 3)
+
+
+def test_preclustered_instance_checks_at_construction():
+    # a negative id would index the pair-class table from the end (-1 as 2),
+    # so classify_pair(1, 2) would say admissible; construction rejects it
+    with pytest.raises(ValueError, match="vertex -1 outside 0..2"):
+        PreclusteredInstance(3, (), frozenset({(-1, 1)}))
 
 
 # -- parser fuzzing: a value or a ValueError, and write/parse round-trips ----

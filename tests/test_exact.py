@@ -19,7 +19,6 @@ from corrclust.exact import (
     _INF,
     _blocks,
     _partition_dp,
-    _reconstruct,
     brute_force_opt,
     brute_force_opt_good,
     iter_partitions,
@@ -158,27 +157,33 @@ def test_deterministic_tiebreak_prefers_low_vertices_together():
 
 def _loop_partition_dp(n, w):
     """Reference: the plain-Python subset recurrence, every submask of every
-    mask that holds the mask's lowest vertex."""
-    dp = [_INF] * (1 << n)
+    mask that holds the mask's lowest vertex, and the block each mask
+    chooses: of the blocks that attain its minimum, the one that holds the
+    lowest vertices (compared from vertex 0 up)."""
+    dp, choice = [_INF] * (1 << n), [0] * (1 << n)
     dp[0] = 0
     for mask in range(1, 1 << n):
         low = mask & -mask
         rest = mask ^ low
         sub = rest
+        best = None
         while True:
             s = sub | low
-            dp[mask] = min(dp[mask], w[s] + dp[mask ^ s])
+            key = (w[s] + dp[mask ^ s], [-(s >> v & 1) for v in range(n)])
+            if best is None or key < best:
+                best, dp[mask], choice[mask] = key, key[0], s
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-    return dp
+    return dp, choice
 
 
 @pytest.mark.parametrize("chunk", [None, 8])
 def test_partition_dp_matches_loop_reference_table(monkeypatch, chunk):
-    # _reconstruct reads the whole table, so every entry must match, not only
-    # the full mask; _INF weights also make some masks unreachable.  A chunk of
-    # 8 candidates splits every layer of more than 8 into many row chunks.
+    # the optimal partition follows the choices of sub-masks, so every entry
+    # of both tables must match, not only the full mask; _INF weights also
+    # make some masks unreachable.  A chunk of 8 candidates splits every
+    # layer of more than 8 into many row chunks.
     if chunk is not None:
         monkeypatch.setattr(exact, "_CHUNK", chunk)
     for m in range(11):
@@ -241,13 +246,6 @@ def test_dp_tables_are_shared_and_read_only():
             blocks[0, 0] = 0
     with pytest.raises(ValueError, match="at most 16"):
         _partition_dp(17, [])
-
-
-def test_reconstruct_raises_on_inconsistent_table():
-    # dp claims the pair {0, 1} costs -1, but neither block choice reaches it;
-    # a real error, not an assert, so it also fires under python -O
-    with pytest.raises(RuntimeError, match="no block"):
-        _reconstruct(2, [0, 0, 0, -1], [0, 0, 0, 5])
 
 
 # SHA-256 of repr of every (assignment, cost) that _oracle_outputs lists,

@@ -20,14 +20,12 @@ from corrclust.exact import brute_force_opt_good
 from corrclust.lp import (
     SOLVER_TOL,
     LinearProgram,
-    _canonical_rows,
     build_pivot_lp,
     build_set_lp,
     build_triangle_lp,
     integral_pivot_lift,
     integral_set_lift,
     lifted_from_result,
-    separation_from_infeasibility,
     size_window_refinement,
     solve,
     solve_triangle_lp,
@@ -47,7 +45,7 @@ def test_solve_basics():
         lp.add_row({0: 1.0}, ">", 1.0)
     res = solve(lp)
     assert res.status == "infeasible"
-    assert separation_from_infeasibility(lp, res).b == pytest.approx(1.0, abs=1e-12)
+    assert res.certificate.w == {} and res.certificate.b == pytest.approx(1.0, abs=1e-12)
 
     lp2 = LinearProgram("min")
     lp2.add_vars([("x", (0, 1))], ub=5.0)
@@ -57,10 +55,15 @@ def test_solve_basics():
     assert res2.status == "optimal"
     assert res2.objective == pytest.approx(0.3, abs=1e-9)
 
+    # every column is boxed, so no program is unbounded
     lp3 = LinearProgram("unbounded")
-    lp3.add_vars([("x", (0, 1))], lb=0.0, ub=np.inf)
-    lp3.set_objective([0], [-1.0])
-    assert solve(lp3).status == "unbounded"
+    with pytest.raises(ValueError, match="finite"):
+        lp3.add_vars([("x", (0, 1))], lb=0.0, ub=np.inf)
+    lp3.add_vars([("x", (0, 1))])
+    for bounds in ({"ub": np.inf}, {"lb": [-np.inf]}, {"ub": np.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            lp3.set_bounds([0], **bounds)
+    assert lp3.lb.tolist() == [0.0] and lp3.ub.tolist() == [1.0]
 
 
 def _triangle_grid_opt(g, step=0.05):
@@ -125,13 +128,15 @@ def test_set_lp_lazy_rows_are_the_triple_box_rows():
 
 
 def _lazy_lp(name, lazy_rhs):
-    """min -2u - v  s.t.  u + v <= 1.5,  -u <= -0.5,  lazy u <= lazy_rhs,
-    0 <= u, v <= 1.  Without the lazy row the optimum is u = 1, v = 0.5."""
+    """min -2u - v  s.t.  u + v <= 1.5,  -u <= -0.5,  lazy u <= p,
+    0 <= u, v <= 1, where the parameter p = lazy_rhs.  Without the lazy row
+    the optimum is u = 1, v = 0.5."""
     lp = LinearProgram(name)
     lp.add_vars([("x", (0, 1)), ("x", (0, 2))])
     lp.add_row({0: 1.0, 1: 1.0}, "<", 1.5)
     lp.add_row({0: -1.0}, "<", -0.5)
-    lp.add_rows(1, "<", lazy_rhs, [(np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1))], lazy=0)
+    one = (np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1))
+    lp.add_rows(1, "<", 0.0, [one], [(one[0], [lp.param_col((0, 1), lazy_rhs)], -np.ones(1))], lazy=0)
     lp.set_objective([0, 1], [-2.0, -1.0])
     return lp
 
@@ -144,14 +149,6 @@ def test_solve_adds_violated_lazy_row():
     assert lp.residuals(res.values).max() <= 1e-9
     assert res.values.tolist() == pytest.approx([0.75, 0.75], abs=1e-9)
     assert res.objective == pytest.approx(-2.25, abs=1e-9)
-
-    # an unbounded relaxation says nothing of the program: every lazy row goes in
-    lp2 = LinearProgram("lazy-bound")
-    lp2.add_vars([("x", (0, 1))], ub=np.inf)
-    lp2.add_rows(1, "<", 2.0, [(np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1))], lazy=0)
-    lp2.set_objective([0], [-1.0])
-    res2 = solve(lp2)
-    assert res2.status == "optimal" and res2.values.tolist() == pytest.approx([2.0], abs=1e-9)
 
 
 @pytest.fixture
@@ -203,15 +200,29 @@ def test_solve_adds_lazy_rows_by_label(highs_log):
     assert lp.num_rows == 8
 
 
-def test_solve_infeasible_through_lazy_row():
-    lp = _lazy_lp("lazy-infeasible", 0.25)  # u >= 0.5 and the lazy u <= 0.25
+def test_solve_infeasible_through_lazy_row(monkeypatch):
+    from scipy.optimize._highspy import _core as hc
+
+    runs = []
+
+    class Counted(hc._Highs):
+        def run(self):
+            status = super().run()
+            runs.append(self.getInfo().simplex_iteration_count)
+            return status
+
+    monkeypatch.setattr(hc, "_Highs", Counted)
+    lp = _lazy_lp("lazy-infeasible", 0.25)  # u >= 0.5 and the lazy u <= p = 0.25
     res = solve(lp)
-    assert res.status == "infeasible" and res.iterations > 0
-    separation_from_infeasibility(lp, res)  # audits |M.T u| and u >= 0
-    _, c0, _ = _canonical_rows(lp)
-    assert c0 @ res.farkas == pytest.approx(-1.0, abs=1e-12)
-    # the lazy row (third) and the row it contradicts (second) carry the witness
-    assert res.farkas[:3].tolist() == pytest.approx([0.0, 4.0, 4.0], abs=1e-9)
+    # the warm pass that adds the lazy row keeps a basis, so HiGHS reads the
+    # ray off it without another solve: only the two passes count
+    assert res.status == "infeasible" and len(runs) == 2 and res.iterations == sum(runs) and runs[1] > 0
+    # the lazy row and the row it contradicts combine to p >= 0.5, scaled so
+    # that the rejected p = 0.25 falls short by exactly 1: 4 p >= 2
+    cert = res.certificate
+    assert cert.provenance == "lazy-infeasible" and list(cert.w) == [(0, 1)]
+    assert cert.w[0, 1] == pytest.approx(4.0, abs=1e-9) and cert.b == pytest.approx(2.0, abs=1e-9)
+    assert cert.rejected_value == pytest.approx(1.0, abs=1e-9)
 
 
 @st.composite
@@ -263,13 +274,31 @@ def test_farkas_witness_from_dual_ray_fuzz(lp):
     res = solve(lp)
     if status == 2:
         assert res.status == "infeasible"
-        cert = separation_from_infeasibility(lp, res)
-        assert cert.rejected_value < cert.b
-        M, c0, Pc = _canonical_rows(lp)
-        x = np.asarray(lp.param_values, dtype=float)
-        assert res.farkas @ (c0 - (Pc @ x if len(x) else 0.0)) == pytest.approx(-1.0, abs=1e-9)
+        cert = res.certificate
+        x = dict(zip(lp.param_pairs, lp.param_values))
+        assert cert.rejected_value == pytest.approx(sum(c * x[p] for p, c in cert.w.items()), abs=1e-9)
+        # scaled so that the rejected x falls short by exactly 1
+        assert cert.rejected_value == pytest.approx(cert.b - 1.0, abs=1e-9)
     else:
         assert status == 0 and res.status == "optimal"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_programs(), st.data())
+def test_certificate_holds_wherever_program_is_feasible_fuzz(lp, data):
+    """The certificate's defining property, checked by linprog alone: at
+    every other parameter vector x' where the program is feasible,
+    w.x' >= b."""
+    if not lp.param_pairs or _reference_status(lp) != 2:
+        return
+    cert = solve(lp).certificate
+    values = st.lists(st.integers(-6, 6).map(lambda k: k / 2),
+                      min_size=len(lp.param_pairs), max_size=len(lp.param_pairs))
+    for _ in range(8):
+        lp.param_values = data.draw(values)
+        if _reference_status(lp) == 0:
+            x = dict(zip(lp.param_pairs, lp.param_values))
+            assert sum(c * x[p] for p, c in cert.w.items()) >= cert.b - 1e-9
 
 
 _UNIFORM_CERTIFICATE_B = {(8, 30029): -63.408, (8, 30031): -38.615, (7, 140013): -15.0, (7, 140016): -8.812}
@@ -279,17 +308,16 @@ _UNIFORM_CERTIFICATE_B = {(8, 30029): -63.408, (8, 30031): -38.615, (7, 140013):
 def test_uniform_set_lp_certificates(n, seed, highs_log):
     """Uniform instances whose triangle-LP metric has no feasible full-V set
     lift: the certificate from the dual ray separates that metric and holds
-    at the best good clustering, refined as the size pins assume.
-    The infeasible first pass re-runs once without presolve to read the
-    ray."""
+    at the best good clustering, refined as the size pins assume.  HiGHS
+    runs once: the ray is read straight after the infeasible first pass."""
     g = generate_instance("uniform_random", n, None, seed)
     pre = precluster(g, AgreementParams(0.1))
     x, _ = solve_triangle_lp(g, pre)
     highs_log.clear()
     lp = build_set_lp(range(n), pre, x, epsilon=0.05)
     res = solve(lp)
-    assert res.status == "infeasible" and highs_log == ["run", "run"]
-    cert = separation_from_infeasibility(lp, res)
+    assert res.status == "infeasible" and highs_log == ["run"]
+    cert = res.certificate
     assert cert.separates(x) and cert.b == pytest.approx(_UNIFORM_CERTIFICATE_B[n, seed], abs=5e-4)
     clusters = size_window_refinement([set(c) for c in brute_force_opt_good(g, pre)[0].clusters()], pre, 0.05)
     assert cert.evaluate(Metric.from_clustering(Clustering.from_sets(n, clusters))) >= cert.b - 1e-9
@@ -376,7 +404,7 @@ def test_set_lp_pinning_conflict_certificate():
     lp = build_set_lp(range(5), pre, x, epsilon=0.05)
     res = solve(lp)
     assert res.status == "infeasible"
-    cert = separation_from_infeasibility(lp, res)
+    cert = res.certificate
     assert cert.separates(x)
     assert cert.rejected_value < cert.b
     # the single good clustering here (the atom is all of V) satisfies the plane
@@ -391,23 +419,12 @@ def test_pivot_lp_triangle_violation_certificate():
     lp = build_pivot_lp(g, pre, x)
     res = solve(lp)
     assert res.status == "infeasible"
-    cert = separation_from_infeasibility(lp, res)
+    cert = res.certificate
     assert cert.separates(x)
     # every good clustering's metric satisfies the plane
     for labels in product(range(3), repeat=3):
         xm = Metric.from_clustering(Clustering.from_assignment(list(labels)))
         assert cert.evaluate(xm) >= cert.b - 1e-9
-
-
-def test_separation_requires_infeasibility():
-    g = SignedGraph(3, frozenset(all_pairs(3)))
-    pre = trivial_preclustering(3)
-    x = Metric(3, dict.fromkeys(all_pairs(3), 0.0))
-    lp = build_pivot_lp(g, pre, x)
-    res = solve(lp)
-    assert res.status == "optimal"
-    with pytest.raises(ValueError, match="separation"):
-        separation_from_infeasibility(lp, res)
 
 
 def test_pivot_lp_half_triangle_interval():

@@ -29,7 +29,6 @@ from corrclust.lp import (
     build_set_lp,
     build_triangle_lp,
     lifted_from_result,
-    separation_from_infeasibility,
     solve,
     solve_triangle_lp,
 )
@@ -251,7 +250,7 @@ def _reference(lp):
 
 def _assert_same_as_linprog(lp, res):
     ref, const = _reference(lp)
-    assert {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status] == res.status
+    assert {0: "optimal", 2: "infeasible"}[ref.status] == res.status
     if ref.status == 0:
         assert res.values.tobytes() == ref.x.tobytes()
         assert res.objective == ref.fun + const
@@ -263,7 +262,7 @@ def _assert_solves_full_model(lp, res):
     the full model, lazy rows included, and every bound (both to 1e-9; the
     solver, through linprog too, leaves excursions near 1e-15)."""
     ref, _ = _reference(lp)
-    assert {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status] == res.status
+    assert {0: "optimal", 2: "infeasible"}[ref.status] == res.status
     if ref.status == 0:
         assert lp.residuals(res.values).max() <= 1e-9
         assert np.all((res.values >= lp.lb - 1e-9) & (res.values <= lp.ub + 1e-9))
@@ -308,15 +307,13 @@ def test_highs_guard_checks_row_generation(monkeypatch):
 
 
 def test_highs_guard_checks_dual_ray(monkeypatch):
-    """The second probe is infeasible only through its lazy row; its
-    witness, mapped from the ray, passes the separation audit."""
+    """The second probe is infeasible only through its lazy row; the ray's
+    weights give the certificate 0 >= 1, since it has no parameter."""
     from scipy.optimize._highspy import _core as hc
 
     lp = lpmod._probe(0.0, [1.0, -1.0], [1.0, -2.0])
     res = solve(lp)
-    assert res.status == "infeasible" and res.farkas.tolist() == [1.0, 1.0, 0.0, 0.0]
-    cert = separation_from_infeasibility(lp, res)
-    assert cert.w == {} and cert.b == 1.0
+    assert res.status == "infeasible" and res.certificate.w == {} and res.certificate.b == 1.0
 
     class NoRay(hc._Highs):
         def getDualRay(self):
