@@ -146,7 +146,9 @@ def full_pipeline(g: SignedGraph, config: PipelineConfig, seed: int) -> dict:
 
     The report carries the final cost, the fractional cost, oracle optima
     when n is within the configured limit, the ratio diagnostics, ledger
-    totals and the measured correlation error.  This is the one place that
+    totals, the measured correlation error, and the bound
+    ``1.73 lp_cost + (epsilon + eps_r) |E_adm|`` with each of its three
+    terms.  This is the one place that
     catches :class:`SeparationFound`: the report then records the
     certificate instead of a clustering, flagged, because the triangle-LP
     metric can lie outside the hull of good clusterings, and on some uniform
@@ -185,6 +187,10 @@ def full_pipeline(g: SignedGraph, config: PipelineConfig, seed: int) -> dict:
         "bound_vs_lp": 1.73 * lp_cost + slack,
         "holds_vs_lp": outcome.cost <= 1.73 * lp_cost + slack + 1e-9,
         "additive_slack": slack,
+        # the three terms of bound_vs_lp
+        "multiplicative": 1.73 * lp_cost,
+        "epsilon_slack": config.epsilon * len(pre.adm),
+        "eps_r_slack": eps_r * len(pre.adm),
     }
     if g.n <= config.oracle_limit:
         _, opt = brute_force_opt(g)

@@ -15,10 +15,11 @@ outcome.  Every column is boxed, so no program is unbounded.
 Rows a builder marks lazy are left out at first.  Each lazy row carries a
 label; after each solve, every lazy row that shares a label with a row the
 point violates is added, and HiGHS re-runs warm from its last basis, until
-the point violates none.  This is sound because the point
-returned is a vertex of the relaxed program that satisfies every row of the
-full one, hence a vertex (and an optimum) of the full program; and a
-relaxation that is infeasible proves the full program infeasible.  Which
+the point violates none.  This is sound for any objective: the relaxed
+program's feasible set contains the full one's, so a relaxation optimum
+that satisfies every row of the full program is an optimum of the full
+program (and a vertex of it); and a relaxation that is infeasible proves
+the full program infeasible.  Which
 rows enter together changes the number of passes and which vertex comes
 back, not that argument.  A program without lazy rows gets one pass, on the
 model ``linprog`` would build, without linprog's input cleaning and result
@@ -663,13 +664,23 @@ def build_set_lp(
     x: Metric,
     epsilon: float,
 ) -> LinearProgram:
-    """Size-stratified lifted feasibility LP on the remaining vertex set.
+    """Size-stratified lifted LP on the remaining vertex set.
 
     Variables: xt (relaxed metric copy), y_S aggregates and y^s_S per cluster
     size s, for |S| <= 3 (lift order r = 3).  Cluster-size windows pin
     y^s_S = 0 whenever some u in S cannot live in a size-s cluster (its atom
     is kept whole, or the size is within the forbidden margin above the atom
     size).
+
+    Objective: the total slack sum (xt - x) over the local pairs, x held as a
+    constant, so the optimum is 0 exactly when xt = x has a feasible lift.
+    Set-based rounding needs only a feasible point: its budgets are charged
+    on x and its ledger reconciles against ceilings computed from x, so every
+    point of this program is sound, and the objective only picks one.
+    Without one, the point would be whichever vertex HiGHS's path reaches;
+    this one keeps xt as close to x as the lift allows.  Row (7) stays: where
+    the optimum is positive the slack is needed for feasibility, and the
+    analysis allows at most epsilon * sum d_adm of it.
 
     Columns: xt per local pair, then one block of set variables (ranked as
     in :class:`_SetIndex`) for y and one per size s = 1..n for y^s.  Rows:
@@ -769,6 +780,8 @@ def build_set_lp(
             [(np.zeros(m, dtype=int), xt_cols, np.ones(m))],
             [(np.zeros(m, dtype=int), pcols, -np.ones(m))],
         )
+        # minimize that slack, sum (xt - x)
+        lp.set_objective(xt_cols, np.ones(m), constant=-sum(lp.param_values))
 
     # (5) size consistency: sum_{u not in S} y^s_{Su} = (s - |S|) y^s_S, |S| <= 2
     count = 1 + n + m

@@ -141,7 +141,13 @@ def test_full_pipeline_uniform_bound():
     rep = full_pipeline(g, PipelineConfig(trials=8), seed=42)
     assert rep["outcome"] == "clustering"
     assert rep["oracle"]["holds_vs_opt"]
-    assert rep["guarantee"]["holds_vs_lp"]
+    gu, adm = rep["guarantee"], rep["preclustering"]["num_admissible"]
+    assert gu["holds_vs_lp"]
+    # the bound is the sum of its three reported terms
+    assert gu["multiplicative"] == 1.73 * rep["lp_cost"]
+    assert gu["epsilon_slack"] == 0.05 * adm
+    assert gu["eps_r_slack"] == rep["combined"]["measured_eps_r"] * adm > 0
+    assert gu["bound_vs_lp"] == pytest.approx(gu["multiplicative"] + gu["epsilon_slack"] + gu["eps_r_slack"], abs=1e-9)
 
 
 def test_full_pipeline_deterministic():

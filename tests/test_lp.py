@@ -323,6 +323,44 @@ def test_uniform_set_lp_certificates(n, seed, highs_log):
     assert cert.evaluate(Metric.from_clustering(Clustering.from_sets(n, clusters))) >= cert.b - 1e-9
 
 
+@pytest.mark.parametrize("kind, n, sizes, seed, slack", [
+    ("planted_cliques", 12, [4, 4, 4], 10001, 0.0),
+    ("adversarial_mix", 13, [5, 5], 10000, 0.5),
+])
+def test_set_lp_objective_is_the_slack(kind, n, sizes, seed, slack):
+    """The full-V set LP minimizes the total slack sum (xt - x): its
+    objective reads that sum at the returned point, and is never negative.
+    The planted lift needs no slack, so xt = x there; this adversarial one
+    needs 0.5 (the optimum value, whichever vertex HiGHS returns)."""
+    g = generate_instance(kind, n, {"sizes": sizes, "noise": 0.02}, seed)
+    pre = precluster(g, AgreementParams(0.1))
+    x, _ = solve_triangle_lp(g, pre)
+    lp = build_set_lp(range(n), pre, x, epsilon=0.05)
+    res = solve(lp)
+    assert res.status == "optimal"
+    m = comb(n, 2)
+    assert all(key[0] == "xt" for key in lp.var_keys[:m]) and lp.var_keys[m][0] == "y"
+    xt, xv = res.values[:m], np.array([x.x(*key[1]) for key in lp.var_keys[:m]])
+    assert res.objective == pytest.approx(float((xt - xv).sum()), abs=1e-9)
+    assert res.objective >= -1e-9 and res.objective == pytest.approx(slack, abs=1e-7)
+    if slack == 0.0:
+        assert xt == pytest.approx(xv, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_adversarial_n16_set_lp_needs_one_pass(seed, highs_log):
+    """Row generation without an objective was a cliff above n = 13: these
+    full-V set LPs took 3 and 2 passes.  With the slack objective the first
+    point violates no lazy row, and no slack is needed."""
+    g = generate_instance("adversarial_mix", 16, {"sizes": [8, 8], "noise": 0.02}, seed)
+    pre = precluster(g, AgreementParams(0.1))
+    x, _ = solve_triangle_lp(g, pre)
+    highs_log.clear()
+    res = solve(build_set_lp(range(16), pre, x, epsilon=0.05))
+    assert res.status == "optimal" and highs_log == ["run"]
+    assert res.objective == pytest.approx(0.0, abs=1e-9)
+
+
 def test_set_lp_solve_deterministic():
     g = generate_instance("adversarial_mix", 9, {"sizes": [4, 4], "noise": 0.02}, 7)
     pre = precluster(g, AgreementParams(0.1))

@@ -2,7 +2,9 @@
 
 The golden models are the ones recorded before the builders were
 vectorized; the digests were re-recorded on those unchanged models once the
-objective and the row labels joined the hash.  Any change to a model's
+objective and the row labels joined the hash, and the three set-LP
+digests again when the set LP gained its slack objective (the models
+without it hash as before).  Any change to a model's
 variable keys, rows, bounds, parameter columns, objective or lazy-row labels
 changes its digest.  The solver tests check that ``solve()`` returns bitwise what
 ``linprog(method="highs-ds")`` returns on models without lazy rows.  On the
@@ -35,9 +37,9 @@ from corrclust.lp import (
 from corrclust.precluster import AgreementParams, precluster
 
 GOLDEN = {
-    "set_planted_full": "ebf82367acb111613443e1edb3a9afe25184e472f54924758ba614bd3939b8da",
-    "set_planted_atoms": "78b49fa1458e43ce043c71fd0c4ed6822480d6a8a90d57527e498f30a536b183",
-    "set_adversarial_atoms": "88b1aea95578c6e18ba2a47de6ead1ee1bfadc9eafa6084657134991de7183f8",
+    "set_planted_full": "5fd2e5b0e55b84725f8e44b5c8cbee76af63de54b6a57da92b2e1cd3f8c9718b",
+    "set_planted_atoms": "22cbffa5dc5716b4ff8d63ca5c19484ab10337e78376a1dc7772c0d6badee000",
+    "set_adversarial_atoms": "1b8374d5c476318690812ccb130574d21d5a9552debb3d63440582f2bd03f97d",
     "pivot_planted": "537bed92f5b841aac10a9ff4b4afd2cbbfe90a824503f26f118533f5b20e5556",
     "triangle_planted": "a8028a338bf4313e8063c3ec7e15115368940070089eaa152a153d7942296c5d",
 }
@@ -182,8 +184,9 @@ def _loop_set_lp(vprime, pre, x, epsilon):
         lp.add_row({y(p): 1.0, k: 1.0}, "=", 1.0)
     for k, p in enumerate(pairs):  # (4)
         lp.add_row({k: -1.0}, "<", 0.0, {lp.param_col(glob(p), x.x(*glob(p))): 1.0})
-    if m:  # (7)
+    if m:  # (7), and the objective: the total slack sum (xt - x)
         lp.add_row(dict.fromkeys(range(m), 1.0), "<", epsilon * sum(d), dict.fromkeys(range(m), -1.0))
+        lp.set_objective(list(range(m)), [1.0] * m, constant=-sum(lp.param_values))
     for s in range(1, n + 1):  # (5)
         for S in sets[: 1 + n + m]:
             grow = {ys(s, tuple(sorted(S + (u,)))): 1.0 for u in loc if u not in S}
