@@ -28,6 +28,8 @@ from .round_pivot import pivot_based_round, pivot_budget
 from .round_set import RoundingParams, RoundingReport, SeparationFound, lp_budget, set_based_round
 from .verify import COMBINED_RATIO_BOUND, MINUS_EDGE_RATIO, PIVOT_WEIGHT, SET_WEIGHT
 
+GUARANTEE_RATIO = 1.73  # multiplicative factor of the reported bound
+
 
 def acn_pivot(g: SignedGraph, rng: np.random.Generator) -> Clustering:
     """Combinatorial pivot baseline: a uniform pivot grabs all its remaining
@@ -184,11 +186,11 @@ def full_pipeline(g: SignedGraph, config: PipelineConfig, seed: int) -> dict:
     eps_r = outcome.measured_eps_r
     slack = (config.epsilon + eps_r) * len(pre.adm)
     report["guarantee"] = {
-        "bound_vs_lp": 1.73 * lp_cost + slack,
-        "holds_vs_lp": outcome.cost <= 1.73 * lp_cost + slack + 1e-9,
+        "bound_vs_lp": GUARANTEE_RATIO * lp_cost + slack,
+        "holds_vs_lp": outcome.cost <= GUARANTEE_RATIO * lp_cost + slack + 1e-9,
         "additive_slack": slack,
         # the three terms of bound_vs_lp
-        "multiplicative": 1.73 * lp_cost,
+        "multiplicative": GUARANTEE_RATIO * lp_cost,
         "epsilon_slack": config.epsilon * len(pre.adm),
         "eps_r_slack": eps_r * len(pre.adm),
     }
@@ -199,7 +201,7 @@ def full_pipeline(g: SignedGraph, config: PipelineConfig, seed: int) -> dict:
             "opt": opt,
             "opt_good": opt_good,
             "ratio_vs_opt": (outcome.cost / opt) if opt else (1.0 if outcome.cost == 0 else float("inf")),
-            "bound_vs_opt": 1.73 * opt + slack,
-            "holds_vs_opt": outcome.cost <= 1.73 * opt + slack + 1e-9,
+            "bound_vs_opt": GUARANTEE_RATIO * opt + slack,
+            "holds_vs_opt": outcome.cost <= GUARANTEE_RATIO * opt + slack + 1e-9,
         }
     return report

@@ -200,10 +200,10 @@ class Metric:
                 raise ValueError(f"triangle inequality fails on ({u},{v},{w})")
         if pre is not None:
             for p in all_pairs(self.n):
-                cls = pre.classify_pair(*p)
-                if cls == "atomic" and abs(self.values[p]) > tol:
+                cls = pre.pair_class[p]
+                if cls == ATOMIC and abs(self.values[p]) > tol:
                     raise ValueError(f"atomic pair {p} has x = {self.values[p]} != 0")
-                if cls == "non_admissible" and abs(self.values[p] - 1.0) > tol:
+                if cls == NON_ADMISSIBLE and abs(self.values[p] - 1.0) > tol:
                     raise ValueError(f"non-admissible pair {p} has x = {self.values[p]} != 1")
 
 
@@ -283,18 +283,12 @@ class PreclusteredInstance:
         return PAIR_CLASSES[self.pair_class[pair_key(u, v)]]
 
     @cached_property
-    def _adm_adj(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for (u, v) in self.adm:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(a) for a in adj)
-
-    def adm_neighbors(self, v: int) -> frozenset[int]:
-        return self._adm_adj[v]
+    def _adm_degree(self) -> tuple[int, ...]:
+        return tuple((self.pair_class == ADMISSIBLE).sum(axis=1).tolist())
 
     def d_adm(self, v: int) -> int:
-        return len(self._adm_adj[v])
+        """Number of admissible pairs at ``v``: ADMISSIBLE codes in its row."""
+        return self._adm_degree[v]
 
     def validate(self) -> None:
         """Check the structural invariants of a preclustered instance."""
@@ -334,9 +328,6 @@ def trivial_preclustering(n: int) -> PreclusteredInstance:
 # Instance generators
 # ---------------------------------------------------------------------------
 
-GENERATOR_KINDS = ("uniform_random", "planted_cliques", "adversarial_mix")
-
-
 def generate_instance(kind: str, n: int, params: Mapping | None, seed: int) -> SignedGraph:
     """Deterministic instance generator.
 
@@ -345,6 +336,10 @@ def generate_instance(kind: str, n: int, params: Mapping | None, seed: int) -> S
       planted_cliques  {"sizes": [int], "noise": float = 0.0}; sizes must sum to n
       adversarial_mix  {"sizes": [int], "noise": float = 0.0, "p_plus": float = 0.5};
                        sizes sum at most n, leftover vertices get uniform signs
+
+    An ``adversarial_mix`` whose sizes sum to n leaves no free region: it
+    draws the same random numbers as ``planted_cliques`` and returns the same
+    graph at the same seed, so it is noisy planted cliques, not a mix.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -254,13 +254,6 @@ class LinearProgram:
         out[eq] = np.abs(out[eq])
         return out
 
-    def value_vector(self, assignment: Mapping[tuple, float]) -> np.ndarray:
-        vec = np.zeros(self.num_vars)
-        for i, key in enumerate(self.var_keys):
-            if key in assignment:
-                vec[i] = assignment[key]
-        return vec
-
 
 # ---------------------------------------------------------------------------
 # Solve results and separation certificates
@@ -940,48 +933,43 @@ def size_window_refinement(
     return out
 
 
-def integral_set_lift(
-    lp: LinearProgram, clusters: list[set[int]], x: Metric
-) -> np.ndarray:
-    """Value vector of the indicator lift of a clustering of V' for a set LP."""
-    assign: dict[tuple, float] = {}
-    cluster_of: dict[int, int] = {}
+def _inside_one_cluster(si: _SetIndex, label: np.ndarray) -> np.ndarray:
+    """Per set rank of ``si``: whether the set is nonempty and lies inside one
+    cluster, for local vertices labelled by cluster."""
+    return np.concatenate([
+        [False], np.ones(si.n, dtype=bool), label[si.pa] == label[si.pb],
+        (label[si.ta] == label[si.tb]) & (label[si.ta] == label[si.tc]),
+    ])
+
+
+def integral_set_lift(vprime: Iterable[int], clusters: list[set[int]]) -> np.ndarray:
+    """Value vector of the indicator lift of a clustering of V' for the set
+    LP on V', in :func:`build_set_lp`'s column order: xt_uv = 1 across
+    clusters, y_S = 1 and y^s_S = 1 (for s the cluster's size) where S lies
+    inside one cluster, and the empty sets count clusters (of size s)."""
+    verts = sorted(vprime)
+    n = len(verts)
+    si = _set_index(n)
+    label = np.empty(n, dtype=int)
     for ci, c in enumerate(clusters):
-        for v in c:
-            cluster_of[v] = ci
-    sizes = [len(c) for c in clusters]
-    for key in lp.var_keys:
-        if key[0] == "xt":
-            (u, v) = key[1]
-            assign[key] = 0.0 if cluster_of[u] == cluster_of[v] else 1.0
-        elif key[0] == "y":
-            S = key[1]
-            if not S:
-                assign[key] = float(len(clusters))
-            else:
-                cs = {cluster_of[v] for v in S}
-                assign[key] = 1.0 if len(cs) == 1 else 0.0
-        elif key[0] == "ys":
-            s, S = key[1], key[2]
-            if not S:
-                assign[key] = float(sum(1 for sz in sizes if sz == s))
-            else:
-                cs = {cluster_of[v] for v in S}
-                assign[key] = 1.0 if len(cs) == 1 and sizes[next(iter(cs))] == s else 0.0
-    return lp.value_vector(assign)
+        label[np.searchsorted(verts, sorted(c))] = ci
+    sizes = np.array([len(c) for c in clusters], dtype=int)
+    inside = _inside_one_cluster(si, label)
+    y = inside.astype(float)
+    y[0] = len(clusters)
+    first = np.concatenate([[0], np.arange(n), si.pa, si.ta])  # a member of each set
+    size = np.where(inside, sizes[label[first]], 0)
+    ys = (size[None, :] == np.arange(1, n + 1)[:, None]).astype(float)
+    ys[:, 0] = np.bincount(sizes, minlength=n + 1)[1 : n + 1]
+    return np.concatenate([1.0 - y[1 + n : 1 + n + si.m], y, ys.ravel()])
 
 
-def integral_pivot_lift(lp: LinearProgram, c: Clustering) -> np.ndarray:
-    assign: dict[tuple, float] = {}
-    sizes = [len(cl) for cl in c.clusters()]
-    for key in lp.var_keys:
-        S = key[1]
-        if not S:
-            assign[key] = float(len(sizes))
-        else:
-            ids = {c.cluster_of(v) for v in S}
-            assign[key] = 1.0 if len(ids) == 1 else 0.0
-    return lp.value_vector(assign)
+def integral_pivot_lift(c: Clustering) -> np.ndarray:
+    """Value vector of the indicator lift of ``c`` for the pivot LP:
+    y_S = 1 where S lies inside one cluster, y_empty counts clusters."""
+    y = _inside_one_cluster(_set_index(c.n), np.asarray(c.assignment)).astype(float)
+    y[0] = c.num_clusters
+    return y
 
 
 # ---------------------------------------------------------------------------

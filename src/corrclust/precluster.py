@@ -22,10 +22,7 @@ from .core import Pair, PreclusteredInstance, SignedGraph, pair_key
 
 def _frac(x: float) -> Fraction:
     """Decimal-faithful rational for a parameter given as a float."""
-    try:
-        return Fraction(str(x))
-    except ValueError:
-        return Fraction(x)
+    return Fraction(str(x))
 
 
 def _ratio(x: float) -> tuple[int, int]:

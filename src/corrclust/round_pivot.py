@@ -17,12 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import (
-    Metric,
-    PreclusteredInstance,
-    SignedGraph,
-    pair_key,
-)
+from .core import ADMISSIBLE, Metric, PreclusteredInstance, SignedGraph
 from .correlated import ConditionedMarginals, contract_to_representatives, measure_pairwise_error, rt_sample
 from .lp import (
     LiftedSolution,
@@ -31,10 +26,12 @@ from .lp import (
     solve,
 )
 from .round_set import (
+    BudgetLedger,
     RoundingParams,
     RoundingReport,
     SeparationFound,
     best_of_trials,
+    decide_cluster,
     rounding_trial,
 )
 
@@ -76,24 +73,11 @@ def cleanup_quantities(
     epsilon: float,
 ) -> tuple[float, float]:
     """(ALG_K, Delta_K) for removing ``atom`` as a cluster, both restricted
-    to the remaining vertex set; Delta_K adds epsilon per admissible pair."""
-    alg = 0.0
-    delta = 0.0
-    for u in sorted(atom):
-        for v in sorted(rem):
-            if v == u or (v in atom and v < u):
-                continue  # count inside pairs once
-            p = pair_key(u, v)
-            is_plus = p in g.plus
-            if v in atom:
-                if not is_plus:
-                    alg += 1.0
-            elif is_plus:
-                alg += 1.0
-            delta += pivot_budget(is_plus, x.x(u, v))
-            if pre.classify_pair(u, v) == "admissible":
-                delta += epsilon
-    return alg, delta
+    to the remaining vertex set: the cost and the release (pair budgets plus
+    epsilon per admissible pair) that :func:`decide_cluster` would charge."""
+    ledger = BudgetLedger()
+    decide_cluster(g, pre, x, ledger, rem, set(atom), pivot_budget, epsilon)
+    return float(ledger.realized_total), ledger.lp_total + ledger.err_total
 
 
 def _pivot_marginals(
@@ -111,7 +95,7 @@ def _pivot_marginals(
     rt_groups: dict[int, list[int]] = {}
     indep: list[tuple[int, list[int], float]] = []
     for rep in reps:
-        if pre.classify_pair(p, rep) != "admissible":
+        if pre.pair_class[p, rep] != ADMISSIBLE:
             continue  # y_pv = 0 by non-admissible pinning; never joins
         atom = groups[rep]
         y = sol.y_of((p, rep))

@@ -24,6 +24,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .core import (
+    ADMISSIBLE,
     Clustering,
     Metric,
     Pair,
@@ -262,7 +263,7 @@ def decide_cluster(
                 continue
             p = (v, w)
             is_plus = p in g.plus
-            adm = pre.classify_pair(v, w) == "admissible"
+            adm = pre.pair_class[v, w] == ADMISSIBLE
             ledger.release_pair(p, pair_budget(is_plus, x.x(v, w)), epsilon if adm else 0.0)
             if (is_plus and in_v != in_w) or (not is_plus and in_v and in_w):
                 ledger.record_cost(p)
@@ -451,7 +452,7 @@ def analyze_cluster_sampler(
         p_wrong = inc[a] + inc[b] - 2 * both[(a, b)] if is_plus else both[(a, b)]
         e_cost += p_wrong
         e_lp += lp_budget(is_plus, x.x(a, b)) * dec
-        if pre.classify_pair(a, b) == "admissible":
+        if pre.pair_class[a, b] == ADMISSIBLE:
             e_err += epsilon * dec
     e_diff = sum(2 * epsilon * pre.d_adm(v) * inc[v] for v in verts)
     return IterationAnalysis(inc, both, decided, err, e_cost, e_lp, e_err, e_diff)

@@ -150,6 +150,13 @@ def test_generators():
         generate_instance("nope", 4, None, 0)
     mix = generate_instance("adversarial_mix", 9, {"sizes": [3, 3], "noise": 0.1}, 4)
     assert mix.n == 9
+    # sizes that sum to n leave no free region: the planted graph, drawn alike
+    for n, sizes in ((12, [4, 4, 4]), (13, [5, 8]), (16, [8, 8])):
+        for seed in range(3):
+            params = {"sizes": sizes, "noise": 0.02}
+            assert generate_instance("adversarial_mix", n, params, seed) == generate_instance(
+                "planted_cliques", n, params, seed
+            )
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -348,6 +355,7 @@ def test_pair_class_table_matches_rule(pre):
     for v in range(pre.n):
         with pytest.raises(ValueError, match="self-pair"):
             pre.classify_pair(v, v)
+        assert pre.d_adm(v) == sum(v in p for p in pre.adm)
 
 
 @given(preclusterings(), st.lists(st.integers(0, 3), min_size=9, max_size=9))

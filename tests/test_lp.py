@@ -352,6 +352,8 @@ def test_adversarial_n16_set_lp_needs_one_pass(seed, highs_log):
     """Row generation without an objective was a cliff above n = 13: these
     full-V set LPs took 3 and 2 passes.  With the slack objective the first
     point violates no lazy row, and no slack is needed."""
+    # sizes 8, 8 sum to n: no free region, so these are two noisy planted
+    # cliques, the same graphs as planted_cliques at these seeds
     g = generate_instance("adversarial_mix", 16, {"sizes": [8, 8], "noise": 0.02}, seed)
     pre = precluster(g, AgreementParams(0.1))
     x, _ = solve_triangle_lp(g, pre)
@@ -377,7 +379,7 @@ def _good_clustering_lift_residual(g, seed):
     x = Metric.from_clustering(cgood)
     lp = build_set_lp(range(g.n), pre, x, epsilon=0.05)
     clusters = size_window_refinement([set(c) for c in cgood.clusters()], pre, 0.05)
-    vec = integral_set_lift(lp, clusters, x)
+    vec = integral_set_lift(range(g.n), clusters)
     resid = lp.residuals(vec)
     lb, ub = np.asarray(lp.lb), np.asarray(lp.ub)
     assert (vec >= lb - 1e-12).all() and (vec <= ub + 1e-12).all()
@@ -399,7 +401,7 @@ def test_pivot_lp_integral_roundtrip():
         cgood, _ = brute_force_opt_good(g, pre)
         x = Metric.from_clustering(cgood)
         lp = build_pivot_lp(g, pre, x)
-        vec = integral_pivot_lift(lp, cgood)
+        vec = integral_pivot_lift(cgood)
         assert lp.residuals(vec).max() <= 1e-12
 
 
@@ -414,7 +416,7 @@ def test_size_window_boundary_cluster_stays_feasible():
     lp = build_set_lp(range(3), pre, x, epsilon=0.5)
     clusters = size_window_refinement([set(cl) for cl in c.clusters()], pre, 0.5)
     assert sorted(map(sorted, clusters)) == [[0, 1], [2]]  # no spurious split
-    vec = integral_set_lift(lp, clusters, x)
+    vec = integral_set_lift(range(3), clusters)
     assert lp.residuals(vec).max() <= 1e-12
     assert solve(lp).status == "optimal"
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corrclust.core import SignedGraph, all_pairs, generate_instance
+from corrclust.core import ADMISSIBLE, SignedGraph, all_pairs, generate_instance
 from corrclust.exact import brute_force_opt_good
 from corrclust.precluster import (
     AgreementParams,
@@ -170,6 +170,6 @@ def test_normalization_gives_uniform_atom_neighborhoods():
         for atom in pre.proper_atoms:
             base = None
             for v in atom:
-                nb = pre.adm_neighbors(v) - atom
+                nb = set(np.flatnonzero(pre.pair_class[v] == ADMISSIBLE).tolist())
                 assert base is None or nb == base
                 base = nb

@@ -32,3 +32,16 @@ def test_identity_compares_only_with_none():
                 if isinstance(op, (ast.Is, ast.IsNot)) and not any(none):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_pair_class_read_as_codes():
+    # rounding and validation compare pair_class codes; classify_pair is the
+    # public string view and no module of the package calls it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "classify_pair"
+    ]
+    assert found == []
