@@ -79,22 +79,32 @@ def _check_finite(*bounds) -> None:
             raise ValueError(f"column bounds must be finite, not {bound!r}")
 
 
+def _clamp(v: np.ndarray, capped) -> np.ndarray:
+    """``v`` floored at 0 and, where ``capped``, capped at 1.  np.where, not
+    np.maximum or np.clip: those return -0.0 for a -0.0 input."""
+    floored = np.where(v > 0.0, v, 0.0)
+    return np.where(capped & (floored >= 1.0), 1.0, floored)
+
+
 # ---------------------------------------------------------------------------
 # Generic LP container
 # ---------------------------------------------------------------------------
 
 
 class LinearProgram:
-    """Sparse LP with named variables and optional metric-parameter columns.
+    """Sparse LP with optional metric-parameter columns.
 
     Rows are stored as ``a . vars <sense> rhs0 - p . x`` where x is the input
     metric (fixed at build time, but kept symbolic so infeasibility can be
-    projected onto a separating hyperplane in x-space).
+    projected onto a separating hyperplane in x-space).  Parameter column i
+    is ``param_pairs[i]``.  A lifted program records its column ``layout``:
+    its sorted vertices and the first column of its set blocks, each block
+    ranked as in :class:`_SetIndex`; other programs leave it ``None``.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self.var_keys: list[tuple] = []
+        self.layout: tuple[tuple[int, ...], int] | None = None
         self.lb = np.zeros(0)
         self.ub = np.zeros(0)
         self._entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -104,27 +114,25 @@ class LinearProgram:
         self._labels: list[np.ndarray] = []
         self._num_rows = 0
         self.param_pairs: list[Pair] = []
-        self._param_index: dict[Pair, int] = {}
         self.param_values: list[float] = []
         self.objective: tuple[np.ndarray, np.ndarray, float] | None = None
         self._mats: tuple | None = None
 
     # -- variables ----------------------------------------------------------
 
-    def add_vars(self, keys: Sequence[tuple], lb: float = 0.0, ub: float = 1.0) -> np.ndarray:
-        """Append columns with bounds [lb, ub]; a non-finite bound raises
-        ``ValueError``, so every program is bounded."""
+    def add_vars(self, count: int, lb: float = 0.0, ub: float = 1.0) -> np.ndarray:
+        """Append ``count`` columns with bounds [lb, ub]; a non-finite bound
+        raises ``ValueError``, so every program is bounded."""
         _check_finite(lb, ub)
-        base = len(self.var_keys)
-        self.var_keys.extend(keys)
-        self.lb = np.concatenate([self.lb, np.full(len(keys), lb, dtype=float)])
-        self.ub = np.concatenate([self.ub, np.full(len(keys), ub, dtype=float)])
+        base = self.num_vars
+        self.lb = np.concatenate([self.lb, np.full(count, lb, dtype=float)])
+        self.ub = np.concatenate([self.ub, np.full(count, ub, dtype=float)])
         self._mats = None
-        return np.arange(base, base + len(keys))
+        return np.arange(base, base + count)
 
     @property
     def num_vars(self) -> int:
-        return len(self.var_keys)
+        return len(self.lb)
 
     @property
     def num_rows(self) -> int:
@@ -144,14 +152,11 @@ class LinearProgram:
 
     # -- parameter (metric) columns ------------------------------------------
 
-    def param_col(self, p: Pair, value: float) -> int:
-        idx = self._param_index.get(p)
-        if idx is None:
-            idx = len(self.param_pairs)
-            self._param_index[p] = idx
-            self.param_pairs.append(p)
-            self.param_values.append(float(value))
-        return idx
+    def set_params(self, pairs: Sequence[Pair], x: Metric) -> None:
+        """Parameter column i is ``pairs[i]``, valued at x."""
+        self.param_pairs = list(pairs)
+        self.param_values = [float(x.x(*p)) for p in pairs]
+        self._mats = None
 
     # -- rows -----------------------------------------------------------------
 
@@ -209,12 +214,6 @@ class LinearProgram:
         """Per-row label: -1 for an eager row; lazy rows that share a label
         enter :func:`solve`'s row generation together."""
         return np.concatenate(self._labels) if self._labels else np.zeros(0, dtype=int)
-
-    @property
-    def lazy(self) -> np.ndarray:
-        """Per-row flag: True for the rows :func:`solve` adds only when a row
-        of their label is violated."""
-        return self.labels != -1
 
     def set_objective(self, cols, coefs, constant: float = 0.0) -> None:
         self.objective = (np.asarray(cols, dtype=int), np.asarray(coefs, dtype=float), constant)
@@ -300,7 +299,7 @@ class LPResult:
 def _probe(objective: float, coefs, rhs) -> LinearProgram:
     """``min objective * u``, ``0 <= u <= 3``, one row and one lazy row."""
     lp = LinearProgram("highs-probe")
-    lp.add_vars([("u",)], ub=3.0)
+    lp.add_vars(1, ub=3.0)
     lp.add_rows(2, "<", rhs, [(np.arange(2), np.zeros(2, dtype=int), np.asarray(coefs, dtype=float))],
                 lazy=[-1, 0])
     lp.set_objective([0], [objective])
@@ -500,7 +499,7 @@ def build_triangle_lp(g: SignedGraph, pre: PreclusteredInstance) -> LinearProgra
     disagreement objective."""
     lp = LinearProgram(f"triangle-lp(n={g.n})")
     si = _set_index(g.n)
-    cols = lp.add_vars([("x", p) for p in si.pairs])  # column = pair rank
+    cols = lp.add_vars(si.m)  # column = pair rank
     cls = pre.pair_class[si.pa, si.pb]
     lp.fix_vars(cols[cls == ATOMIC], 0.0)
     lp.fix_vars(cols[cls == NON_ADMISSIBLE], 1.0)
@@ -533,8 +532,8 @@ def solve_triangle_lp(g: SignedGraph, pre: PreclusteredInstance) -> tuple[Metric
     res = solve(lp)
     if res.status != "optimal":
         raise LPError(f"triangle LP not solvable: {res.status}")
-    vals = np.clip(res.values, 0.0, 1.0)
-    metric = Metric(g.n, {p: float(v) for (_, p), v in zip(lp.var_keys, vals)})
+    vals = _clamp(res.values, True)
+    metric = Metric(g.n, dict(zip(_set_index(g.n).pairs, vals.tolist())))
     return metric, float(res.objective)
 
 
@@ -546,7 +545,8 @@ def solve_triangle_lp(g: SignedGraph, pre: PreclusteredInstance) -> tuple[Metric
 class _SetIndex:
     """Ranks of subsets of local vertices 0..n-1, sizes 0..3, in one
     contiguous block: the empty set, the singletons, the pairs, then the
-    triples, each group in lexicographic order.  Also holds the row patterns
+    triples, each group in lexicographic order (``rank`` maps a set to its
+    rank).  Also holds the row patterns
     of one lifted layer in these ranks.  Depends only on n; use
     :func:`_set_index`, which shares one instance per n."""
 
@@ -558,6 +558,7 @@ class _SetIndex:
         self.t = t = len(self.triples)
         self.block = 1 + n + m + t
         self.sets = [()] + [(i,) for i in range(n)] + self.pairs + self.triples
+        self.rank = {S: k for k, S in enumerate(self.sets)}
         self.size = np.repeat([0, 1, 2, 3], [1, n, m, t])
         self.pa, self.pb = np.array(self.pairs, dtype=int).reshape(m, 2).T
         self.ta, self.tb, self.tc = np.array(self.triples, dtype=int).reshape(t, 3).T
@@ -675,10 +676,11 @@ def build_set_lp(
     the optimum is positive the slack is needed for feasibility, and the
     analysis allows at most epsilon * sum d_adm of it.
 
-    Columns: xt per local pair, then one block of set variables (ranked as
-    in :class:`_SetIndex`) for y and one per size s = 1..n for y^s.  Rows:
-    (1), (3), (4), (7), then (5) for every s, then (9) for every s.  The
-    per-layer rows are one pattern tiled over the layers.
+    Columns (``lp.layout``): xt per local pair, then one block of set
+    variables (ranked as in :class:`_SetIndex`) for y and one per size
+    s = 1..n for y^s.  Rows: (1), (3), (4), (7), then (5) for every s,
+    then (9) for every s.  The per-layer rows are one pattern tiled over
+    the layers.
 
     The box rows (9) that hold a triple, 11 per triple and layer, are marked
     lazy: they are most of the rows, and few of them bind at the point
@@ -697,16 +699,8 @@ def build_set_lp(
     lp = LinearProgram(f"set-lp(n'={n},r=3)")
 
     # variables: xt per local pair, then y sets, then y^s sets per s
-    if verts == list(range(n)):
-        gsets = si.sets
-    else:
-        gsets = [tuple(map(verts.__getitem__, S)) for S in si.sets]
-    gpairs = gsets[1 + n : 1 + n + m]
-    lp.add_vars(
-        [("xt", p) for p in gpairs]
-        + [("y", S) for S in gsets]
-        + [("ys", s, S) for s in range(1, n + 1) for S in gsets]
-    )
+    lp.layout = (tuple(verts), m)
+    lp.add_vars(m + B * (n + 1))
     layers = np.arange(1, n + 1)
     ys_base = m + B * layers  # first column (the empty set) of each layer
     lp.set_bounds(np.concatenate([[m], ys_base]), ub=float(n))  # empty sets count clusters
@@ -760,10 +754,10 @@ def build_set_lp(
         xt_cols = np.arange(m)
         ypair = m + 1 + n + rows
         lp.add_rows(m, "=", 1.0, [(rows, ypair, np.ones(m)), (rows, xt_cols, np.ones(m))])
-        # (4) xt_uv >= x_uv  (parameter rows: -xt <= -x)
-        pcols = np.array([lp.param_col(p, x.x(*p)) for p in gpairs])
+        # (4) xt_uv >= x_uv  (parameter rows: -xt <= -x); parameter column = pair rank
+        lp.set_params([(verts[a], verts[b]) for a, b in si.pairs], x)
         lp.add_rows(
-            m, "<", 0.0, [(rows, xt_cols, -np.ones(m))], [(rows, pcols, np.ones(m))]
+            m, "<", 0.0, [(rows, xt_cols, -np.ones(m))], [(rows, rows, np.ones(m))]
         )
         # (7) total slack between xt and x is budgeted
         lp.add_rows(
@@ -771,7 +765,7 @@ def build_set_lp(
             "<",
             epsilon * sum(d_adm),
             [(np.zeros(m, dtype=int), xt_cols, np.ones(m))],
-            [(np.zeros(m, dtype=int), pcols, -np.ones(m))],
+            [(np.zeros(m, dtype=int), rows, -np.ones(m))],
         )
         # minimize that slack, sum (xt - x)
         lp.set_objective(xt_cols, np.ones(m), constant=-sum(lp.param_values))
@@ -808,31 +802,27 @@ def build_pivot_lp(g: SignedGraph, pre: PreclusteredInstance, x: Metric) -> Line
     n = g.n
     si = _set_index(n)
     lp = LinearProgram(f"pivot-lp(n={n},r=3)")
-    cols = lp.add_vars([("y", S) for S in si.sets])
-    y_base = cols[0]
-    lp.set_bounds([y_base], lb=0.0, ub=float(n))  # y_empty counts clusters
-
-    def ycol(ranks):
-        return y_base + np.asarray(ranks, dtype=int)
-
-    lp.fix_vars(ycol(1 + np.arange(n)), 1.0)
+    lp.layout = (tuple(range(n)), 0)  # column = set rank
+    lp.add_vars(si.block)
+    lp.set_bounds([0], lb=0.0, ub=float(n))  # y_empty counts clusters
+    lp.fix_vars(1 + np.arange(n), 1.0)
     m = si.m
     rows = np.arange(m)
-    ypair = ycol(1 + n + np.arange(m))
-    pcols = np.array([lp.param_col((i, j), x.x(i, j)) for (i, j) in si.pairs])
+    ypair = 1 + n + rows
+    lp.set_params(si.pairs, x)  # parameter column = pair rank
     # y_uv = 1 - x_uv, kept as parameter rows so infeasibility projects to x
-    lp.add_rows(m, "<", 1.0, [(rows, ypair, np.ones(m))], [(rows, pcols, np.ones(m))])
-    lp.add_rows(m, "<", -1.0, [(rows, ypair, -np.ones(m))], [(rows, pcols, -np.ones(m))])
+    lp.add_rows(m, "<", 1.0, [(rows, ypair, np.ones(m))], [(rows, rows, np.ones(m))])
+    lp.add_rows(m, "<", -1.0, [(rows, ypair, -np.ones(m))], [(rows, rows, -np.ones(m))])
     # box constraints (single layer)
     box_rows, box_ranks, box_coefs, count, _ = si.box
-    lp.add_rows(count, "<", 0.0, [(box_rows, ycol(box_ranks), box_coefs)])
+    lp.add_rows(count, "<", 0.0, [(box_rows, box_ranks, box_coefs)])
     # triangle rows: y_ab + y_ac + y_bc - 2 y_abc <= 1
     t = si.t
     if t:
-        yab = ycol(1 + n + si.pr[si.ta, si.tb])
-        yac = ycol(1 + n + si.pr[si.ta, si.tc])
-        ybc = ycol(1 + n + si.pr[si.tb, si.tc])
-        yabc = ycol(1 + n + m + np.arange(t))
+        yab = 1 + n + si.pr[si.ta, si.tb]
+        yac = 1 + n + si.pr[si.ta, si.tc]
+        ybc = 1 + n + si.pr[si.tb, si.tc]
+        yabc = 1 + n + m + np.arange(t)
         rows = np.arange(t)
         lp.add_rows(
             t, "<", 1.0,
@@ -847,10 +837,9 @@ def build_pivot_lp(g: SignedGraph, pre: PreclusteredInstance, x: Metric) -> Line
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class LiftedSolution:
-    """Point of one of the lifted relaxations, keyed by the LP's variable
-    keys, with set-indexed accessors.
+    """Point of one of the lifted relaxations: the solver's array, clamped,
+    read by set through its program's column ``layout``.
 
     Variables indexed by nonempty sets (and xt) are clamped to [0,1]; the
     solver's excursions beyond it are at tolerance level, and larger ones
@@ -858,28 +847,31 @@ class LiftedSolution:
     floored at 0.
     """
 
-    values: dict[tuple, float]
+    def __init__(self, values: np.ndarray, layout: tuple[tuple[int, ...], int]):
+        self.values = values
+        verts, self._offset = layout
+        si = _set_index(len(verts))
+        self._rank, self._block, self._n = si.rank, si.block, si.n
+        self._local = [-1] * (verts[-1] + 1 if verts else 0)  # vertex -> local index
+        for i, v in enumerate(verts):
+            self._local[v] = i
+
+    def _rank_of(self, vs: Iterable[int]) -> int:
+        return self._rank[tuple(sorted({self._local[v] for v in vs}))]
 
     @property
     def y0(self) -> float:
-        return self.values[("y", ())]
+        return float(self.values[self._offset])
 
     def y_of(self, vs: Iterable[int]) -> float:
-        return self.values[("y", tuple(sorted(set(vs))))]
+        return float(self.values[self._offset + self._rank_of(vs)])
 
     def ys_of(self, s: int, vs: Iterable[int]) -> float:
-        return self.values[("ys", s, tuple(sorted(set(vs))))]
+        return float(self.values[self._offset + self._block * s + self._rank_of(vs)])
 
     def xt_of(self, u: int, v: int) -> float:
-        return self.values[("xt", pair_key(u, v))]
-
-    # partition-event helpers on triples (pivot-style layer)
-    def split_all3(self, a: int, b: int, c: int) -> float:
-        return 1.0 - (self.y_of((a, b)) + self.y_of((a, c)) + self.y_of((b, c))) + 2 * self.y_of((a, b, c))
-
-    def lone_vertex(self, a: int, b: int, c: int) -> float:
-        """Probability-style weight of {b,c together, a separate}."""
-        return self.y_of((b, c)) - self.y_of((a, b, c))
+        """xt of a pair: the columns before the set blocks, by pair rank."""
+        return float(self.values[: self._offset][self._rank_of(pair_key(u, v)) - 1 - self._n])
 
 
 _LIFT_TOL = 1e-6  # largest excursion outside [0,1] accepted as solver noise
@@ -889,18 +881,17 @@ def lifted_from_result(lp: LinearProgram, res: LPResult) -> LiftedSolution:
     if res.status != "optimal" or res.values is None:
         raise ValueError(f"cannot extract a lifted solution from status {res.status}")
     v = np.asarray(res.values, dtype=float)
-    empty = np.fromiter((key[-1] == () for key in lp.var_keys), dtype=bool, count=len(v))
+    verts, offset = lp.layout
+    empty = np.zeros(len(v), dtype=bool)
+    empty[offset :: _set_index(len(verts)).block] = True
     bad = np.flatnonzero(~(empty | ((v >= -_LIFT_TOL) & (v <= 1 + _LIFT_TOL))))
     if bad.size:
         i = bad[0]
         raise LPError(
-            f"{lp.name}: {_key_name(lp.var_keys[i])} = {v[i]!r} lies outside [0,1] by more than "
+            f"{lp.name}: {_column_name(lp, i)} = {v[i]!r} lies outside [0,1] by more than "
             f"{_LIFT_TOL:g} ({bad.size} such values)"
         )
-    # np.where, not np.maximum/np.clip: those may return -0.0 for a -0.0 input
-    floored = np.where(v > 0.0, v, 0.0)
-    clamped = np.where(empty | (floored < 1.0), floored, 1.0)
-    return LiftedSolution(dict(zip(lp.var_keys, clamped.tolist())))
+    return LiftedSolution(_clamp(v, ~empty), lp.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -977,17 +968,17 @@ def integral_pivot_lift(c: Clustering) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _key_name(key: tuple) -> str:
-    if key[0] == "x":
-        return f"x[{key[1][0]},{key[1][1]}]"
-    if key[0] == "xt":
-        return f"xt[{key[1][0]},{key[1][1]}]"
-    if key[0] == "y":
-        return "y[" + ",".join(map(str, key[1])) + "]" if key[1] else "y[]"
-    if key[0] == "ys":
-        inner = ",".join(map(str, key[2]))
-        return f"y{key[1]}[{inner}]"
-    return str(key)
+def _column_name(lp: LinearProgram, j: int) -> str:
+    """``xt[u,v]``, ``y[S]`` or ``y<s>[S]`` for column j of a lifted program,
+    decoded from its layout; ``c<j>`` for a column of any other program."""
+    if lp.layout is None:
+        return f"c{j}"
+    verts, offset = lp.layout
+    si = _set_index(len(verts))
+    if j < offset:
+        return "xt[{},{}]".format(*(verts[i] for i in si.pairs[j]))
+    block, rank = divmod(j - offset, si.block)
+    return f"y{block or ''}[" + ",".join(str(verts[i]) for i in si.sets[rank]) + "]"
 
 
 def write_lp_text(lp: LinearProgram) -> str:
@@ -999,13 +990,13 @@ def write_lp_text(lp: LinearProgram) -> str:
     for i in range(lp.num_rows):
         row = A.getrow(i)
         terms = " + ".join(
-            f"{row.data[k]:g} {_key_name(lp.var_keys[row.indices[k]])}" for k in range(row.nnz)
+            f"{row.data[k]:g} {_column_name(lp, row.indices[k])}" for k in range(row.nnz)
         )
         op = "<=" if senses[i] == "<" else "=="
         lines.append(f"{terms} {op} {b[i]:g}")
     for j in range(lp.num_vars):
         if lb[j] == ub[j]:
-            lines.append(f"{_key_name(lp.var_keys[j])} == {lb[j]:g}")
+            lines.append(f"{_column_name(lp, j)} == {lb[j]:g}")
         else:
-            lines.append(f"{lb[j]:g} <= {_key_name(lp.var_keys[j])} <= {ub[j]:g}")
+            lines.append(f"{lb[j]:g} <= {_column_name(lp, j)} <= {ub[j]:g}")
     return "\n".join(lines) + "\n"

@@ -20,6 +20,7 @@ from corrclust.exact import brute_force_opt_good
 from corrclust.lp import (
     SOLVER_TOL,
     LinearProgram,
+    _set_index,
     build_pivot_lp,
     build_set_lp,
     build_triangle_lp,
@@ -32,13 +33,14 @@ from corrclust.lp import (
     write_lp_text,
 )
 from corrclust.precluster import AgreementParams, precluster
+from corrclust.verify import TrianglePoint
 
 PPM = SignedGraph(3, frozenset({(0, 1), (0, 2)}))
 
 
 def test_solve_basics():
     lp = LinearProgram("infeasible")
-    lp.add_vars([("x", (0, 1))])
+    lp.add_vars(1)
     lp.add_row({0: -1.0}, "<", -1.0)
     lp.add_row({0: 1.0}, "<", 0.0)
     with pytest.raises(ValueError, match="sense"):
@@ -48,7 +50,7 @@ def test_solve_basics():
     assert res.certificate.w == {} and res.certificate.b == pytest.approx(1.0, abs=1e-12)
 
     lp2 = LinearProgram("min")
-    lp2.add_vars([("x", (0, 1))], ub=5.0)
+    lp2.add_vars(1, ub=5.0)
     lp2.add_row({0: -1.0}, "<", -0.3)
     lp2.set_objective([0], [1.0])
     res2 = solve(lp2)
@@ -58,8 +60,8 @@ def test_solve_basics():
     # every column is boxed, so no program is unbounded
     lp3 = LinearProgram("unbounded")
     with pytest.raises(ValueError, match="finite"):
-        lp3.add_vars([("x", (0, 1))], lb=0.0, ub=np.inf)
-    lp3.add_vars([("x", (0, 1))])
+        lp3.add_vars(1, lb=0.0, ub=np.inf)
+    lp3.add_vars(1)
     for bounds in ({"ub": np.inf}, {"lb": [-np.inf]}, {"ub": np.nan}):
         with pytest.raises(ValueError, match="finite"):
             lp3.set_bounds([0], **bounds)
@@ -90,6 +92,12 @@ def test_triangle_lp():
     _, c0 = solve_triangle_lp(allp, trivial_preclustering(4))
     assert c0 == pytest.approx(0.0, abs=1e-9)
 
+    # HiGHS returns -0.0 entries here; the metric holds 0.0 (the same floor
+    # as lifted extraction), so its bytes do not depend on the sign of zero
+    g = generate_instance("planted_cliques", 12, {"sizes": [4, 4, 4], "noise": 0.02}, 10001)
+    x12, _ = solve_triangle_lp(g, precluster(g, AgreementParams(0.1)))
+    assert not np.signbit(list(x12.values.values())).any()
+
     # a pinned non-admissible +pair contributes 1 to the optimum
     pre_pin = PreclusteredInstance(3, (), frozenset({(0, 2), (1, 2)}))
     allp3 = SignedGraph(3, frozenset(all_pairs(3)))
@@ -112,10 +120,12 @@ def test_set_lp_lazy_rows_are_the_triple_box_rows():
     x, _ = solve_triangle_lp(g, pre)
     for vprime in ([0], [0, 1], [0, 1, 2], [1, 2, 4, 6], list(range(7))):
         lp = build_set_lp(vprime, pre, x, 0.05)
-        n, lazy = len(vprime), lp.lazy
+        n, lazy = len(vprime), lp.labels != -1
         assert lazy.shape == (lp.num_rows,) and lazy.sum() == n * 11 * comb(n, 3)
         A = lp.matrices()[0]
-        triple_col = np.array([key[0] == "ys" and len(key[2]) == 3 for key in lp.var_keys])
+        si, (_, offset) = _set_index(n), lp.layout
+        k = np.arange(lp.num_vars) - offset  # y^s sets start at one block past the offset
+        triple_col = (k >= si.block) & (si.size[k % si.block] == 3)
         assert all(triple_col[A.indices[A.indptr[i]:A.indptr[i + 1]]].any() for i in np.flatnonzero(lazy))
         # the box rows (9) come last, one pattern per layer; each label sits at
         # one offset of that pattern, once in every layer, and other rows are -1
@@ -132,18 +142,19 @@ def _lazy_lp(name, lazy_rhs):
     0 <= u, v <= 1, where the parameter p = lazy_rhs.  Without the lazy row
     the optimum is u = 1, v = 0.5."""
     lp = LinearProgram(name)
-    lp.add_vars([("x", (0, 1)), ("x", (0, 2))])
+    lp.add_vars(2)
+    lp.set_params([(0, 1)], Metric(2, {(0, 1): lazy_rhs}))
     lp.add_row({0: 1.0, 1: 1.0}, "<", 1.5)
     lp.add_row({0: -1.0}, "<", -0.5)
     one = (np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1))
-    lp.add_rows(1, "<", 0.0, [one], [(one[0], [lp.param_col((0, 1), lazy_rhs)], -np.ones(1))], lazy=0)
+    lp.add_rows(1, "<", 0.0, [one], [(one[0], one[1], -np.ones(1))], lazy=0)
     lp.set_objective([0, 1], [-2.0, -1.0])
     return lp
 
 
 def test_solve_adds_violated_lazy_row():
     lp = _lazy_lp("lazy-cut", 0.75)
-    assert lp.lazy.tolist() == [False, False, True]
+    assert lp.labels.tolist() == [-1, -1, 0]
     res = solve(lp)
     assert res.status == "optimal"
     assert lp.residuals(res.values).max() <= 1e-9
@@ -177,13 +188,13 @@ def test_solve_adds_lazy_rows_by_label(highs_log):
     u = 1, v = 0.5 violates only u <= 0.75; v <= 0.6 shares its label and
     enters in the same warm pass, and u + 2v <= 3 never enters."""
     lp = LinearProgram("lazy-labels")
-    lp.add_vars([("x", (0, 1)), ("x", (0, 2))])
+    lp.add_vars(2)
     lp.add_row({0: 1.0, 1: 1.0}, "<", 1.5)
     lp.add_row({0: -1.0}, "<", -0.5)
     lp.add_rows(3, "<", [0.75, 3.0, 0.6], [(np.array([0, 1, 1, 2]), np.array([0, 0, 1, 1]), np.array([1.0, 1, 2, 1]))],
                 lazy=[5, 2, 5])
     lp.set_objective([0, 1], [-2.0, -1.0])
-    assert lp.labels.tolist() == [-1, -1, 5, 2, 5] and lp.lazy.tolist() == [False, False, True, True, True]
+    assert lp.labels.tolist() == [-1, -1, 5, 2, 5]
     res = solve(lp)
     assert highs_log == ["run", 2, "run"]
     assert res.status == "optimal" and lp.residuals(res.values).max() <= 1e-9
@@ -233,10 +244,11 @@ def _programs(draw):
     nv = draw(st.integers(0, 4))
     lp = LinearProgram("fuzz")
     lb = draw(st.lists(st.integers(-2, 1), min_size=nv, max_size=nv))
-    for j, lo in enumerate(lb):
-        lp.add_vars([("x", (0, j + 1))], lb=float(lo), ub=float(lo + draw(st.integers(0, 3))))
-    params = [lp.param_col((j, j + 1), draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
-              for j in range(draw(st.integers(0, 2)))]
+    for lo in lb:
+        lp.add_vars(1, lb=float(lo), ub=float(lo + draw(st.integers(0, 3))))
+    pairs = [(j, j + 1) for j in range(draw(st.integers(0, 2)))]
+    lp.set_params(pairs, Metric(len(pairs) + 1, {p: draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])) for p in pairs}))
+    params = range(len(pairs))
     small = st.integers(-3, 3).map(float)
     for _ in range(draw(st.integers(1, 5))):
         coeffs = {j: v for j in range(nv) if (v := draw(small))}
@@ -339,8 +351,8 @@ def test_set_lp_objective_is_the_slack(kind, n, sizes, seed, slack):
     res = solve(lp)
     assert res.status == "optimal"
     m = comb(n, 2)
-    assert all(key[0] == "xt" for key in lp.var_keys[:m]) and lp.var_keys[m][0] == "y"
-    xt, xv = res.values[:m], np.array([x.x(*key[1]) for key in lp.var_keys[:m]])
+    assert lp.layout == (tuple(range(n)), m)  # xt per pair first, the sets from column m
+    xt, xv = res.values[:m], np.array([x.x(*p) for p in combinations(range(n), 2)])
     assert res.objective == pytest.approx(float((xt - xv).sum()), abs=1e-9)
     assert res.objective >= -1e-9 and res.objective == pytest.approx(slack, abs=1e-7)
     if slack == 0.0:
@@ -475,7 +487,7 @@ def test_pivot_lp_half_triangle_interval():
     pre = trivial_preclustering(3)
     x = Metric(3, dict.fromkeys(all_pairs(3), 0.5))
     lp = build_pivot_lp(g, pre, x)
-    i = lp.var_keys.index(("y", (0, 1, 2)))
+    i = _set_index(3).rank[0, 1, 2]  # the pivot LP's column = set rank
     lp.set_objective([i], [1.0])
     lo = solve(lp).objective
     lp.set_objective([i], [-1.0])
@@ -505,18 +517,26 @@ def test_lifted_solution_invariants():
         assert sum(sol.ys_of(s, (u,)) for u in verts) == pytest.approx(
             s * sol.ys_of(s, ()), abs=tol
         )
-    # pivot-layer derived quantities stay nonnegative
+    # on every triple of the pivot point, the five partition events are
+    # nonnegative and sum to 1
     lp2 = build_pivot_lp(g, pre, x)
     sol2 = lifted_from_result(lp2, solve(lp2))
     for (a, b, c) in combinations(range(6), 3):
-        assert sol2.split_all3(a, b, c) >= -1e-9
-        assert sol2.lone_vertex(a, b, c) >= -1e-9
+        TrianglePoint(sol2.y_of((a, b)), sol2.y_of((a, c)), sol2.y_of((b, c)), sol2.y_of((a, b, c))).validate()
 
 
 def test_lp_dump():
+    # a program without a lifted layout names its columns by index
     lp = LinearProgram("dump")
-    lp.add_vars([("x", (0, 1)), ("y", (0,))])
+    lp.add_vars(2)
+    lp.fix_vars([1], 0.5)
     lp.add_row({0: 1.0, 1: -2.0}, "<", 3.0)
-    text = write_lp_text(lp)
-    assert "x[0,1]" in text and "<= 3" in text
+    assert write_lp_text(lp) == "# dump: 1 rows, 2 vars\n1 c0 + -2 c1 <= 3\n0 <= c0 <= 1\nc1 == 0.5\n"
+    # lifted columns are named by set, decoded from the layout
+    g = SignedGraph(3, frozenset({(0, 1)}))
+    x = Metric(3, {(0, 1): 0.0, (0, 2): 1.0, (1, 2): 1.0})
+    lines = write_lp_text(build_set_lp([0, 2], trivial_preclustering(3), x, 0.05)).splitlines()
+    assert lines[-13:-9] == ["0 <= xt[0,2] <= 1", "0 <= y[] <= 2", "y[0] == 1", "y[2] == 1"]
+    assert lines[-5] == "y1[0,2] == 0" and lines[-1] == "0 <= y2[0,2] <= 1"
+    assert write_lp_text(build_pivot_lp(g, trivial_preclustering(3), x)).splitlines()[-1] == "0 <= y[0,1,2] <= 1"
 

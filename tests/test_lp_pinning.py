@@ -2,12 +2,15 @@
 
 The golden models are the ones recorded before the builders were
 vectorized; the digests were re-recorded on those unchanged models once the
-objective and the row labels joined the hash, and the three set-LP
-digests again when the set LP gained its slack objective (the models
-without it hash as before).  Any change to a model's
-variable keys, rows, bounds, parameter columns, objective or lazy-row labels
-changes its digest.  The solver tests check that ``solve()`` returns bitwise what
-``linprog(method="highs-ds")`` returns on models without lazy rows.  On the
+objective and the row labels joined the hash, the three set-LP digests
+again when the set LP gained its slack objective (the models without it
+hash as before), and the adversarial set LP's once the triangle-LP metric
+stopped carrying -0.0 entries into its parameter values.  The column keys
+hashed are the ones the builders once listed, decoded here from the column
+layout.  Any change to a model's layout, rows, bounds, parameter columns,
+objective or lazy-row labels changes its digest.  The solver tests check
+that ``solve()`` returns bitwise what ``linprog(method="highs-ds")``
+returns on models without lazy rows.  On the
 set LPs, whose triple box rows are lazy, the direct call generates rows;
 there they check linprog's status and a point that satisfies the full model.
 The import guard must raise, not degrade, when scipy's private HiGHS class
@@ -16,6 +19,7 @@ stops generating rows or reporting a dual ray.
 
 import hashlib
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -39,7 +43,7 @@ from corrclust.precluster import AgreementParams, precluster
 GOLDEN = {
     "set_planted_full": "5fd2e5b0e55b84725f8e44b5c8cbee76af63de54b6a57da92b2e1cd3f8c9718b",
     "set_planted_atoms": "22cbffa5dc5716b4ff8d63ca5c19484ab10337e78376a1dc7772c0d6badee000",
-    "set_adversarial_atoms": "1b8374d5c476318690812ccb130574d21d5a9552debb3d63440582f2bd03f97d",
+    "set_adversarial_atoms": "7cd7a7693b4ca1d715936689c2e9d212f58a52c1f73a72a605e56750f2bd937c",
     "pivot_planted": "537bed92f5b841aac10a9ff4b4afd2cbbfe90a824503f26f118533f5b20e5556",
     "triangle_planted": "a8028a338bf4313e8063c3ec7e15115368940070089eaa152a153d7942296c5d",
 }
@@ -51,12 +55,26 @@ def _ints(v):
     return int(v) if isinstance(v, (int, np.integer)) else v
 
 
+def _keys(lp) -> list[tuple]:
+    """Column keys decoded from the layout: ("xt", pair), ("y", S) and
+    ("ys", s, S) in a lifted program, ("x", pair) in the triangle LP, whose
+    columns are the pairs of its n vertices in order."""
+    if lp.layout is None:
+        n = next(k for k in range(lp.num_vars + 2) if comb(k, 2) == lp.num_vars)
+        return [("x", p) for p in combinations(range(n), 2)]
+    verts, offset = lp.layout
+    sets = [()] + [(v,) for v in verts] + [S for k in (2, 3) for S in combinations(verts, k)]
+    blocks = (lp.num_vars - offset) // len(sets)
+    return ([("xt", p) for p in combinations(verts, 2)][:offset] + [("y", S) for S in sets]
+            + [("ys", s, S) for s in range(1, blocks) for S in sets])
+
+
 def _digest(lp) -> str:
-    """SHA-256 over the keys, parameters, every array HiGHS is built from,
-    the objective and the row labels; integers are normalized, floats hashed
-    by their bytes (so -0.0 != 0.0)."""
+    """SHA-256 over the column keys, parameters, every array HiGHS is built
+    from, the objective and the row labels; integers are normalized, floats
+    hashed by their bytes (so -0.0 != 0.0)."""
     h = hashlib.sha256()
-    h.update(repr([_ints(k) for k in lp.var_keys]).encode())
+    h.update(repr([_ints(k) for k in _keys(lp)]).encode())
     h.update(repr([_ints(p) for p in lp.param_pairs]).encode())
     h.update(np.asarray(lp.param_values, dtype=np.float64).tobytes())
     A, P, rhs0, senses, lb, ub = lp.matrices()
@@ -159,8 +177,8 @@ def _loop_set_lp(vprime, pre, x, epsilon):
         return m + B * s + rank[S]
 
     lp = LinearProgram(f"set-lp(n'={n},r=3)")
-    lp.add_vars([("xt", glob(p)) for p in pairs] + [("y", glob(S)) for S in sets]
-                + [("ys", s, glob(S)) for s in range(1, n + 1) for S in sets])
+    lp.layout = (tuple(verts), m)
+    lp.add_vars(m + B * (n + 1))
     lp.set_bounds([y(())] + [ys(s, ()) for s in range(1, n + 1)], ub=float(n))
     lp.fix_vars([y((i,)) for i in loc], 1.0)
     cls = {p: pre.classify_pair(*glob(p)) for p in pairs}
@@ -182,8 +200,9 @@ def _loop_set_lp(vprime, pre, x, epsilon):
         lp.add_row({y(S): -1.0, **{ys(s, S): 1.0 for s in range(1, n + 1)}}, "=", 0.0)
     for k, p in enumerate(pairs):  # (3)
         lp.add_row({y(p): 1.0, k: 1.0}, "=", 1.0)
-    for k, p in enumerate(pairs):  # (4)
-        lp.add_row({k: -1.0}, "<", 0.0, {lp.param_col(glob(p), x.x(*glob(p))): 1.0})
+    lp.set_params([glob(p) for p in pairs], x)
+    for k, p in enumerate(pairs):  # (4), parameter column k is pair k
+        lp.add_row({k: -1.0}, "<", 0.0, {k: 1.0})
     if m:  # (7), and the objective: the total slack sum (xt - x)
         lp.add_row(dict.fromkeys(range(m), 1.0), "<", epsilon * sum(d), dict.fromkeys(range(m), -1.0))
         lp.set_objective(list(range(m)), [1.0] * m, constant=-sum(lp.param_values))
@@ -274,8 +293,9 @@ def _assert_solves_full_model(lp, res):
 
 def test_solve_matches_linprog_bitwise(fixture_lps):
     for name, lp in [*fixture_lps.items(), ("set_infeasible", _infeasible_set_lp())]:
-        assert lp.lazy.any() == name.startswith("set_")
-        check = _assert_solves_full_model if lp.lazy.any() else _assert_same_as_linprog
+        lazy = (lp.labels != -1).any()
+        assert lazy == name.startswith("set_")
+        check = _assert_solves_full_model if lazy else _assert_same_as_linprog
         check(lp, solve(lp))
 
 
@@ -332,8 +352,9 @@ def test_extraction_clamps_and_rejects(fixture_lps):
     lp = fixture_lps["set_planted_atoms"]
     res = solve(lp)
     values = res.values.copy()
-    i = lp.var_keys.index(("y", (4, 5)))
-    j = lp.var_keys.index(("ys", 1, ()))
+    keys = _keys(lp)
+    i = keys.index(("y", (4, 5)))
+    j = keys.index(("ys", 1, ()))
     values[i] = -0.0
     values[j] = -1e-3  # empty-set variables are only floored at 0
     sol = lifted_from_result(lp, LPResult("optimal", values=values))
@@ -347,3 +368,14 @@ def test_extraction_clamps_and_rejects(fixture_lps):
     values[i] = np.nan
     with pytest.raises(LPError):
         lifted_from_result(lp, LPResult("optimal", values=values))
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(GOLDEN) if not name.startswith("triangle")])
+def test_accessors_read_the_layout(fixture_lps, name):
+    """Every column, named by the key decoded from the layout, reads through
+    its accessor as the value at that column."""
+    lp = fixture_lps[name]
+    sol = lifted_from_result(lp, solve(lp))
+    read = {"xt": lambda p: sol.xt_of(*p), "y": sol.y_of, "ys": sol.ys_of}
+    for j, (kind, *key) in enumerate(_keys(lp)):
+        assert read[kind](*key) == sol.values[j], (j, kind, key)

@@ -45,3 +45,15 @@ def test_pair_class_read_as_codes():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "classify_pair"
     ]
     assert found == []
+
+
+def test_no_np_clip_in_package():
+    # np.clip keeps a -0.0 input; values are floored with np.where instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "clip"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+    ]
+    assert found == []
