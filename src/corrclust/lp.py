@@ -506,7 +506,7 @@ def build_triangle_lp(g: SignedGraph, pre: PreclusteredInstance) -> LinearProgra
     t = si.t
     if t:
         rows = np.arange(3 * t)
-        cuv, cuw, cvw = si.pr[si.ta, si.tb], si.pr[si.ta, si.tc], si.pr[si.tb, si.tc]
+        cuv, cuw, cvw = si.tab, si.tac, si.tbc
         # x_uv <= x_uw + x_wv, all three rotations
         long_side = np.concatenate([cuv, cuw, cvw])
         short1 = np.concatenate([cuw, cuv, cuv])
@@ -546,9 +546,10 @@ class _SetIndex:
     """Ranks of subsets of local vertices 0..n-1, sizes 0..3, in one
     contiguous block: the empty set, the singletons, the pairs, then the
     triples, each group in lexicographic order (``rank`` maps a set to its
-    rank).  Also holds the row patterns
-    of one lifted layer in these ranks.  Depends only on n; use
-    :func:`_set_index`, which shares one instance per n."""
+    rank).  ``tab``, ``tac`` and ``tbc`` are the pair ranks of each triple's
+    pairs ab, ac and bc.  Also holds the row patterns of one lifted layer in
+    these ranks.  Depends only on n; use :func:`_set_index`, which shares
+    one instance per n."""
 
     def __init__(self, n: int):
         self.n = n
@@ -562,13 +563,14 @@ class _SetIndex:
         self.size = np.repeat([0, 1, 2, 3], [1, n, m, t])
         self.pa, self.pb = np.array(self.pairs, dtype=int).reshape(m, 2).T
         self.ta, self.tb, self.tc = np.array(self.triples, dtype=int).reshape(t, 3).T
-        self.pr = np.full((n, n), -1, dtype=int)
-        self.pr[self.pa, self.pb] = self.pr[self.pb, self.pa] = np.arange(m)
+        pr = np.full((n, n), -1, dtype=int)
+        pr[self.pa, self.pb] = pr[self.pb, self.pa] = np.arange(m)
+        self.tab, self.tac, self.tbc = pr[self.ta, self.tb], pr[self.ta, self.tc], pr[self.tb, self.tc]
         self.box = self._box_rows()
         self.growth = self._growth_entries()
         # shared by every LP of this size: keep the arrays read-only
-        for arr in (self.size, self.pa, self.pb, self.ta, self.tb, self.tc, self.pr, *self.box[:3], self.box[4],
-                    *self.growth):
+        for arr in (self.size, self.pa, self.pb, self.ta, self.tb, self.tc, self.tab, self.tac, self.tbc,
+                    *self.box[:3], self.box[4], *self.growth):
             arr.flags.writeable = False
 
     def _box_rows(self):
@@ -598,9 +600,7 @@ class _SetIndex:
             ]
         if t:
             ya, yb, yc = 1 + self.ta, 1 + self.tb, 1 + self.tc
-            yab = 1 + n + self.pr[self.ta, self.tb]
-            yac = 1 + n + self.pr[self.ta, self.tc]
-            ybc = 1 + n + self.pr[self.tb, self.tc]
+            yab, yac, ybc = 1 + n + self.tab, 1 + n + self.tac, 1 + n + self.tbc
             yabc, y0 = 1 + n + m + np.arange(t), np.zeros(t, dtype=int)
             # S=empty, T={a,b,c}: lower and upper
             blocks += [
@@ -633,9 +633,8 @@ class _SetIndex:
         """(rows, ranks) of the +1 terms of the size-consistency rows (5):
         the row of S (ranked like S, |S| <= 2) holds y_{S+u} for u not in S."""
         n, m = self.n, self.m
-        tail = 1 + n + self.pr
         rows = [np.zeros(n, dtype=int), 1 + self.pa, 1 + self.pb,
-                tail[self.tb, self.tc], tail[self.ta, self.tc], tail[self.ta, self.tb]]
+                1 + n + self.tbc, 1 + n + self.tac, 1 + n + self.tab]
         pair_ranks = 1 + n + np.arange(m)
         triple_ranks = 1 + n + m + np.arange(self.t)
         ranks = [1 + np.arange(n), pair_ranks, pair_ranks, triple_ranks, triple_ranks, triple_ranks]
@@ -819,9 +818,7 @@ def build_pivot_lp(g: SignedGraph, pre: PreclusteredInstance, x: Metric) -> Line
     # triangle rows: y_ab + y_ac + y_bc - 2 y_abc <= 1
     t = si.t
     if t:
-        yab = 1 + n + si.pr[si.ta, si.tb]
-        yac = 1 + n + si.pr[si.ta, si.tc]
-        ybc = 1 + n + si.pr[si.tb, si.tc]
+        yab, yac, ybc = 1 + n + si.tab, 1 + n + si.tac, 1 + n + si.tbc
         yabc = 1 + n + m + np.arange(t)
         rows = np.arange(t)
         lp.add_rows(
