@@ -125,9 +125,10 @@ class PipelineConfig:
     parameter cascade is exposed as independent dials; every other value
     the pipeline uses is a module constant.  The lift order ``r`` is
     recorded in reports; 3 is the only order the lifted LPs implement.
-    ``oracle_limit`` is at most the exact oracles' own limit.  ``epsilon``
-    and ``trials`` are checked by :class:`RoundingParams` at construction,
-    before any work."""
+    ``oracle_limit`` is at most the exact oracles' own limit.  At
+    construction, before any work, :class:`AgreementParams` checks
+    ``epsilon_q`` and :class:`RoundingParams` checks ``epsilon`` and
+    ``trials``."""
 
     epsilon_q: float = 0.1
     epsilon: float = 0.05
@@ -140,6 +141,7 @@ class PipelineConfig:
             raise ValueError(f"lift order r must be 3, got {self.r}")
         if not 0 <= self.oracle_limit <= DEFAULT_LIMIT:
             raise ValueError(f"oracle limit must lie in 0..{DEFAULT_LIMIT}, got {self.oracle_limit}")
+        AgreementParams(self.epsilon_q)
         RoundingParams(self.epsilon, self.trials)
 
 

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
@@ -351,7 +352,10 @@ def generate_instance(kind: str, n: int, params: Mapping | None, seed: int) -> S
         plus = {p for p in all_pairs(n) if rng.random() < p_plus}
         return SignedGraph(n, frozenset(plus))
     if kind in ("planted_cliques", "adversarial_mix"):
-        sizes = list(params.pop("sizes"))
+        try:
+            sizes = [operator.index(s) for s in params.pop("sizes")]
+        except (KeyError, TypeError):
+            raise ValueError(f"{kind} needs 'sizes', a list of integer clique sizes") from None
         noise = _probability(params.pop("noise", 0.0), "noise")
         p_plus = _probability(params.pop("p_plus", 0.5), "p_plus") if kind == "adversarial_mix" else None
         _reject_extra(params)

@@ -30,8 +30,8 @@ not.
 Three builders are provided:
 
 * :func:`build_triangle_lp`   - the plain metric LP over x itself,
-* :func:`build_set_lp`        - size-stratified lift y^s_S with a relaxed
-                                metric copy xt, used by set-based rounding,
+* :func:`build_set_lp`        - size-stratified lift y^s_S, used by
+                                set-based rounding,
 * :func:`build_pivot_lp`      - single-layer lift y_S with triangle
                                 constraints, used by pivot-based rounding.
 
@@ -58,7 +58,6 @@ from .core import (
     Pair,
     PreclusteredInstance,
     SignedGraph,
-    pair_key,
 )
 
 SOLVER_TOL = 1e-9
@@ -97,14 +96,15 @@ class LinearProgram:
     Rows are stored as ``a . vars <sense> rhs0 - p . x`` where x is the input
     metric (fixed at build time, but kept symbolic so infeasibility can be
     projected onto a separating hyperplane in x-space).  Parameter column i
-    is ``param_pairs[i]``.  A lifted program records its column ``layout``:
-    its sorted vertices and the first column of its set blocks, each block
-    ranked as in :class:`_SetIndex`; other programs leave it ``None``.
+    is ``param_pairs[i]``.  A lifted program records its column ``layout``,
+    its sorted vertices: its columns are blocks of set variables from column
+    0, each block ranked as in :class:`_SetIndex`; other programs leave it
+    ``None``.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self.layout: tuple[tuple[int, ...], int] | None = None
+        self.layout: tuple[int, ...] | None = None
         self.lb = np.zeros(0)
         self.ub = np.zeros(0)
         self._entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -659,27 +659,29 @@ def build_set_lp(
 ) -> LinearProgram:
     """Size-stratified lifted LP on the remaining vertex set.
 
-    Variables: xt (relaxed metric copy), y_S aggregates and y^s_S per cluster
-    size s, for |S| <= 3 (lift order r = 3).  Cluster-size windows pin
-    y^s_S = 0 whenever some u in S cannot live in a size-s cluster (its atom
-    is kept whole, or the size is within the forbidden margin above the atom
-    size).
+    Variables: y_S aggregates and y^s_S per cluster size s, for |S| <= 3
+    (lift order r = 3).  The paper's relaxed metric copy xt is substituted
+    away by its row (3), xt_uv = 1 - y_uv: row (4) reads y_uv <= 1 - x_uv,
+    the atomic pin (6) reads y_uv = 1, and row (7) budgets
+    sum (1 - y_uv - x_uv).  Cluster-size windows pin y^s_S = 0 whenever some
+    u in S cannot live in a size-s cluster (its atom is kept whole, or the
+    size is within the forbidden margin above the atom size).
 
-    Objective: the total slack sum (xt - x) over the local pairs, x held as a
-    constant, so the optimum is 0 exactly when xt = x has a feasible lift.
-    Set-based rounding needs only a feasible point: its budgets are charged
-    on x and its ledger reconciles against ceilings computed from x, so every
-    point of this program is sound, and the objective only picks one.
-    Without one, the point would be whichever vertex HiGHS's path reaches;
-    this one keeps xt as close to x as the lift allows.  Row (7) stays: where
-    the optimum is positive the slack is needed for feasibility, and the
-    analysis allows at most epsilon * sum d_adm of it.
+    Objective: the total slack sum (1 - y_uv - x_uv) over the local pairs,
+    x held as a constant, so the optimum is 0 exactly when y_uv = 1 - x_uv
+    has a feasible lift.  Set-based rounding needs only a feasible point:
+    its budgets are charged on x and its ledger reconciles against ceilings
+    computed from x, so every point of this program is sound, and the
+    objective only picks one.  Without one, the point would be whichever
+    vertex HiGHS's path reaches; this one keeps 1 - y as close to x as the
+    lift allows.  Row (7) stays: where the optimum is positive the slack is
+    needed for feasibility, and the analysis allows at most
+    epsilon * sum d_adm of it.
 
-    Columns (``lp.layout``): xt per local pair, then one block of set
-    variables (ranked as in :class:`_SetIndex`) for y and one per size
-    s = 1..n for y^s.  Rows: (1), (3), (4), (7), then (5) for every s,
-    then (9) for every s.  The per-layer rows are one pattern tiled over
-    the layers.
+    Columns (``lp.layout``): one block of set variables (ranked as in
+    :class:`_SetIndex`) for y and one per size s = 1..n for y^s.  Rows:
+    (1), (4), (7), then (5) for every s, then (9) for every s.  The
+    per-layer rows are one pattern tiled over the layers.
 
     The box rows (9) that hold a triple, 11 per triple and layer, are marked
     lazy: they are most of the rows, and few of them bind at the point
@@ -697,20 +699,21 @@ def build_set_lp(
     m, B = si.m, si.block
     lp = LinearProgram(f"set-lp(n'={n},r=3)")
 
-    # variables: xt per local pair, then y sets, then y^s sets per s
-    lp.layout = (tuple(verts), m)
-    lp.add_vars(m + B * (n + 1))
+    # variables: y sets, then y^s sets per s
+    lp.layout = tuple(verts)
+    lp.add_vars(B * (n + 1))
     layers = np.arange(1, n + 1)
-    ys_base = m + B * layers  # first column (the empty set) of each layer
-    lp.set_bounds(np.concatenate([[m], ys_base]), ub=float(n))  # empty sets count clusters
+    ys_base = B * layers  # first column (the empty set) of each layer
+    lp.set_bounds(np.concatenate([[0], ys_base]), ub=float(n))  # empty sets count clusters
     # (2) y_u = 1
-    lp.fix_vars(m + 1 + np.arange(n), 1.0)
+    lp.fix_vars(1 + np.arange(n), 1.0)
 
     # pair classes on V'; a vertex counts as in its own atom
     cls = pre.pair_class[np.ix_(verts, verts)]
     same, non_adm = cls == ATOMIC, cls == NON_ADMISSIBLE
-    # (6) atomic xt = 0
-    lp.fix_vars(np.flatnonzero(same[si.pa, si.pb]), 0.0)
+    ypair = 1 + n + np.arange(m)
+    # (6) atomic y_uv = 1
+    lp.fix_vars(ypair[same[si.pa, si.pb]], 1.0)
     d_adm = [pre.d_adm(v) for v in verts]
 
     # Size windows.  Vertex i fits a size-s cluster with set S if s is its
@@ -735,8 +738,8 @@ def build_set_lp(
         ~((beyond[ta] | at_size[ta] & whole3) & (beyond[tb] | at_size[tb] & whole3)
           & (beyond[tc] | at_size[tc] & whole3)) | (layers < 3),
     ]) | y_pinned[:, None]  # (set rank, layer)
-    lp.fix_vars(m + np.flatnonzero(y_pinned), 0.0)
-    lp.fix_vars(m + B + np.flatnonzero(ys_pinned.T), 0.0)
+    lp.fix_vars(np.flatnonzero(y_pinned), 0.0)
+    lp.fix_vars(B + np.flatnonzero(ys_pinned.T), 0.0)
 
     def tiled(rows, row_count, ranks):
         """Rows and columns of one layer's pattern repeated for s = 1..n."""
@@ -744,30 +747,21 @@ def build_set_lp(
 
     # (1) sum_s y^s_S = y_S, for every S
     rows = np.arange(B)
-    lp.add_rows(B, "=", 0.0, [(rows, m + rows, -np.ones(B)),
-                              (np.tile(rows, n), m + B + np.arange(n * B), np.ones(n * B))])
+    lp.add_rows(B, "=", 0.0, [(rows, rows, -np.ones(B)),
+                              (np.tile(rows, n), B + np.arange(n * B), np.ones(n * B))])
 
-    # (3) y_uv + xt_uv = 1
+    # (3) xt_uv = 1 - y_uv is substituted into (4), (6), (7) and the objective
     if m:
         rows = np.arange(m)
-        xt_cols = np.arange(m)
-        ypair = m + 1 + n + rows
-        lp.add_rows(m, "=", 1.0, [(rows, ypair, np.ones(m)), (rows, xt_cols, np.ones(m))])
-        # (4) xt_uv >= x_uv  (parameter rows: -xt <= -x); parameter column = pair rank
+        # (4) y_uv <= 1 - x_uv  (parameter rows); parameter column = pair rank
         lp.set_params([(verts[a], verts[b]) for a, b in si.pairs], x)
-        lp.add_rows(
-            m, "<", 0.0, [(rows, xt_cols, -np.ones(m))], [(rows, rows, np.ones(m))]
-        )
-        # (7) total slack between xt and x is budgeted
-        lp.add_rows(
-            1,
-            "<",
-            epsilon * sum(d_adm),
-            [(np.zeros(m, dtype=int), xt_cols, np.ones(m))],
-            [(np.zeros(m, dtype=int), rows, -np.ones(m))],
-        )
-        # minimize that slack, sum (xt - x)
-        lp.set_objective(xt_cols, np.ones(m), constant=-sum(lp.param_values))
+        lp.add_rows(m, "<", 1.0, [(rows, ypair, np.ones(m))], [(rows, rows, np.ones(m))])
+        # (7) the total slack sum (1 - y_uv - x_uv) is budgeted
+        zeros = np.zeros(m, dtype=int)
+        lp.add_rows(1, "<", epsilon * sum(d_adm) - m, [(zeros, ypair, -np.ones(m))],
+                    [(zeros, rows, -np.ones(m))])
+        # minimize that slack: -sum y_uv, plus the constant m - sum x_uv
+        lp.set_objective(ypair, -np.ones(m), constant=m - sum(lp.param_values))
 
     # (5) size consistency: sum_{u not in S} y^s_{Su} = (s - |S|) y^s_S, |S| <= 2
     count = 1 + n + m
@@ -801,7 +795,7 @@ def build_pivot_lp(g: SignedGraph, pre: PreclusteredInstance, x: Metric) -> Line
     n = g.n
     si = _set_index(n)
     lp = LinearProgram(f"pivot-lp(n={n},r=3)")
-    lp.layout = (tuple(range(n)), 0)  # column = set rank
+    lp.layout = tuple(range(n))  # column = set rank
     lp.add_vars(si.block)
     lp.set_bounds([0], lb=0.0, ub=float(n))  # y_empty counts clusters
     lp.fix_vars(1 + np.arange(n), 1.0)
@@ -838,17 +832,16 @@ class LiftedSolution:
     """Point of one of the lifted relaxations: the solver's array, clamped,
     read by set through its program's column ``layout``.
 
-    Variables indexed by nonempty sets (and xt) are clamped to [0,1]; the
+    Variables indexed by nonempty sets are clamped to [0,1]; the
     solver's excursions beyond it are at tolerance level, and larger ones
     raise at extraction.  Empty-set variables count clusters and are only
     floored at 0.
     """
 
-    def __init__(self, values: np.ndarray, layout: tuple[tuple[int, ...], int]):
+    def __init__(self, values: np.ndarray, verts: tuple[int, ...]):
         self.values = values
-        verts, self._offset = layout
         si = _set_index(len(verts))
-        self._rank, self._block, self._n = si.rank, si.block, si.n
+        self._rank, self._block = si.rank, si.block
         self._local = [-1] * (verts[-1] + 1 if verts else 0)  # vertex -> local index
         for i, v in enumerate(verts):
             self._local[v] = i
@@ -858,17 +851,13 @@ class LiftedSolution:
 
     @property
     def y0(self) -> float:
-        return float(self.values[self._offset])
+        return float(self.values[0])
 
     def y_of(self, vs: Iterable[int]) -> float:
-        return float(self.values[self._offset + self._rank_of(vs)])
+        return float(self.values[self._rank_of(vs)])
 
     def ys_of(self, s: int, vs: Iterable[int]) -> float:
-        return float(self.values[self._offset + self._block * s + self._rank_of(vs)])
-
-    def xt_of(self, u: int, v: int) -> float:
-        """xt of a pair: the columns before the set blocks, by pair rank."""
-        return float(self.values[: self._offset][self._rank_of(pair_key(u, v)) - 1 - self._n])
+        return float(self.values[self._block * s + self._rank_of(vs)])
 
 
 _LIFT_TOL = 1e-6  # largest excursion outside [0,1] accepted as solver noise
@@ -878,9 +867,8 @@ def lifted_from_result(lp: LinearProgram, res: LPResult) -> LiftedSolution:
     if res.status != "optimal" or res.values is None:
         raise ValueError(f"cannot extract a lifted solution from status {res.status}")
     v = np.asarray(res.values, dtype=float)
-    verts, offset = lp.layout
     empty = np.zeros(len(v), dtype=bool)
-    empty[offset :: _set_index(len(verts)).block] = True
+    empty[:: _set_index(len(lp.layout)).block] = True
     bad = np.flatnonzero(~(empty | ((v >= -_LIFT_TOL) & (v <= 1 + _LIFT_TOL))))
     if bad.size:
         i = bad[0]
@@ -932,9 +920,9 @@ def _inside_one_cluster(si: _SetIndex, label: np.ndarray) -> np.ndarray:
 
 def integral_set_lift(vprime: Iterable[int], clusters: list[set[int]]) -> np.ndarray:
     """Value vector of the indicator lift of a clustering of V' for the set
-    LP on V', in :func:`build_set_lp`'s column order: xt_uv = 1 across
-    clusters, y_S = 1 and y^s_S = 1 (for s the cluster's size) where S lies
-    inside one cluster, and the empty sets count clusters (of size s)."""
+    LP on V', in :func:`build_set_lp`'s column order: y_S = 1 and y^s_S = 1
+    (for s the cluster's size) where S lies inside one cluster, and the
+    empty sets count clusters (of size s)."""
     verts = sorted(vprime)
     n = len(verts)
     si = _set_index(n)
@@ -949,7 +937,7 @@ def integral_set_lift(vprime: Iterable[int], clusters: list[set[int]]) -> np.nda
     size = np.where(inside, sizes[label[first]], 0)
     ys = (size[None, :] == np.arange(1, n + 1)[:, None]).astype(float)
     ys[:, 0] = np.bincount(sizes, minlength=n + 1)[1 : n + 1]
-    return np.concatenate([1.0 - y[1 + n : 1 + n + si.m], y, ys.ravel()])
+    return np.concatenate([y, ys.ravel()])
 
 
 def integral_pivot_lift(c: Clustering) -> np.ndarray:
@@ -966,15 +954,13 @@ def integral_pivot_lift(c: Clustering) -> np.ndarray:
 
 
 def _column_name(lp: LinearProgram, j: int) -> str:
-    """``xt[u,v]``, ``y[S]`` or ``y<s>[S]`` for column j of a lifted program,
-    decoded from its layout; ``c<j>`` for a column of any other program."""
-    if lp.layout is None:
+    """``y[S]`` or ``y<s>[S]`` for column j of a lifted program, decoded
+    from its layout; ``c<j>`` for a column of any other program."""
+    verts = lp.layout
+    if verts is None:
         return f"c{j}"
-    verts, offset = lp.layout
     si = _set_index(len(verts))
-    if j < offset:
-        return "xt[{},{}]".format(*(verts[i] for i in si.pairs[j]))
-    block, rank = divmod(j - offset, si.block)
+    block, rank = divmod(j, si.block)
     return f"y{block or ''}[" + ",".join(str(verts[i]) for i in si.sets[rank]) + "]"
 
 

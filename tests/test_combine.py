@@ -111,6 +111,9 @@ def test_pipeline_config_rounding_knobs():
     for eps in (0.0, -0.05):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             PipelineConfig(epsilon=eps)
+    for eps_q in (0.0, 1.0, 2.0):
+        with pytest.raises(ValueError, match=r"epsilon_q must lie in \(0, 1\)"):
+            PipelineConfig(epsilon_q=eps_q)
 
 
 def test_full_pipeline_planted():

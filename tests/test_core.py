@@ -148,6 +148,9 @@ def test_generators():
         generate_instance("uniform_random", 0, None, 0)
     with pytest.raises(ValueError):
         generate_instance("nope", 4, None, 0)
+    for params in ({}, {"sizes": 5}):
+        with pytest.raises(ValueError, match="'sizes'"):
+            generate_instance("planted_cliques", 5, params, 0)
     mix = generate_instance("adversarial_mix", 9, {"sizes": [3, 3], "noise": 0.1}, 4)
     assert mix.n == 9
     # sizes that sum to n leave no free region: the planted graph, drawn alike

@@ -123,8 +123,8 @@ def test_set_lp_lazy_rows_are_the_triple_box_rows():
         n, lazy = len(vprime), lp.labels != -1
         assert lazy.shape == (lp.num_rows,) and lazy.sum() == n * 11 * comb(n, 3)
         A = lp.matrices()[0]
-        si, (_, offset) = _set_index(n), lp.layout
-        k = np.arange(lp.num_vars) - offset  # y^s sets start at one block past the offset
+        si = _set_index(n)
+        k = np.arange(lp.num_vars)  # y^s sets start one block in
         triple_col = (k >= si.block) & (si.size[k % si.block] == 3)
         assert all(triple_col[A.indices[A.indptr[i]:A.indptr[i + 1]]].any() for i in np.flatnonzero(lazy))
         # the box rows (9) come last, one pattern per layer; each label sits at
@@ -313,7 +313,7 @@ def test_certificate_holds_wherever_program_is_feasible_fuzz(lp, data):
             assert sum(c * x[p] for p, c in cert.w.items()) >= cert.b - 1e-9
 
 
-_UNIFORM_CERTIFICATE_B = {(8, 30029): -63.408, (8, 30031): -38.615, (7, 140013): -15.0, (7, 140016): -8.812}
+_UNIFORM_CERTIFICATE_B = {(8, 30029): -59.729, (8, 30031): -32.789, (7, 140013): -3.0, (7, 140016): -8.671}
 
 
 @pytest.mark.parametrize("n, seed", list(_UNIFORM_CERTIFICATE_B))
@@ -340,23 +340,23 @@ def test_uniform_set_lp_certificates(n, seed, highs_log):
     ("adversarial_mix", 13, [5, 5], 10000, 0.5),
 ])
 def test_set_lp_objective_is_the_slack(kind, n, sizes, seed, slack):
-    """The full-V set LP minimizes the total slack sum (xt - x): its
-    objective reads that sum at the returned point, and is never negative.
-    The planted lift needs no slack, so xt = x there; this adversarial one
-    needs 0.5 (the optimum value, whichever vertex HiGHS returns)."""
+    """The full-V set LP minimizes the total slack sum (1 - y_uv - x_uv):
+    its objective reads that sum at the returned point, and is never
+    negative.  The planted lift needs no slack, so y_uv = 1 - x_uv there;
+    this adversarial one needs 0.5 (the optimum value, whichever vertex
+    HiGHS returns)."""
     g = generate_instance(kind, n, {"sizes": sizes, "noise": 0.02}, seed)
     pre = precluster(g, AgreementParams(0.1))
     x, _ = solve_triangle_lp(g, pre)
     lp = build_set_lp(range(n), pre, x, epsilon=0.05)
     res = solve(lp)
     assert res.status == "optimal"
-    m = comb(n, 2)
-    assert lp.layout == (tuple(range(n)), m)  # xt per pair first, the sets from column m
-    xt, xv = res.values[:m], np.array([x.x(*p) for p in combinations(range(n), 2)])
-    assert res.objective == pytest.approx(float((xt - xv).sum()), abs=1e-9)
+    assert lp.layout == tuple(range(n))  # the set blocks from column 0, the pairs at ranks 1+n..n+m
+    y, xv = res.values[1 + n : 1 + n + comb(n, 2)], np.array([x.x(*p) for p in combinations(range(n), 2)])
+    assert res.objective == pytest.approx(float((1 - y - xv).sum()), abs=1e-9)
     assert res.objective >= -1e-9 and res.objective == pytest.approx(slack, abs=1e-7)
     if slack == 0.0:
-        assert xt == pytest.approx(xv, abs=1e-9)
+        assert 1 - y == pytest.approx(xv, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -508,8 +508,7 @@ def test_lifted_solution_invariants():
     for v in verts:
         assert sol.y_of((v,)) == pytest.approx(1.0, abs=tol)
     for (u, v) in all_pairs(6):
-        assert sol.y_of((u, v)) == pytest.approx(1 - sol.xt_of(u, v), abs=tol)
-        assert sol.xt_of(u, v) >= x.x(u, v) - tol
+        assert 1 - sol.y_of((u, v)) >= x.x(u, v) - tol
         total = sum(sol.ys_of(s, (u, v)) for s in range(1, 7))
         assert total == pytest.approx(sol.y_of((u, v)), abs=tol)
     for s in range(1, 7):
@@ -536,7 +535,8 @@ def test_lp_dump():
     g = SignedGraph(3, frozenset({(0, 1)}))
     x = Metric(3, {(0, 1): 0.0, (0, 2): 1.0, (1, 2): 1.0})
     lines = write_lp_text(build_set_lp([0, 2], trivial_preclustering(3), x, 0.05)).splitlines()
-    assert lines[-13:-9] == ["0 <= xt[0,2] <= 1", "0 <= y[] <= 2", "y[0] == 1", "y[2] == 1"]
+    assert lines[5:7] == ["1 y[0,2] <= 0", "-1 y[0,2] <= 0.2"]  # (4) y_uv <= 1 - x_uv, and (7)
+    assert lines[-12:-8] == ["0 <= y[] <= 2", "y[0] == 1", "y[2] == 1", "0 <= y[0,2] <= 1"]
     assert lines[-5] == "y1[0,2] == 0" and lines[-1] == "0 <= y2[0,2] <= 1"
     assert write_lp_text(build_pivot_lp(g, trivial_preclustering(3), x)).splitlines()[-1] == "0 <= y[0,1,2] <= 1"
 

@@ -4,15 +4,18 @@ The golden models are the ones recorded before the builders were
 vectorized; the digests were re-recorded on those unchanged models once the
 objective and the row labels joined the hash, the three set-LP digests
 again when the set LP gained its slack objective (the models without it
-hash as before), and the adversarial set LP's once the triangle-LP metric
-stopped carrying -0.0 entries into its parameter values.  The column keys
-hashed are the ones the builders once listed, decoded here from the column
-layout.  Any change to a model's layout, rows, bounds, parameter columns,
-objective or lazy-row labels changes its digest.  The solver tests check
-that ``solve()`` returns bitwise what ``linprog(method="highs-ds")``
-returns on models without lazy rows.  On the
-set LPs, whose triple box rows are lazy, the direct call generates rows;
-there they check linprog's status and a point that satisfies the full model.
+hash as before), the adversarial set LP's once the triangle-LP metric
+stopped carrying -0.0 entries into its parameter values, and the three
+set-LP digests once more when the set LP substituted its relaxed metric
+copy xt = 1 - y away (the loop-built reference below was rebuilt to the
+new model first, and agreed).  The column keys hashed are the ones the
+builders once listed, decoded here from the column layout.  Any change to
+a model's layout, rows, bounds, parameter columns, objective or lazy-row
+labels changes its digest.  The solver tests check that ``solve()``
+returns bitwise what ``linprog(method="highs-ds")`` returns on models
+without lazy rows.  On the set LPs, whose triple box rows are lazy, the
+direct call generates rows; there they check linprog's status and a point
+that satisfies the full model.
 The import guard must raise, not degrade, when scipy's private HiGHS class
 stops generating rows or reporting a dual ray.
 """
@@ -41,9 +44,9 @@ from corrclust.lp import (
 from corrclust.precluster import AgreementParams, precluster
 
 GOLDEN = {
-    "set_planted_full": "5fd2e5b0e55b84725f8e44b5c8cbee76af63de54b6a57da92b2e1cd3f8c9718b",
-    "set_planted_atoms": "22cbffa5dc5716b4ff8d63ca5c19484ab10337e78376a1dc7772c0d6badee000",
-    "set_adversarial_atoms": "7cd7a7693b4ca1d715936689c2e9d212f58a52c1f73a72a605e56750f2bd937c",
+    "set_planted_full": "b0f213854e70dd88b4b5a122336fc2b11d31dc3db4054bd067c38e594d37f455",
+    "set_planted_atoms": "8142ca942a2edfe60ad6ae49b3552e1ffe869fe0410da3817e92e68026c37d1a",
+    "set_adversarial_atoms": "824b0650591d2831f68d964de29f885b21a8b8d2601d8136affba971a1e053a8",
     "pivot_planted": "537bed92f5b841aac10a9ff4b4afd2cbbfe90a824503f26f118533f5b20e5556",
     "triangle_planted": "a8028a338bf4313e8063c3ec7e15115368940070089eaa152a153d7942296c5d",
 }
@@ -56,17 +59,16 @@ def _ints(v):
 
 
 def _keys(lp) -> list[tuple]:
-    """Column keys decoded from the layout: ("xt", pair), ("y", S) and
-    ("ys", s, S) in a lifted program, ("x", pair) in the triangle LP, whose
-    columns are the pairs of its n vertices in order."""
-    if lp.layout is None:
+    """Column keys decoded from the layout: ("y", S) and ("ys", s, S) in a
+    lifted program, ("x", pair) in the triangle LP, whose columns are the
+    pairs of its n vertices in order."""
+    verts = lp.layout
+    if verts is None:
         n = next(k for k in range(lp.num_vars + 2) if comb(k, 2) == lp.num_vars)
         return [("x", p) for p in combinations(range(n), 2)]
-    verts, offset = lp.layout
     sets = [()] + [(v,) for v in verts] + [S for k in (2, 3) for S in combinations(verts, k)]
-    blocks = (lp.num_vars - offset) // len(sets)
-    return ([("xt", p) for p in combinations(verts, 2)][:offset] + [("y", S) for S in sets]
-            + [("ys", s, S) for s in range(1, blocks) for S in sets])
+    blocks = lp.num_vars // len(sets)
+    return [("y", S) for S in sets] + [("ys", s, S) for s in range(1, blocks) for S in sets]
 
 
 def _digest(lp) -> str:
@@ -171,18 +173,18 @@ def _loop_set_lp(vprime, pre, x, epsilon):
         return tuple(verts[i] for i in S)
 
     def y(S):
-        return m + rank[S]
+        return rank[S]
 
     def ys(s, S):
-        return m + B * s + rank[S]
+        return B * s + rank[S]
 
     lp = LinearProgram(f"set-lp(n'={n},r=3)")
-    lp.layout = (tuple(verts), m)
-    lp.add_vars(m + B * (n + 1))
+    lp.layout = tuple(verts)
+    lp.add_vars(B * (n + 1))
     lp.set_bounds([y(())] + [ys(s, ()) for s in range(1, n + 1)], ub=float(n))
     lp.fix_vars([y((i,)) for i in loc], 1.0)
     cls = {p: pre.classify_pair(*glob(p)) for p in pairs}
-    lp.fix_vars([k for k, p in enumerate(pairs) if cls[p] == "atomic"], 0.0)
+    lp.fix_vars([y(p) for p in pairs if cls[p] == "atomic"], 1.0)  # (6), xt = 1 - y substituted
     atom = [{j for j in loc if verts[j] in pre.atom_of(verts[i])} for i in loc]
     d = [pre.d_adm(v) for v in verts]
     for S in sets[1:]:
@@ -198,14 +200,12 @@ def _loop_set_lp(vprime, pre, x, epsilon):
                 lp.fix_vars([ys(s, S)], 0.0)
     for S in sets:  # (1)
         lp.add_row({y(S): -1.0, **{ys(s, S): 1.0 for s in range(1, n + 1)}}, "=", 0.0)
-    for k, p in enumerate(pairs):  # (3)
-        lp.add_row({y(p): 1.0, k: 1.0}, "=", 1.0)
     lp.set_params([glob(p) for p in pairs], x)
-    for k, p in enumerate(pairs):  # (4), parameter column k is pair k
-        lp.add_row({k: -1.0}, "<", 0.0, {k: 1.0})
-    if m:  # (7), and the objective: the total slack sum (xt - x)
-        lp.add_row(dict.fromkeys(range(m), 1.0), "<", epsilon * sum(d), dict.fromkeys(range(m), -1.0))
-        lp.set_objective(list(range(m)), [1.0] * m, constant=-sum(lp.param_values))
+    for k, p in enumerate(pairs):  # (4) y_uv <= 1 - x_uv, parameter column k is pair k
+        lp.add_row({y(p): 1.0}, "<", 1.0, {k: 1.0})
+    if m:  # (7), and the objective: the total slack sum (1 - y_uv - x_uv)
+        lp.add_row({y(p): -1.0 for p in pairs}, "<", epsilon * sum(d) - m, dict.fromkeys(range(m), -1.0))
+        lp.set_objective([y(p) for p in pairs], [-1.0] * m, constant=m - sum(lp.param_values))
     for s in range(1, n + 1):  # (5)
         for S in sets[: 1 + n + m]:
             grow = {ys(s, tuple(sorted(S + (u,)))): 1.0 for u in loc if u not in S}
@@ -376,6 +376,6 @@ def test_accessors_read_the_layout(fixture_lps, name):
     its accessor as the value at that column."""
     lp = fixture_lps[name]
     sol = lifted_from_result(lp, solve(lp))
-    read = {"xt": lambda p: sol.xt_of(*p), "y": sol.y_of, "ys": sol.ys_of}
+    read = {"y": sol.y_of, "ys": sol.ys_of}
     for j, (kind, *key) in enumerate(_keys(lp)):
         assert read[kind](*key) == sol.values[j], (j, kind, key)

@@ -126,7 +126,7 @@ def test_clustering_probability_identity_mid_loop():
 
 
 def test_decided_probability_lower_bound():
-    # Pr[vw decided] >= (1 + xt_vw) / y_empty - err_vw, exactly computed
+    # Pr[vw decided] >= (2 - y_vw) / y_empty - err_vw, exactly computed
     for seed in range(5):
         g = generate_instance("uniform_random", 6, None, seed + 50)
         pre = precluster(g, AgreementParams(0.1))
@@ -136,7 +136,7 @@ def test_decided_probability_lower_bound():
             continue
         ana = analyze_cluster_sampler(range(6), sol, pre, g, x, 0.05)
         for p in ana.p_decided:
-            bound = (1 + sol.xt_of(*p)) / sol.y0 - ana.pair_err[p]
+            bound = (2 - sol.y_of(p)) / sol.y0 - ana.pair_err[p]
             assert ana.p_decided[p] >= bound - 1e-9
 
 
