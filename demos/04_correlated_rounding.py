@@ -9,6 +9,9 @@ carry pair joints only), then rounds the rest independently.  Instead of
 assuming the textbook error bound, the artifact computes the pairwise error
 exactly, by enumerating the sampler's seed branches, and feeds that value
 into every downstream budget check.
+
+A pseudo-distribution is one symmetric joint matrix over positions in the
+ground set: the marginals on its diagonal, the pair joints off it.
 """
 
 import numpy as np
@@ -23,9 +26,9 @@ print(__doc__)
 
 # Two perfectly correlated elements: both have marginal 1/2 and the joint
 # says they always appear together.
-m = ConditionedMarginals((0, 1), {0: 0.5, 1: 0.5}, {(0, 1): 0.5})
+m = ConditionedMarginals((0, 1), [[0.5, 0.5], [0.5, 0.5]])
 print("perfectly correlated pair, marginals 1/2, joint 1/2:")
-pair = exact_pair_probabilities(m)[(0, 1)]
+pair = exact_pair_probabilities(m)[0, 1]
 inc = exact_inclusion_probabilities(m)
 print(f"  Pr[both] = {pair:.3f}   marginals recovered exactly: "
       f"{max(abs(inc[v] - 0.5) for v in (0, 1)):.1e}")
@@ -44,22 +47,17 @@ k, n = 6, 6
 vecs = rng.random((k, n)) < rng.random((k, 1))
 wts = rng.dirichlet(np.ones(k))
 ground = tuple(range(n))
-marg = {v: float((wts * vecs[:, v]).sum()) for v in ground}
-pairs = {
-    (u, v): float((wts * (vecs[:, u] & vecs[:, v])).sum())
-    for u in range(n) for v in range(u + 1, n)
-}
-mm = ConditionedMarginals(ground, marg, pairs)
+joint = [[(wts * (vecs[:, u] & vecs[:, v])).sum() for v in ground] for u in ground]
+mm = ConditionedMarginals(ground, joint)
 print("\nmixture pseudo-distribution on 6 elements:")
 print(f"  pairwise error {measure_pairwise_error(mm):.4f}")
 
 # Exactness is a structural fact, not luck: enumerate every seed branch.
 inc = exact_inclusion_probabilities(mm)
 print("  worst marginal deviation by exhaustive enumeration:",
-      f"{max(abs(inc[v] - marg[v]) for v in ground):.1e}")
+      f"{max(abs(inc - mm.marginal)):.1e}")
 
 # Elements pinned to 0 or 1 are decided deterministically.
-md = ConditionedMarginals((0, 1, 2), {0: 1.0, 1: 0.0, 2: 0.6},
-                          {(0, 1): 0.0, (0, 2): 0.6, (1, 2): 0.0})
+md = ConditionedMarginals((0, 1, 2), [[1.0, 0.0, 0.6], [0.0, 0.0, 0.0], [0.6, 0.0, 0.6]])
 draws = {tuple(sorted(rt_sample(md, np.random.default_rng(s)))) for s in range(12)}
 print("\npinned elements: draws only vary in the fractional element:", sorted(draws))

@@ -8,21 +8,22 @@ marginal; otherwise pick one "seed" element uniformly, include it with its
 marginal, then include every other element independently with its
 probability conditioned on the seed being in or out.  The marginals carry
 pair joints only (what an order-3 lift provides once a pivot is conditioned
-on), which is exactly what conditioning on one seed needs.  Exactness of
-the single-element marginals is a law-of-total-probability fact; the
-residual pairwise error is computed exactly by enumerating the seed
-branches, not assumed, and that value is what downstream budget checks use.
+on), which is exactly what conditioning on one seed needs, so they are one
+symmetric joint matrix: marginals on the diagonal, pair joints off it,
+indexed by position in the ground set.  Exactness of the single-element
+marginals is a law-of-total-probability fact; the residual pairwise error
+is computed exactly from the table of seed branches (one row of
+conditionals per branch), not assumed, and that value is what downstream
+budget checks use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-
-from .core import Pair, pair_key
 
 MASS_FLOOR = 1e-12
 MAX_RESAMPLES = 32
@@ -32,91 +33,101 @@ class SamplingError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+def _unit(a: np.ndarray) -> np.ndarray:
+    """``a`` clamped into [0, 1], with NaN and -0.0 read as 0.0."""
+    return np.where(a > 0.0, np.minimum(a, 1.0), 0.0)
+
+
+@dataclass(frozen=True, eq=False)
 class ConditionedMarginals:
     """Marginals and pair joints of a conditioned pseudo-distribution.
 
     ``ground`` holds the element ids (atom representatives, in the rounding
-    use); ``pair`` maps canonical id pairs to joint inclusion weights.
+    use); ``joint`` is a read-only symmetric array over positions in
+    ``ground``: the marginals on the diagonal, the pair joints off it.  The
+    constructor checks the same bounds as ever (marginals in [0, 1], pair
+    joints in [0, min of their marginals], each up to 1e-9) and stores the
+    array clamped into [0, 1].
     """
 
     ground: tuple[int, ...]
-    marginal: Mapping[int, float]
-    pair: Mapping[Pair, float]
+    joint: np.ndarray
 
     def __post_init__(self) -> None:
-        for v in self.ground:
-            mv = self.marginal[v]
-            if not (-1e-9 <= mv <= 1 + 1e-9):
-                raise ValueError(f"marginal of {v} is {mv}, outside [0,1]")
-        for (u, v), pv in self.pair.items():
-            cap = min(self.marginal[u], self.marginal[v]) + 1e-9
-            if pv > cap or pv < -1e-9:
-                raise ValueError(f"pair value y'_{(u, v)} = {pv} violates box bounds")
+        ground = tuple(self.ground)
+        joint = np.array(self.joint, dtype=float)
+        if joint.shape != (len(ground), len(ground)) or not np.array_equal(joint, joint.T):
+            raise ValueError(f"joint must be a symmetric {len(ground)}x{len(ground)} array")
+        marg = joint.diagonal()
+        for i in np.flatnonzero(~((-1e-9 <= marg) & (marg <= 1 + 1e-9))):
+            raise ValueError(f"marginal of {ground[i]} is {marg[i]}, outside [0,1]")
+        cap = np.minimum.outer(marg, marg) + 1e-9
+        for i, j in np.argwhere((joint > cap) | (joint < -1e-9)):
+            raise ValueError(f"pair value y'_{(ground[i], ground[j])} = {joint[i, j]} violates box bounds")
+        joint = _unit(joint)
+        joint.setflags(write=False)
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "joint", joint)
 
     @classmethod
     def clamped(
-        cls, ground: Sequence[int], marginal: Mapping[int, float], joint: Callable[[int, int], float]
+        cls,
+        ground: Sequence[int],
+        marginal: Callable[[int], float],
+        joint: Callable[[int, int], float],
     ) -> ConditionedMarginals:
-        """Pair joints from ``joint(a, b)``, clamped into [0, min(m_a, m_b)]."""
-        pair = {
-            pair_key(a, b): min(min(marginal[a], marginal[b]), max(0.0, joint(a, b)))
-            for (a, b) in combinations(ground, 2)
-        }
-        return cls(tuple(ground), marginal, pair)
+        """Marginals ``marginal(a)`` and pair joints ``joint(a, b)``, each
+        pair clamped into [0, min(m_a, m_b)]."""
+        ground = tuple(ground)
+        out = np.diag([float(marginal(a)) for a in ground])
+        for i, j in combinations(range(len(ground)), 2):
+            cap = min(out[i, i], out[j, j])
+            out[i, j] = out[j, i] = min(cap, max(0.0, joint(ground[i], ground[j])))
+        return cls(ground, out)
 
-    def value_of(self, vs: tuple[int, ...]) -> float:
-        """Joint inclusion weight of one or two ground elements, in [0, 1]."""
-        w = self.marginal[vs[0]] if len(vs) == 1 else self.pair[pair_key(*vs)]
-        return min(1.0, max(0.0, float(w)))
-
-    def fractional(self) -> list[int]:
-        """Elements whose marginal is strictly inside (0, 1)."""
-        return [v for v in self.ground if MASS_FLOOR < self.marginal[v] < 1 - MASS_FLOOR]
+    @property
+    def marginal(self) -> np.ndarray:
+        """Marginals by position: the joint's diagonal."""
+        return self.joint.diagonal()
 
 
-def _seed_mass(m: ConditionedMarginals, s: int, s_in: bool) -> float:
-    """Weight of the event "seed s is in" (``s_in``) or "seed s is out"."""
-    ms = m.value_of((s,))
-    return ms if s_in else max(0.0, 1.0 - ms)
-
-
-def _given_seed(m: ConditionedMarginals, s: int, s_in: bool, v: int) -> float:
-    """Pr[v in C | seed s in or out]: y_sv / m_s, or max(0, m_v - y_sv) /
-    (1 - m_s).  Raises ZeroDivisionError when the seed event's mass is below
-    MASS_FLOOR."""
-    den = _seed_mass(m, s, s_in)
-    if den < MASS_FLOOR:
-        raise ZeroDivisionError
-    y = m.value_of((s, v))
-    num = y if s_in else max(0.0, m.value_of((v,)) - y)
-    return min(1.0, max(0.0, num / den))
+def _given_seed(m: ConditionedMarginals, s: int, s_in: bool) -> tuple[float, np.ndarray] | None:
+    """Branch "seed at position s is in" (``s_in``) or "out": its mass m_s or
+    1 - m_s, and Pr[v in C | branch] for every position v, y_sv / m_s or
+    max(0, m_v - y_sv) / (1 - m_s), clamped into [0, 1] (the seed's own
+    entry is 1 or 0).  None when the mass is below MASS_FLOOR."""
+    ms = m.joint[s, s]
+    mass = ms if s_in else max(0.0, 1.0 - ms)
+    if mass < MASS_FLOOR:
+        return None
+    num = m.joint[s] if s_in else np.maximum(0.0, m.marginal - m.joint[s])
+    return mass, _unit(num / mass)
 
 
 def rt_sample(m: ConditionedMarginals, rng: np.random.Generator) -> set[int]:
-    """One correlated-rounding draw; Pr[v in C] equals m.marginal[v] exactly.
+    """One correlated-rounding draw; Pr[v in C] equals v's marginal exactly.
 
     Elements with marginal 0 or 1 are decided deterministically (they do and
     must carry no error).  A seed branch whose conditioned mass underflows is
-    resampled, with a bounded number of retries.
+    resampled, with a bounded number of retries; a one-element ground has no
+    other element to condition, so its seed branch is never resampled.
     """
     ground = m.ground
+    k = len(ground)
     for _attempt in range(MAX_RESAMPLES):
         if not ground or rng.integers(0, 2) == 0:
-            return {v for v in ground if rng.random() < m.value_of((v,))}
-        s = ground[int(rng.choice(len(ground), size=1, replace=False)[0])]
-        s_in = rng.random() < m.value_of((s,))
-        chosen = {s} if s_in else set()
-        try:
-            for v in ground:
-                if v == s:
-                    continue
-                p = _given_seed(m, s, s_in, v)
-                if rng.random() < p:
-                    chosen.add(v)
+            return {v for v, hit in zip(ground, rng.random(k) < m.marginal) if hit}
+        s = int(rng.choice(k, size=1, replace=False)[0])
+        s_in = bool(rng.random() < m.marginal[s])
+        chosen = {ground[s]} if s_in else set()
+        if k == 1:
             return chosen
-        except ZeroDivisionError:
+        branch = _given_seed(m, s, s_in)
+        if branch is None:
             continue
+        others = [i for i in range(k) if i != s]
+        hits = rng.random(k - 1) < branch[1][others]
+        return chosen | {ground[i] for i, hit in zip(others, hits) if hit}
     raise SamplingError(f"conditioned mass below {MASS_FLOOR} after {MAX_RESAMPLES} retries")
 
 
@@ -125,46 +136,46 @@ def rt_sample(m: ConditionedMarginals, rng: np.random.Generator) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_branches(m: ConditionedMarginals) -> Iterator[tuple[float, dict[int, float]]]:
-    """All (branch weight, per-element conditional inclusion) pairs.
+def enumerate_branches(m: ConditionedMarginals) -> tuple[np.ndarray, np.ndarray]:
+    """The sampler's branches as ``(weights, conditionals)``: row b of
+    ``conditionals`` is every position's inclusion probability in branch b,
+    reached with probability ``weights[b]``.
 
     The no-seed branch comes first, then for each seed in ground order its
-    "out" and its "in" branch; a branch's weight is the probability the
-    sampler reaches it, and the seed's conditional inclusion is 0 or 1 in
-    its own branch.  Weights sum to one up to the mass floor (seed branches
-    below it are skipped; the sampler resamples them, and their total weight
-    is negligible).
+    "out" and its "in" branch.  Weights sum to one up to the mass floor (seed
+    branches below it are skipped; the sampler resamples them, and their
+    total weight is negligible).
     """
-    ground = m.ground
-    half = 0.5 if ground else 1.0
-    yield half, {v: m.value_of((v,)) for v in ground}
-    for s in ground:
+    k = len(m.ground)
+    half = 0.5 if k else 1.0
+    weights, rows = [half], [m.marginal]
+    for s in range(k):
         for s_in in (False, True):
-            mass = _seed_mass(m, s, s_in)
-            if mass < MASS_FLOOR:
-                continue
-            cond = {v: _given_seed(m, s, s_in, v) for v in ground if v != s}
-            cond[s] = float(s_in)
-            yield half * mass / len(ground), cond
+            branch = _given_seed(m, s, s_in)
+            if branch is not None:
+                weights.append(half * branch[0] / k)
+                rows.append(branch[1])
+    return np.array(weights), np.array(rows)
 
 
-def exact_inclusion_probabilities(m: ConditionedMarginals) -> dict[int, float]:
-    """Pr[v in C] by exhaustive seed-branch enumeration."""
-    probs = dict.fromkeys(m.ground, 0.0)
-    for weight, cond in enumerate_branches(m):
-        for v in m.ground:
-            probs[v] += weight * cond[v]
-    return probs
+def exact_pair_probabilities(m: ConditionedMarginals) -> np.ndarray:
+    """The sampler's own joint matrix, by branch enumeration: Pr[v and w both
+    in C] off the diagonal (elements are independent within a branch, so a
+    branch adds the product of conditionals), Pr[v in C] on it."""
+    k = len(m.ground)
+    inc, both = np.zeros(k), np.zeros((k, k))
+    for w, c in zip(*enumerate_branches(m)):
+        inc += w * c
+        both += np.outer(w * c, c)
+    i, j = np.triu_indices(k, 1)
+    both[j, i] = both[i, j]
+    np.fill_diagonal(both, inc)
+    return both
 
 
-def exact_pair_probabilities(m: ConditionedMarginals) -> dict[Pair, float]:
-    """Pr[v and w both in C] by branch enumeration; elements are independent
-    within a branch, so the joint is the product of conditionals."""
-    probs = {pair_key(u, v): 0.0 for (u, v) in combinations(m.ground, 2)}
-    for weight, cond in enumerate_branches(m):
-        for (u, v) in probs:
-            probs[(u, v)] += weight * cond[u] * cond[v]
-    return probs
+def exact_inclusion_probabilities(m: ConditionedMarginals) -> np.ndarray:
+    """Pr[v in C] by position, by exhaustive seed-branch enumeration."""
+    return exact_pair_probabilities(m).diagonal()
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +188,12 @@ def measure_pairwise_error(m: ConditionedMarginals) -> float:
     fractional marginals, with Pr[v,w in C] from branch enumeration; this is
     the correlation error eps_r that the guarantee charges.  Deterministically
     decided elements are excluded (they carry no error)."""
-    frac = m.fractional()
+    frac = np.flatnonzero((MASS_FLOOR < m.marginal) & (m.marginal < 1 - MASS_FLOOR))
     if len(frac) < 2:
         return 0.0
-    both = exact_pair_probabilities(m)
-    pairs = [pair_key(u, v) for (u, v) in combinations(frac, 2)]
-    return sum(abs(both[p] - m.value_of(p)) for p in pairs) / len(pairs)
+    i, j = np.array(list(combinations(frac, 2))).T
+    dev = np.abs(exact_pair_probabilities(m)[i, j] - m.joint[i, j])
+    return sum(dev.tolist()) / len(dev)
 
 
 def contract_to_representatives(

@@ -103,8 +103,7 @@ def _pivot_marginals(
             rt_groups[rep] = atom
         elif y > 0.0:
             indep.append((rep, atom, y))
-    marg = {rep: sol.y_of((p, rep)) for rep in rt_groups}
-    m = ConditionedMarginals.clamped(list(rt_groups), marg, lambda a, b: sol.y_of((p, a, b)))
+    m = ConditionedMarginals.clamped(rt_groups, lambda a: sol.y_of((p, a)), lambda a, b: sol.y_of((p, a, b)))
     return m, rt_groups, indep
 
 

@@ -32,12 +32,10 @@ from .core import (
     SignedGraph,
     all_pairs,
     clustering_cost,
-    pair_key,
 )
 from .correlated import (
     ConditionedMarginals,
     contract_to_representatives,
-    exact_inclusion_probabilities,
     exact_pair_probabilities,
     measure_pairwise_error,
     rt_sample,
@@ -204,8 +202,11 @@ def conditioned_marginals_for(
     ku = pre.atom_of(u)
     rest = [v for v in vprime if v not in ku]
     reps, groups = contract_to_representatives(rest, pre.atom_of)
-    marg = {rep: min(1.0, max(0.0, sol.ys_of(s, (rep, u)) / ysu)) for rep in reps}
-    m = ConditionedMarginals.clamped(reps, marg, lambda a, b: sol.ys_of(s, (a, b, u)) / ysu)
+    m = ConditionedMarginals.clamped(
+        reps,
+        lambda a: min(1.0, max(0.0, sol.ys_of(s, (a, u)) / ysu)),
+        lambda a, b: sol.ys_of(s, (a, b, u)) / ysu,
+    )
     return m, groups
 
 
@@ -378,7 +379,6 @@ class IterationAnalysis:
     """
 
     p_clustered: dict[int, float]
-    p_both: dict[Pair, float]
     p_decided: dict[Pair, float]
     pair_err: dict[Pair, float]
     expected_cost: float
@@ -404,9 +404,10 @@ def analyze_cluster_sampler(
     verts = sorted(vprime)
     n = len(verts)
     y0 = sol.y0
-    inc = dict.fromkeys(verts, 0.0)
-    both = {pair_key(a, b): 0.0 for (a, b) in combinations(verts, 2)}
-    err = {p: 0.0 for p in both}
+    upper = list(combinations(range(n), 2))
+    inc = np.zeros(n)
+    both = np.zeros((n, n))
+    err = np.zeros((n, n))
     for s in range(1, n + 1):
         ys0 = sol.ys_of(s, ())
         p_s = max(0.0, ys0) / y0
@@ -419,40 +420,32 @@ def analyze_cluster_sampler(
             if w_su < PROB_FLOOR or ysu < PROB_FLOOR:
                 continue
             m, groups = conditioned_marginals_for(sol, s, u, pre, verts)
-            inc_rep = exact_inclusion_probabilities(m)
-            both_rep = exact_pair_probabilities(m)
-            ku = [v for v in pre.atom_of(u) if v in inc]
-            rep_of = {v: rep for rep, members in groups.items() for v in members}
-            for v in ku:
-                rep_of[v] = None  # pivot atom: always in
-            p_in = {v: 1.0 if rep_of[v] is None else inc_rep[rep_of[v]] for v in verts}
-            for v in verts:
-                inc[v] += w_su * p_in[v]
-            for (a, b) in both:
-                ra, rb = rep_of[a], rep_of[b]
-                if ra is None and rb is None:
-                    pb = 1.0
-                elif ra is None:
-                    pb = p_in[b]
-                elif rb is None:
-                    pb = p_in[a]
-                elif ra == rb:
-                    pb = p_in[a]
-                else:
-                    pb = both_rep[pair_key(ra, rb)]
-                both[(a, b)] += w_su * pb
-                ideal = min(1.0, max(0.0, sol.ys_of(s, (a, b, u)) / ysu))
-                err[(a, b)] += w_su * abs(pb - ideal)
-    decided = {}
+            # the cluster's joint over the representatives and, at index k,
+            # the pivot's atom, which always joins
+            k = len(m.ground)
+            joint = np.ones((k + 1, k + 1))
+            joint[:k, :k] = exact_pair_probabilities(m)
+            joint[k, :k] = joint[:k, k] = joint.diagonal()[:k]
+            at = {v: i for i, rep in enumerate(m.ground) for v in groups[rep]}
+            idx = [at.get(v, k) for v in verts]
+            cl = joint[np.ix_(idx, idx)]
+            inc += w_su * cl.diagonal()
+            both += w_su * cl
+            for i, j in upper:
+                ideal = min(1.0, max(0.0, sol.ys_of(s, (verts[i], verts[j], u)) / ysu))
+                err[i, j] += w_su * abs(cl[i, j] - ideal)
+    decided, pair_err = {}, {}
     e_cost = e_lp = e_err = 0.0
-    for (a, b) in both:
-        dec = inc[a] + inc[b] - both[(a, b)]
+    for i, j in upper:
+        a, b = verts[i], verts[j]
+        dec = inc[i] + inc[j] - both[i, j]
         decided[(a, b)] = dec
+        pair_err[(a, b)] = err[i, j]
         is_plus = (a, b) in g.plus
-        p_wrong = inc[a] + inc[b] - 2 * both[(a, b)] if is_plus else both[(a, b)]
+        p_wrong = inc[i] + inc[j] - 2 * both[i, j] if is_plus else both[i, j]
         e_cost += p_wrong
         e_lp += lp_budget(is_plus, x.x(a, b)) * dec
         if pre.pair_class[a, b] == ADMISSIBLE:
             e_err += epsilon * dec
-    e_diff = sum(2 * epsilon * pre.d_adm(v) * inc[v] for v in verts)
-    return IterationAnalysis(inc, both, decided, err, e_cost, e_lp, e_err, e_diff)
+    e_diff = sum(2 * epsilon * pre.d_adm(v) * inc[i] for i, v in enumerate(verts))
+    return IterationAnalysis(dict(zip(verts, inc.tolist())), decided, pair_err, e_cost, e_lp, e_err, e_diff)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from corrclust.correlated import (
+    MAX_RESAMPLES,
     ConditionedMarginals,
+    SamplingError,
     enumerate_branches,
     exact_inclusion_probabilities,
     exact_pair_probabilities,
@@ -22,21 +24,15 @@ def mixture_marginals(n, k, seed):
     vecs = rng.random((k, n)) < rng.random((k, 1))
     wts = rng.dirichlet(np.ones(k))
     ground = tuple(range(n))
-    marg = {v: float((wts * vecs[:, v]).sum()) for v in ground}
-    pairs = {
-        (u, v): float((wts * (vecs[:, u] & vecs[:, v])).sum())
-        for (u, v) in combinations(ground, 2)
-    }
-    return ConditionedMarginals(ground, marg, pairs)
+    joint = [[(wts * (vecs[:, u] & vecs[:, v])).sum() for v in ground] for u in ground]
+    return ConditionedMarginals(ground, joint)
 
 
-CORRELATED_PAIR = ConditionedMarginals((0, 1), {0: 0.5, 1: 0.5}, {(0, 1): 0.5})
+CORRELATED_PAIR = ConditionedMarginals((0, 1), [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_integral_marginals_are_deterministic():
-    m = ConditionedMarginals(
-        (0, 1, 2), {0: 1.0, 1: 0.0, 2: 1.0}, {(0, 1): 0.0, (0, 2): 1.0, (1, 2): 0.0}
-    )
+    m = ConditionedMarginals((0, 1, 2), [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
     rng = np.random.default_rng(0)
     draws = {frozenset(rt_sample(m, rng)) for _ in range(50)}
     assert draws == {frozenset({0, 2})}
@@ -44,7 +40,7 @@ def test_integral_marginals_are_deterministic():
 
 
 def test_single_vertex_frequency():
-    m = ConditionedMarginals((7,), {7: 0.3}, {})
+    m = ConditionedMarginals((7,), [[0.3]])
     rng = np.random.default_rng(1)
     hits = sum(7 in rt_sample(m, rng) for _ in range(20000))
     assert hits / 20000 == pytest.approx(0.3, abs=0.01)
@@ -53,7 +49,7 @@ def test_single_vertex_frequency():
 def test_correlated_pair_two_branch_values():
     # exact two-branch computation: one seed on a perfectly correlated pair
     ex = exact_pair_probabilities(CORRELATED_PAIR)
-    assert ex[(0, 1)] == pytest.approx(0.375, abs=1e-15)
+    assert ex[0, 1] == pytest.approx(0.375, abs=1e-15)
     inc = exact_inclusion_probabilities(CORRELATED_PAIR)
     assert inc[0] == pytest.approx(0.5, abs=1e-15)
     # the sampler's joint frequency exceeds independent rounding
@@ -65,8 +61,45 @@ def test_correlated_pair_two_branch_values():
     assert measure_pairwise_error(CORRELATED_PAIR) == pytest.approx(0.125, abs=1e-12)
 
 
+def test_branch_table_of_correlated_pair():
+    # no seed (1/2), then seed 0 out/in and seed 1 out/in (1/2 * 1/2 * 1/2 each)
+    weights, conditionals = enumerate_branches(CORRELATED_PAIR)
+    assert weights.tolist() == [0.5, 0.125, 0.125, 0.125, 0.125]
+    assert conditionals.tolist() == [[0.5, 0.5], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
+
+
+class _SeedInStub:
+    """Generator stand-in: always takes the seed branch, seeds position 0,
+    and draws 0.0, so the seed is "in" however small its marginal."""
+
+    def __init__(self):
+        self.seed_draws = 0
+
+    def integers(self, low, high):
+        return 1
+
+    def choice(self, k, size, replace):
+        self.seed_draws += 1
+        return np.zeros(size, dtype=int)
+
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+def test_underflowed_seed_branch():
+    # the "in" branch of a seed with marginal 1e-13 has mass below MASS_FLOOR
+    rng = _SeedInStub()
+    assert rt_sample(ConditionedMarginals((4,), [[1e-13]]), rng) == {4}
+    assert rng.seed_draws == 1  # one element: nothing to condition, no resample
+    rng = _SeedInStub()
+    tiny = ConditionedMarginals((4, 9), [[1e-13, 0.0], [0.0, 0.5]])
+    with pytest.raises(SamplingError):
+        rt_sample(tiny, rng)
+    assert rng.seed_draws == MAX_RESAMPLES
+
+
 def test_product_distribution_has_vanishing_error():
-    m = ConditionedMarginals((0, 1), {0: 0.3, 1: 0.7}, {(0, 1): 0.21})
+    m = ConditionedMarginals((0, 1), [[0.3, 0.21], [0.21, 0.7]])
     assert measure_pairwise_error(m) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -84,7 +117,9 @@ def test_marginal_exactness_by_enumeration():
 
 def test_branch_weights_sum_to_one():
     m = mixture_marginals(5, 6, 11)
-    total = sum(w for w, _ in enumerate_branches(m))
+    weights, conditionals = enumerate_branches(m)
+    assert conditionals.shape == (len(weights), 5)
+    total = sum(weights.tolist())
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -112,22 +147,24 @@ def test_sampler_matches_enumeration():
 
 def test_constructor_validation():
     with pytest.raises(ValueError, match="marginal"):
-        ConditionedMarginals((0,), {0: 1.5}, {})
+        ConditionedMarginals((0,), [[1.5]])
     with pytest.raises(ValueError, match="box"):
-        ConditionedMarginals((0, 1), {0: 0.2, 1: 0.9}, {(0, 1): 0.5})
+        ConditionedMarginals((0, 1), [[0.2, 0.5], [0.5, 0.9]])
+    with pytest.raises(ValueError, match="symmetric"):
+        ConditionedMarginals((0, 1), [[0.5, 0.2], [0.3, 0.5]])
 
 
 # A marginal of exactly 0 and one of exactly 1: seed 0 has no "in" branch
 # and seed 1 no "out" branch, so the enumeration skips both.
 PINNED_ENDS = ConditionedMarginals(
     (0, 1, 2, 3),
-    {0: 0.0, 1: 1.0, 2: 0.4, 3: 0.7},
-    {(0, 1): 0.0, (0, 2): 0.0, (0, 3): 0.0, (1, 2): 0.4, (1, 3): 0.7, (2, 3): 0.3},
+    [[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.4, 0.7], [0.0, 0.4, 0.4, 0.3], [0.0, 0.7, 0.3, 0.7]],
 )
 
 # Recorded from the t-seed inclusion-exclusion sampler this module replaced:
 # SHA-256 of 200 sorted draws from default_rng(0), then the reprs of
-# measure_pairwise_error and exact_pair_probabilities.
+# measure_pairwise_error and of exact_pair_probabilities read as a
+# {(i, j): P[i, j]} view over pairs i < j.
 GOLDEN = [
     (
         mixture_marginals(5, 7, 0),
@@ -169,4 +206,5 @@ def test_sampler_golden_values(m, draws_sha, err_repr, pairs_repr):
     draws = [sorted(rt_sample(m, rng)) for _ in range(200)]
     assert hashlib.sha256(json.dumps(draws).encode()).hexdigest() == draws_sha
     assert repr(measure_pairwise_error(m)) == err_repr
-    assert repr(exact_pair_probabilities(m)) == pairs_repr
+    both = exact_pair_probabilities(m).tolist()
+    assert repr({(i, j): both[i][j] for (i, j) in combinations(range(len(m.ground)), 2)}) == pairs_repr

@@ -109,9 +109,9 @@ def test_membership_marginals_exact():
         for p in range(6):
             m, groups, indep = _pivot_marginals(sol, p, pre, set(range(6)), g)
             inc = exact_inclusion_probabilities(m)
-            for rep_v, members in groups.items():
-                for v in members:
-                    assert inc[rep_v] == pytest.approx(sol.y_of((p, v)), abs=1e-7)
+            for i, rep_v in enumerate(m.ground):
+                for v in groups[rep_v]:
+                    assert inc[i] == pytest.approx(sol.y_of((p, v)), abs=1e-7)
             for rep_v, members, y in indep:
                 for v in members:
                     assert y == pytest.approx(sol.y_of((p, v)), abs=1e-7)
