@@ -87,46 +87,38 @@ def lp_budget(is_plus: bool, x: float) -> float:
 
 
 class BudgetLedger:
-    """Tracks budget releases and realized costs; enforces at-most-once."""
+    """Running budget totals and realized cost, each summed in release
+    order; every pair and vertex releases, and every pair is charged, at
+    most once."""
 
     def __init__(self) -> None:
-        self.lp_released: dict[Pair, float] = {}
-        self.err_released: dict[Pair, float] = {}
-        self.diff_released: dict[int, float] = {}
-        self.realized: dict[Pair, int] = {}
+        self.lp_total = 0
+        self.err_total = 0
+        self.diff_total = 0
+        self.realized_total = 0
+        self._released_pairs: set[Pair] = set()
+        self._released_vertices: set[int] = set()
+        self._charged_pairs: set[Pair] = set()
 
     def release_pair(self, p: Pair, lp_amount: float, err_amount: float) -> None:
-        if p in self.lp_released:
+        if p in self._released_pairs:
             raise LedgerError(f"pair {p} released twice")
-        self.lp_released[p] = lp_amount
+        self._released_pairs.add(p)
+        self.lp_total += lp_amount
         if err_amount:
-            self.err_released[p] = err_amount
+            self.err_total += err_amount
 
     def release_vertex(self, v: int, amount: float) -> None:
-        if v in self.diff_released:
+        if v in self._released_vertices:
             raise LedgerError(f"vertex {v} released twice")
-        self.diff_released[v] = amount
+        self._released_vertices.add(v)
+        self.diff_total += amount
 
     def record_cost(self, p: Pair) -> None:
-        if p in self.realized:
+        if p in self._charged_pairs:
             raise LedgerError(f"pair {p} charged twice")
-        self.realized[p] = 1
-
-    @property
-    def lp_total(self) -> float:
-        return sum(self.lp_released.values())
-
-    @property
-    def err_total(self) -> float:
-        return sum(self.err_released.values())
-
-    @property
-    def diff_total(self) -> float:
-        return sum(self.diff_released.values())
-
-    @property
-    def realized_total(self) -> int:
-        return sum(self.realized.values())
+        self._charged_pairs.add(p)
+        self.realized_total += 1
 
     def totals(self) -> dict[str, float]:
         return {

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 import textwrap
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +72,30 @@ def test_ledger_at_most_once():
     led.release_vertex(3, 0.2)
     with pytest.raises(RuntimeError, match="twice"):
         led.release_vertex(3, 0.2)
+    led.record_cost((0, 1))
+    with pytest.raises(RuntimeError, match="charged twice"):
+        led.record_cost((0, 1))
+
+
+def test_ledger_totals_are_ordered_running_sums():
+    # each total adds its amounts left to right in release order: with 1e16
+    # first, the 1.0 is absorbed, which a compensated sum would keep
+    pairs = [((0, 1), 1e16, 0.05), ((0, 2), 1.0, 0.0), ((1, 2), -1e16, 0.05), ((2, 3), 0.25, 0.05)]
+    vertices = [(0, 1e16), (1, 1.0), (2, -1e16)]
+    led = BudgetLedger()
+    for p, lp_amount, err_amount in pairs:
+        led.release_pair(p, lp_amount, err_amount)
+    for v, amount in vertices:
+        led.release_vertex(v, amount)
+    led.record_cost((0, 1))
+    led.record_cost((2, 3))
+    assert led.lp_total == reduce(add, [a for _, a, _ in pairs], 0.0) == 0.25
+    assert led.err_total == reduce(add, [e for _, _, e in pairs], 0.0)
+    assert led.diff_total == reduce(add, [a for _, a in vertices], 0.0) == 0.0
+    assert led.realized_total == 2
+    assert led.totals() == {
+        "lp_budget": 0.25, "error_budget": led.err_total, "difference_budget": 0.0, "realized_cost": 2.0
+    }
 
 
 def test_ledger_totals_match_closed_forms():
