@@ -92,9 +92,9 @@ class BudgetLedger:
     most once."""
 
     def __init__(self) -> None:
-        self.lp_total = 0
-        self.err_total = 0
-        self.diff_total = 0
+        self.lp_total = 0.0
+        self.err_total = 0.0
+        self.diff_total = 0.0
         self.realized_total = 0
         self._released_pairs: set[Pair] = set()
         self._released_vertices: set[int] = set()
@@ -105,8 +105,7 @@ class BudgetLedger:
             raise LedgerError(f"pair {p} released twice")
         self._released_pairs.add(p)
         self.lp_total += lp_amount
-        if err_amount:
-            self.err_total += err_amount
+        self.err_total += err_amount
 
     def release_vertex(self, v: int, amount: float) -> None:
         if v in self._released_vertices:

@@ -163,7 +163,7 @@ def test_full_pipeline_deterministic():
     assert json.dumps(a, sort_keys=True) != json.dumps(c, sort_keys=True)
 
 
-PLANTED_GOLDEN = "38ac9969f2131cf44836270cba4d4f40fb1617f46ce5e48fb2bfe90b236f0ed5"
+PLANTED_GOLDEN = "b2188af9e270fc9d66f1a685a94941a6ed059ce05ad51a6d47f5b6a8a3e62ef4"
 
 
 def test_full_pipeline_planted_report_digest():

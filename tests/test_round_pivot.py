@@ -145,6 +145,7 @@ def test_ledger_totals_match_closed_forms():
         assert led.lp_total == pytest.approx(ceiling, abs=1e-9)
         assert led.err_total == pytest.approx(0.05 * len(pre.adm), abs=1e-9)
         assert led.diff_total == 0.0  # no difference budget in this scheme
+        assert all(isinstance(v, float) for v in led.totals().values())
         assert led.realized_total == rep.cost
 
 
