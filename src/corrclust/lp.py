@@ -246,12 +246,13 @@ class LinearProgram:
     def residuals(self, values: np.ndarray) -> np.ndarray:
         """Per-row violation (positive where violated) at a given point."""
         A, P, rhs0, senses, lb, ub = self.matrices()
-        lhs = A @ values
-        b = self.effective_rhs()
-        out = lhs - b
-        eq = senses == "="
-        out[eq] = np.abs(out[eq])
-        return out
+        return _violation(A @ values - self.effective_rhs(), senses == "<")
+
+
+def _violation(gap: np.ndarray, ineq: np.ndarray) -> np.ndarray:
+    """Per-row violation from ``gap`` = lhs - rhs: the gap itself on an
+    inequality row (``ineq``), its absolute value on an equality row."""
+    return np.where(ineq, gap, np.abs(gap))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +426,7 @@ def _run_highs(hc, lp: LinearProgram) -> LPResult:
         nit += info.simplex_iteration_count
         if status == ms.kOptimal:
             u = np.array(h.getSolution().col_value)
-            gap = L @ u - bL
-            violated = np.where(ineqL, gap, np.abs(gap)) > _HIGHS_OPTS["primal_feasibility_tolerance"]
+            violated = _violation(L @ u - bL, ineqL) > _HIGHS_OPTS["primal_feasibility_tolerance"]
             if not violated.any():
                 break
             add = np.isin(labelsL, labelsL[violated])
@@ -454,9 +454,8 @@ def _run_highs(hc, lp: LinearProgram) -> LPResult:
     # linprog rejects a reported optimum that misses the constraints by more
     # than sqrt(tol) * 10, with its default tol = 1e-9
     tol = np.sqrt(1e-9) * 10
-    gap = A @ u - b
     if not (np.isfinite(fun) and np.all((u >= lb - tol) & (u <= ub + tol))
-            and np.all(np.where(ineq, gap, np.abs(gap)) <= tol)):
+            and np.all(_violation(A @ u - b, ineq) <= tol)):
         raise failure(f"{message}, but the point misses the constraints by more than {tol:.2e}")
     return LPResult("optimal", values=u, objective=fun + const, iterations=nit)
 
@@ -479,7 +478,7 @@ def solve(lp: LinearProgram) -> LPResult:
     b = lp.effective_rhs()
     # HiGHS reports no dual ray for a violated row without coefficients
     # (every row, when there is no column): a unit weight on the worst one
-    violation = np.where(senses == "<", -b, np.abs(b)) * (np.diff(A.indptr) == 0)
+    violation = _violation(-b, senses == "<") * (np.diff(A.indptr) == 0)
     if (violation > SOLVER_TOL).any():
         i, z = int(np.argmax(violation)), np.zeros(len(b))
         z[i] = -np.sign(b[i])
