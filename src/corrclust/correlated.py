@@ -71,18 +71,14 @@ class ConditionedMarginals:
 
     @classmethod
     def clamped(
-        cls,
-        ground: Sequence[int],
-        marginal: Callable[[int], float],
-        joint: Callable[[int, int], float],
+        cls, ground: Sequence[int], marginal: Callable[[int], float], joint: Callable[[int, int], float]
     ) -> ConditionedMarginals:
         """Marginals ``marginal(a)`` and pair joints ``joint(a, b)``, each
         pair clamped into [0, min(m_a, m_b)]."""
         ground = tuple(ground)
         out = np.diag([float(marginal(a)) for a in ground])
         for i, j in combinations(range(len(ground)), 2):
-            cap = min(out[i, i], out[j, j])
-            out[i, j] = out[j, i] = min(cap, max(0.0, joint(ground[i], ground[j])))
+            out[i, j] = out[j, i] = min(min(out[i, i], out[j, j]), max(0.0, joint(ground[i], ground[j])))
         return cls(ground, out)
 
     @property
@@ -94,13 +90,13 @@ class ConditionedMarginals:
 def _given_seed(m: ConditionedMarginals, s: int, s_in: bool) -> tuple[float, np.ndarray] | None:
     """Branch "seed at position s is in" (``s_in``) or "out": its mass m_s or
     1 - m_s, and Pr[v in C | branch] for every position v, y_sv / m_s or
-    max(0, m_v - y_sv) / (1 - m_s), clamped into [0, 1] (the seed's own
-    entry is 1 or 0).  None when the mass is below MASS_FLOOR."""
+    (m_v - y_sv) / (1 - m_s), clamped into [0, 1] (the seed's own entry is
+    1 or 0).  None when the mass is below MASS_FLOOR."""
     ms = m.joint[s, s]
     mass = ms if s_in else max(0.0, 1.0 - ms)
     if mass < MASS_FLOOR:
         return None
-    num = m.joint[s] if s_in else np.maximum(0.0, m.marginal - m.joint[s])
+    num = m.joint[s] if s_in else m.marginal - m.joint[s]
     return mass, _unit(num / mass)
 
 

@@ -92,9 +92,7 @@ class BudgetLedger:
     most once."""
 
     def __init__(self) -> None:
-        self.lp_total = 0.0
-        self.err_total = 0.0
-        self.diff_total = 0.0
+        self.lp_total = self.err_total = self.diff_total = 0.0
         self.realized_total = 0
         self._released_pairs: set[Pair] = set()
         self._released_vertices: set[int] = set()
@@ -194,9 +192,7 @@ def conditioned_marginals_for(
     rest = [v for v in vprime if v not in ku]
     reps, groups = contract_to_representatives(rest, pre.atom_of)
     m = ConditionedMarginals.clamped(
-        reps,
-        lambda a: min(1.0, max(0.0, sol.ys_of(s, (a, u)) / ysu)),
-        lambda a, b: sol.ys_of(s, (a, b, u)) / ysu,
+        reps, lambda a: min(1.0, max(0.0, sol.ys_of(s, (a, u)) / ysu)), lambda a, b: sol.ys_of(s, (a, b, u)) / ysu
     )
     return m, groups
 
@@ -396,9 +392,7 @@ def analyze_cluster_sampler(
     n = len(verts)
     y0 = sol.y0
     upper = list(combinations(range(n), 2))
-    inc = np.zeros(n)
-    both = np.zeros((n, n))
-    err = np.zeros((n, n))
+    inc, both, err = np.zeros(n), np.zeros((n, n)), np.zeros((n, n))
     for s in range(1, n + 1):
         ys0 = sol.ys_of(s, ())
         p_s = max(0.0, ys0) / y0
