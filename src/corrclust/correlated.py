@@ -56,14 +56,15 @@ class ConditionedMarginals:
     def __post_init__(self) -> None:
         ground = tuple(self.ground)
         joint = np.array(self.joint, dtype=float)
-        if joint.shape != (len(ground), len(ground)) or not np.array_equal(joint, joint.T):
+        if joint.shape != (len(ground), len(ground)) or (joint != joint.T).any():
             raise ValueError(f"joint must be a symmetric {len(ground)}x{len(ground)} array")
-        marg = joint.diagonal()
-        for i in np.flatnonzero(~((-1e-9 <= marg) & (marg <= 1 + 1e-9))):
-            raise ValueError(f"marginal of {ground[i]} is {marg[i]}, outside [0,1]")
-        cap = np.minimum.outer(marg, marg) + 1e-9
-        for i, j in np.argwhere((joint > cap) | (joint < -1e-9)):
-            raise ValueError(f"pair value y'_{(ground[i], ground[j])} = {joint[i, j]} violates box bounds")
+        rows = joint.tolist()
+        for i, v in enumerate(ground):
+            if not (-1e-9 <= rows[i][i] <= 1 + 1e-9):
+                raise ValueError(f"marginal of {v} is {rows[i][i]}, outside [0,1]")
+        for i, j in combinations(range(len(ground)), 2):
+            if not (-1e-9 <= rows[i][j] <= min(rows[i][i], rows[j][j]) + 1e-9):
+                raise ValueError(f"pair value y'_{(ground[i], ground[j])} = {rows[i][j]} violates box bounds")
         joint = _unit(joint)
         joint.setflags(write=False)
         object.__setattr__(self, "ground", ground)
@@ -76,9 +77,10 @@ class ConditionedMarginals:
         """Marginals ``marginal(a)`` and pair joints ``joint(a, b)``, each
         pair clamped into [0, min(m_a, m_b)]."""
         ground = tuple(ground)
-        out = np.diag([float(marginal(a)) for a in ground])
+        marg = [float(marginal(a)) for a in ground]
+        out = np.diag(marg)
         for i, j in combinations(range(len(ground)), 2):
-            out[i, j] = out[j, i] = min(min(out[i, i], out[j, j]), max(0.0, joint(ground[i], ground[j])))
+            out[i, j] = out[j, i] = min(min(marg[i], marg[j]), max(0.0, joint(ground[i], ground[j])))
         return cls(ground, out)
 
     @property
@@ -157,7 +159,8 @@ def enumerate_branches(m: ConditionedMarginals) -> tuple[np.ndarray, np.ndarray]
 def exact_pair_probabilities(m: ConditionedMarginals) -> np.ndarray:
     """The sampler's own joint matrix, by branch enumeration: Pr[v and w both
     in C] off the diagonal (elements are independent within a branch, so a
-    branch adds the product of conditionals), Pr[v in C] on it."""
+    branch adds the product of conditionals), Pr[v in C] on it.  The upper
+    triangle is mirrored, so the matrix is exactly symmetric."""
     k = len(m.ground)
     inc, both = np.zeros(k), np.zeros((k, k))
     for w, c in zip(*enumerate_branches(m)):
@@ -184,12 +187,12 @@ def measure_pairwise_error(m: ConditionedMarginals) -> float:
     fractional marginals, with Pr[v,w in C] from branch enumeration; this is
     the correlation error eps_r that the guarantee charges.  Deterministically
     decided elements are excluded (they carry no error)."""
-    frac = np.flatnonzero((MASS_FLOOR < m.marginal) & (m.marginal < 1 - MASS_FLOOR))
+    frac = [i for i, mv in enumerate(m.marginal.tolist()) if MASS_FLOOR < mv < 1 - MASS_FLOOR]
     if len(frac) < 2:
         return 0.0
-    i, j = np.array(list(combinations(frac, 2))).T
-    dev = np.abs(exact_pair_probabilities(m)[i, j] - m.joint[i, j])
-    return sum(dev.tolist()) / len(dev)
+    both, joint = exact_pair_probabilities(m).tolist(), m.joint.tolist()
+    pairs = list(combinations(frac, 2))
+    return sum(abs(both[i][j] - joint[i][j]) for i, j in pairs) / len(pairs)
 
 
 def contract_to_representatives(

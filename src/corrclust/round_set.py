@@ -405,8 +405,7 @@ def analyze_cluster_sampler(
             if w_su < PROB_FLOOR or ysu < PROB_FLOOR:
                 continue
             m, groups = conditioned_marginals_for(sol, s, u, pre, verts)
-            # the cluster's joint over the representatives and, at index k,
-            # the pivot's atom, which always joins
+            # joint over the representatives and, at index k, the pivot's atom (always in)
             k = len(m.ground)
             joint = np.ones((k + 1, k + 1))
             joint[:k, :k] = exact_pair_probabilities(m)
