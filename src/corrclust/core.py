@@ -39,6 +39,14 @@ def all_pairs(n: int) -> Iterator[Pair]:
     return combinations(range(n), 2)
 
 
+def clamp_unit(v: np.ndarray, capped=True) -> np.ndarray:
+    """``v`` floored at 0 and, where ``capped``, capped at 1; NaN and -0.0
+    read as 0.0.  np.where, not np.maximum or np.clip: those return -0.0
+    for a -0.0 input."""
+    floored = np.where(v > 0.0, v, 0.0)
+    return np.where(capped & (floored >= 1.0), 1.0, floored)
+
+
 # ---------------------------------------------------------------------------
 # Signed graphs
 # ---------------------------------------------------------------------------

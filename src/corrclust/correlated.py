@@ -25,17 +25,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import clamp_unit
+
 MASS_FLOOR = 1e-12
 MAX_RESAMPLES = 32
 
 
 class SamplingError(RuntimeError):
     pass
-
-
-def _unit(a: np.ndarray) -> np.ndarray:
-    """``a`` clamped into [0, 1], with NaN and -0.0 read as 0.0."""
-    return np.where(a > 0.0, np.minimum(a, 1.0), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +62,7 @@ class ConditionedMarginals:
         for i, j in combinations(range(len(ground)), 2):
             if not (-1e-9 <= rows[i][j] <= min(rows[i][i], rows[j][j]) + 1e-9):
                 raise ValueError(f"pair value y'_{(ground[i], ground[j])} = {rows[i][j]} violates box bounds")
-        joint = _unit(joint)
+        joint = clamp_unit(joint)
         joint.setflags(write=False)
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "joint", joint)
@@ -99,7 +96,7 @@ def _given_seed(m: ConditionedMarginals, s: int, s_in: bool) -> tuple[float, np.
     if mass < MASS_FLOOR:
         return None
     num = m.joint[s] if s_in else m.marginal - m.joint[s]
-    return mass, _unit(num / mass)
+    return mass, clamp_unit(num / mass)
 
 
 def rt_sample(m: ConditionedMarginals, rng: np.random.Generator) -> set[int]:

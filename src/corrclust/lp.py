@@ -58,6 +58,7 @@ from .core import (
     Pair,
     PreclusteredInstance,
     SignedGraph,
+    clamp_unit,
 )
 
 SOLVER_TOL = 1e-9
@@ -76,13 +77,6 @@ def _check_finite(*bounds) -> None:
     for bound in bounds:
         if bound is not None and not np.isfinite(np.asarray(bound, dtype=float)).all():
             raise ValueError(f"column bounds must be finite, not {bound!r}")
-
-
-def _clamp(v: np.ndarray, capped) -> np.ndarray:
-    """``v`` floored at 0 and, where ``capped``, capped at 1.  np.where, not
-    np.maximum or np.clip: those return -0.0 for a -0.0 input."""
-    floored = np.where(v > 0.0, v, 0.0)
-    return np.where(capped & (floored >= 1.0), 1.0, floored)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +525,7 @@ def solve_triangle_lp(g: SignedGraph, pre: PreclusteredInstance) -> tuple[Metric
     res = solve(lp)
     if res.status != "optimal":
         raise LPError(f"triangle LP not solvable: {res.status}")
-    vals = _clamp(res.values, True)
+    vals = clamp_unit(res.values)
     metric = Metric(g.n, dict(zip(_set_index(g.n).pairs, vals.tolist())))
     return metric, float(res.objective)
 
@@ -545,31 +539,37 @@ class _SetIndex:
     """Ranks of subsets of local vertices 0..n-1, sizes 0..3, in one
     contiguous block: the empty set, the singletons, the pairs, then the
     triples, each group in lexicographic order (``rank`` maps a set to its
-    rank).  ``tab``, ``tac`` and ``tbc`` are the pair ranks of each triple's
-    pairs ab, ac and bc.  Also holds the row patterns of one lifted layer in
-    these ranks.  Depends only on n; use :func:`_set_index`, which shares
-    one instance per n."""
+    rank).  Row k of ``members`` holds the set of rank k in its first
+    ``size[k]`` entries, padded by repeating the last member: ``(i, i, i)``,
+    ``(a, b, b)``, ``(a, b, c)``, so a test on every member of a set is one
+    test on its row, whatever its size; the empty set's row holds no member
+    and is skipped or masked.  ``pa, pb`` and ``ta, tb, tc`` are columns of
+    the pairs' and triples' rows; ``tab``, ``tac`` and ``tbc`` are the pair
+    ranks of each triple's pairs ab, ac and bc.  Also holds the row patterns
+    of one lifted layer in these ranks.  Depends only on n; use
+    :func:`_set_index`, which shares one instance per n."""
 
     def __init__(self, n: int):
         self.n = n
         self.pairs = list(combinations(range(n), 2))
-        self.triples = list(combinations(range(n), 3))
+        triples = list(combinations(range(n), 3))
         self.m = m = len(self.pairs)
-        self.t = t = len(self.triples)
+        self.t = t = len(triples)
         self.block = 1 + n + m + t
-        self.sets = [()] + [(i,) for i in range(n)] + self.pairs + self.triples
-        self.rank = {S: k for k, S in enumerate(self.sets)}
         self.size = np.repeat([0, 1, 2, 3], [1, n, m, t])
-        self.pa, self.pb = np.array(self.pairs, dtype=int).reshape(m, 2).T
-        self.ta, self.tb, self.tc = np.array(self.triples, dtype=int).reshape(t, 3).T
+        self.members = np.array([(0, 0, 0), *((i, i, i) for i in range(n)),
+                                 *((a, b, b) for a, b in self.pairs), *triples], dtype=int)
+        # shared by every LP of this size: keep the arrays read-only
+        self.members.flags.writeable = False
+        self.rank = {tuple(r[:s]): k for k, (r, s) in enumerate(zip(self.members.tolist(), self.size.tolist()))}
+        self.pa, self.pb = self.members[1 + n : 1 + n + m, :2].T
+        self.ta, self.tb, self.tc = self.members[1 + n + m :].T
         pr = np.full((n, n), -1, dtype=int)
         pr[self.pa, self.pb] = pr[self.pb, self.pa] = np.arange(m)
         self.tab, self.tac, self.tbc = pr[self.ta, self.tb], pr[self.ta, self.tc], pr[self.tb, self.tc]
         self.box = self._box_rows()
         self.growth = self._growth_entries()
-        # shared by every LP of this size: keep the arrays read-only
-        for arr in (self.size, self.pa, self.pb, self.ta, self.tb, self.tc, self.tab, self.tac, self.tbc,
-                    *self.box[:3], self.box[4], *self.growth):
+        for arr in (self.size, self.tab, self.tac, self.tbc, *self.box[:3], self.box[4], *self.growth):
             arr.flags.writeable = False
 
     def _box_rows(self):
@@ -724,19 +724,13 @@ def build_set_lp(
     a_size = same.sum(axis=1)
     at_size = layers[None, :] == a_size[:, None]
     beyond = ~at_size & (layers[None, :] >= (a_size + epsilon * np.asarray(d_adm) - _WINDOW_TOL)[:, None])
-    pa, pb, ta, tb, tc = si.pa, si.pb, si.ta, si.tb, si.tc
-    whole2 = same[pa, pb][:, None]
-    whole3 = (same[ta, tb] & same[ta, tc])[:, None]
-    y_pinned = np.concatenate([
-        np.zeros(1 + n, dtype=bool), non_adm[pa, pb], non_adm[ta, tb] | non_adm[ta, tc] | non_adm[tb, tc]
-    ])
-    ys_pinned = np.concatenate([
-        np.zeros((1, n), dtype=bool),
-        ~(beyond | at_size),
-        ~((beyond[pa] | at_size[pa] & whole2) & (beyond[pb] | at_size[pb] & whole2)) | (layers < 2),
-        ~((beyond[ta] | at_size[ta] & whole3) & (beyond[tb] | at_size[tb] & whole3)
-          & (beyond[tc] | at_size[tc] & whole3)) | (layers < 3),
-    ]) | y_pinned[:, None]  # (set rank, layer)
+    M = si.members
+    # y_S = 0 where a member pair is non-admissible (a padded pair (i, i) is atomic)
+    y_pinned = non_adm[M[:, [0, 0, 1]], M[:, [1, 2, 2]]].any(axis=1)
+    inside = same[M[:, :1], M].all(axis=1)  # the set lies inside one atom
+    fits = (beyond[M] | at_size[M] & inside[:, None, None]).all(axis=1)  # every member fits layer s
+    # (set rank, layer); the empty sets count clusters and stay free
+    ys_pinned = (~fits | (layers < si.size[:, None]) | y_pinned[:, None]) & (si.size > 0)[:, None]
     lp.fix_vars(np.flatnonzero(y_pinned), 0.0)
     lp.fix_vars(B + np.flatnonzero(ys_pinned.T), 0.0)
 
@@ -875,7 +869,7 @@ def lifted_from_result(lp: LinearProgram, res: LPResult) -> LiftedSolution:
             f"{lp.name}: {_column_name(lp, i)} = {v[i]!r} lies outside [0,1] by more than "
             f"{_LIFT_TOL:g} ({bad.size} such values)"
         )
-    return LiftedSolution(_clamp(v, ~empty), lp.layout)
+    return LiftedSolution(clamp_unit(v, ~empty), lp.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -911,10 +905,8 @@ def size_window_refinement(
 def _inside_one_cluster(si: _SetIndex, label: np.ndarray) -> np.ndarray:
     """Per set rank of ``si``: whether the set is nonempty and lies inside one
     cluster, for local vertices labelled by cluster."""
-    return np.concatenate([
-        [False], np.ones(si.n, dtype=bool), label[si.pa] == label[si.pb],
-        (label[si.ta] == label[si.tb]) & (label[si.ta] == label[si.tc]),
-    ])
+    rows = si.members[1:]  # the nonempty sets
+    return np.concatenate([[False], (label[rows] == label[rows[:, :1]]).all(axis=1)])
 
 
 def integral_set_lift(vprime: Iterable[int], clusters: list[set[int]]) -> np.ndarray:
@@ -932,8 +924,7 @@ def integral_set_lift(vprime: Iterable[int], clusters: list[set[int]]) -> np.nda
     inside = _inside_one_cluster(si, label)
     y = inside.astype(float)
     y[0] = len(clusters)
-    first = np.concatenate([[0], np.arange(n), si.pa, si.ta])  # a member of each set
-    size = np.where(inside, sizes[label[first]], 0)
+    size = np.where(inside, sizes[label[si.members[:, 0]]], 0)
     ys = (size[None, :] == np.arange(1, n + 1)[:, None]).astype(float)
     ys[:, 0] = np.bincount(sizes, minlength=n + 1)[1 : n + 1]
     return np.concatenate([y, ys.ravel()])
@@ -960,7 +951,7 @@ def _column_name(lp: LinearProgram, j: int) -> str:
         return f"c{j}"
     si = _set_index(len(verts))
     block, rank = divmod(j, si.block)
-    return f"y{block or ''}[" + ",".join(str(verts[i]) for i in si.sets[rank]) + "]"
+    return f"y{block or ''}[" + ",".join(str(verts[i]) for i in si.members[rank, : si.size[rank]]) + "]"
 
 
 def write_lp_text(lp: LinearProgram) -> str:

@@ -20,6 +20,7 @@ from corrclust.exact import brute_force_opt_good
 from corrclust.lp import (
     SOLVER_TOL,
     LinearProgram,
+    _column_name,
     _set_index,
     build_pivot_lp,
     build_set_lp,
@@ -112,6 +113,34 @@ def test_solve_deterministic():
     a = solve(build_triangle_lp(g, pre))
     b = solve(build_triangle_lp(g, pre))
     assert np.array_equal(a.values, b.values)
+
+
+def test_member_table_rows_are_the_ranked_sets():
+    # row k of the member table, cut to size[k], is the set of rank k in the
+    # order combinations gives; the rest of the row repeats its last member
+    for n in range(1, 8):
+        si = _set_index(n)
+        sets = [()] + [S for k in (1, 2, 3) for S in combinations(range(n), k)]
+        assert si.members.shape == (si.block, 3) == (len(sets), 3)
+        assert not si.members.flags.writeable
+        for k, S in enumerate(sets):
+            row = si.members[k].tolist()
+            assert (si.size[k], tuple(row[: len(S)]), si.rank[S]) == (len(S), S, k)
+            if S:
+                assert row[len(S) :] == [S[-1]] * (3 - len(S))
+
+
+def test_column_names_decode_the_layout():
+    g = generate_instance("uniform_random", 6, None, 2)
+    pre = precluster(g, AgreementParams(0.1))
+    x, _ = solve_triangle_lp(g, pre)
+    vprime = [0, 2, 3, 5]
+    sets = [()] + [S for k in (1, 2, 3) for S in combinations(vprime, k)]
+    lp = build_set_lp(vprime, pre, x, 0.05)
+    names = [f"y{s or ''}[" + ",".join(map(str, S)) + "]" for s in range(len(vprime) + 1) for S in sets]
+    assert [_column_name(lp, j) for j in range(lp.num_vars)] == names
+    tri = build_triangle_lp(g, pre)
+    assert [_column_name(tri, j) for j in range(tri.num_vars)] == [f"c{j}" for j in range(comb(6, 2))]
 
 
 def test_set_lp_lazy_rows_are_the_triple_box_rows():
@@ -494,6 +523,33 @@ def test_pivot_lp_half_triangle_interval():
     hi = -solve(lp).objective
     assert lo == pytest.approx(0.25, abs=1e-8)
     assert hi == pytest.approx(0.5, abs=1e-8)
+
+
+def test_pivot_lp_triple_interval_on_clustering_mixtures():
+    # with the pairs pinned to y = 1 - x, the pivot LP leaves each triple's
+    # y_abc exactly the interval [lo, hi] of its pair values p, q, r: lo from
+    # the box rows over {a, b, c} and the triangle row, hi from the pair caps.
+    # x is a convex mixture of three clustering metrics, so it is fractional
+    # and the LP is feasible
+    rng = np.random.default_rng(11)
+    open_intervals = 0
+    for n in (4, 5, 6) * 6:
+        parts = [Metric.from_clustering(Clustering.from_assignment(rng.integers(0, 3, n).tolist()))
+                 for _ in range(3)]
+        w = rng.dirichlet(np.ones(3))
+        x = Metric(n, {e: float(sum(wi * c.x(*e) for wi, c in zip(w, parts))) for e in all_pairs(n)})
+        lp = build_pivot_lp(SignedGraph(n, frozenset()), trivial_preclustering(n), x)
+        for a, b, c in combinations(range(n), 3):
+            p, q, r = 1 - x.x(a, b), 1 - x.x(a, c), 1 - x.x(b, c)
+            lo = max(0.0, p + q - 1, p + r - 1, q + r - 1, (p + q + r - 1) / 2, p + q + r - 3)
+            hi = min(p, q, r)
+            i = _set_index(n).rank[a, b, c]  # the pivot LP's column = set rank
+            lp.set_objective([i], [1.0])
+            assert solve(lp).objective == pytest.approx(lo, abs=1e-9), (n, a, b, c)
+            lp.set_objective([i], [-1.0])
+            assert -solve(lp).objective == pytest.approx(hi, abs=1e-9), (n, a, b, c)
+            open_intervals += lo < hi - 1e-6
+    assert open_intervals >= 20
 
 
 def test_lifted_solution_invariants():
