@@ -17,6 +17,7 @@ budget functions.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
@@ -238,17 +239,17 @@ def decide_cluster(
     epsilon: float,
     vertex_budget: Callable[[int], float] | None = None,
 ) -> None:
-    """Release budgets and charge realized costs for one removed cluster:
-    every remaining pair with an endpoint in the cluster releases its pair
-    budget (plus epsilon if admissible), and with a ``vertex_budget`` every
-    clustered vertex releases its difference budget."""
-    remaining = sorted(rem)
+    """Release budgets and charge realized costs for one removed cluster,
+    a subset of ``rem``: every remaining pair with an endpoint in the
+    cluster releases its pair budget (plus epsilon if admissible), and with
+    a ``vertex_budget`` every clustered vertex releases its difference
+    budget.  Only those pairs are walked, in ascending order: a clustered v
+    meets every later remaining w, any other v the later cluster members."""
+    remaining, members = sorted(rem), sorted(cluster)
     for i, v in enumerate(remaining):
         in_v = v in cluster
-        for w in remaining[i + 1 :]:
+        for w in remaining[i + 1 :] if in_v else members[bisect_right(members, v) :]:
             in_w = w in cluster
-            if not (in_v or in_w):
-                continue
             p = (v, w)
             is_plus = p in g.plus
             adm = pre.pair_class[v, w] == ADMISSIBLE

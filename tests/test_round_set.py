@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 from functools import reduce
+from itertools import combinations
 from operator import add
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from corrclust.core import (
+    ADMISSIBLE,
     Metric,
     SignedGraph,
     all_pairs,
@@ -23,6 +25,7 @@ from corrclust.round_set import (
     RoundingParams,
     SeparationFound,
     analyze_cluster_sampler,
+    decide_cluster,
     lp_budget,
     set_based_cstr_clst,
     set_based_round,
@@ -96,6 +99,50 @@ def test_ledger_totals_are_ordered_running_sums():
     assert led.totals() == {
         "lp_budget": 0.25, "error_budget": led.err_total, "difference_budget": 0.0, "realized_cost": 2.0
     }
+
+
+class _CallLog(BudgetLedger):
+    """A ledger that also logs every release and charge, in call order."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def release_pair(self, p, lp_amount, err_amount):
+        self.calls.append(("release", p, lp_amount, err_amount))
+        super().release_pair(p, lp_amount, err_amount)
+
+    def record_cost(self, p):
+        self.calls.append(("charge", p))
+        super().record_cost(p)
+
+
+def test_decide_cluster_walks_the_pairs_of_a_full_scan():
+    # the walk visits only pairs with an endpoint in the cluster, and must
+    # release and charge exactly the pairs a scan of every remaining pair
+    # would, in the same order
+    rng = np.random.default_rng(7)
+    for seed in range(8):
+        n = int(rng.integers(4, 10))
+        g = generate_instance("uniform_random", n, None, seed)
+        pre = precluster(g, AgreementParams(0.1))
+        x, _ = solve_triangle_lp(g, pre)
+        for _ in range(4):
+            rem = {v for v in range(n) if rng.random() < 0.8} or {0}
+            cluster = {v for v in rem if rng.random() < 0.4} or {min(rem)}
+            expected = []
+            for v, w in combinations(sorted(rem), 2):
+                in_v, in_w = v in cluster, w in cluster
+                if not (in_v or in_w):
+                    continue
+                is_plus = (v, w) in g.plus
+                eps = 0.05 if pre.pair_class[v, w] == ADMISSIBLE else 0.0
+                expected.append(("release", (v, w), lp_budget(is_plus, x.x(v, w)), eps))
+                if (is_plus and in_v != in_w) or (not is_plus and in_v and in_w):
+                    expected.append(("charge", (v, w)))
+            log = _CallLog()
+            decide_cluster(g, pre, x, log, rem, cluster, lp_budget, 0.05)
+            assert log.calls == expected, (seed, sorted(rem), sorted(cluster))
 
 
 def test_ledger_totals_match_closed_forms():
