@@ -20,7 +20,7 @@ from corrclust import (
     parse_instance,
     write_instance,
 )
-from corrclust.core import Metric, all_pairs
+from corrclust.core import Metric
 
 print(__doc__)
 
@@ -38,8 +38,9 @@ c_opt, opt = brute_force_opt(g)
 print("  optimum:", opt, "via", c_opt.assignment, "| naive enumeration agrees:", naive_opt(g) == opt)
 
 # Fractional relaxations replace the 0/1 "together or not" with distances
-# x in [0,1]; the objective generalizes the integral cost.
-x_zero = Metric(3, dict.fromkeys(all_pairs(3), 0.0))
+# x in [0,1]; the objective generalizes the integral cost.  A metric is one
+# read-only, symmetric n x n table with a zero diagonal: x_uv = table[u, v].
+x_zero = Metric(3, np.zeros((3, 3)))
 print("  fractional cost at x = 0 (everything together):", fractional_cost(g, x_zero))
 
 # Generators: planted cliques (optionally noisy), uniform random signs, and

@@ -9,6 +9,8 @@ proof, in the form of a hyperplane separating x from every good clustering,
 that x was not an honest convex combination of good clusterings.
 """
 
+import numpy as np
+
 from corrclust import (
     AgreementParams,
     precluster,
@@ -27,7 +29,7 @@ print(__doc__)
 g = generate_instance("uniform_random", 8, None, seed=3)
 pre = precluster(g, AgreementParams(0.1))
 x, lp_cost = solve_triangle_lp(g, pre)
-frac = sum(1 for p in all_pairs(8) if 1e-9 < x.values[p] < 1 - 1e-9)
+frac = np.count_nonzero(np.triu((1e-9 < x.table) & (x.table < 1 - 1e-9), 1))  # each pair once
 print(f"metric LP on uniform n=8: cost {lp_cost:.3f}, {frac} fractional pairs")
 
 # Lifted feasibility extensions.
@@ -51,7 +53,7 @@ for line in write_lp_text(pivot_lp).splitlines()[1:5]:
 # triangle inequality, so the lifted extension is infeasible, and solve
 # returns a separating hyperplane, built from the dual ray, with that result.
 g3 = SignedGraph(3, frozenset(all_pairs(3)))
-bad = Metric(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
+bad = Metric.from_pairs(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
 lp_bad = build_pivot_lp(g3, trivial_preclustering(3), bad)
 res_bad = solve(lp_bad)
 cert = res_bad.certificate

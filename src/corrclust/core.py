@@ -47,6 +47,15 @@ def clamp_unit(v: np.ndarray, capped=True) -> np.ndarray:
     return np.where(capped & (floored >= 1.0), 1.0, floored)
 
 
+def running_sum(amounts: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """``start`` plus the entries of each row of the float array ``amounts``,
+    added one at a time from the left as a loop of ``+=`` adds them, so
+    totals keep the bits of that loop: np.add.accumulate is sequential,
+    np.sum is pairwise.  A 1-d ``amounts`` is one row: a 0-d result."""
+    head = np.full((*amounts.shape[:-1], 1), start)
+    return np.add.accumulate(np.concatenate([head, amounts], axis=-1), axis=-1)[..., -1]
+
+
 # ---------------------------------------------------------------------------
 # Signed graphs
 # ---------------------------------------------------------------------------
@@ -71,16 +80,19 @@ class SignedGraph:
     def is_plus(self, u: int, v: int) -> bool:
         return pair_key(u, v) in self.plus
 
-    def sign(self, u: int, v: int) -> str:
-        return "+" if self.is_plus(u, v) else "-"
+    @cached_property
+    def plus_table(self) -> np.ndarray:
+        """Read-only n x n table of signs: True on a +pair, False on a -pair
+        and on the diagonal."""
+        table = np.zeros((self.n, self.n), dtype=bool)
+        u, v = np.array(list(self.plus), dtype=int).reshape(-1, 2).T
+        table[u, v] = table[v, u] = True
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def _plus_adj(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for (u, v) in self.plus:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(a) for a in adj)
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.plus_table)
 
     def plus_neighbors(self, v: int) -> frozenset[int]:
         """Proper +neighbors of ``v`` (self excluded)."""
@@ -165,13 +177,8 @@ def clustering_cost(g: SignedGraph, c: Clustering) -> int:
     """Number of unsatisfied pairs: -pairs inside a cluster plus +pairs across."""
     if c.n != g.n:
         raise ValueError("clustering is not total over the graph's vertices")
-    cost = 0
-    a = c.assignment
-    for (u, v) in all_pairs(g.n):
-        together = a[u] == a[v]
-        if ((u, v) in g.plus) != together:
-            cost += 1
-    return cost
+    a = np.asarray(c.assignment)
+    return int(np.count_nonzero(np.triu(g.plus_table != (a[:, None] == a), 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -179,52 +186,80 @@ def clustering_cost(g: SignedGraph, c: Clustering) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metric:
-    """Fractional distances x in [0,1] over all pairs of an n-vertex set."""
+    """Fractional distances x in [0,1] over all pairs of an n-vertex set, as
+    one read-only, symmetric n x n table with a zero diagonal: x_uv is
+    ``table[u, v]``.  Construction copies and checks the table;
+    :meth:`from_pairs` builds one from a value per canonical pair."""
 
     n: int
-    values: Mapping[Pair, float]
+    table: np.ndarray
+
+    def __post_init__(self) -> None:
+        table = np.array(self.table, dtype=float)
+        if table.shape != (self.n, self.n):
+            raise ValueError(f"metric table has shape {table.shape}, expected {(self.n, self.n)}")
+        if not (np.isfinite(table).all() and (table == table.T).all() and not table.diagonal().any()):
+            raise ValueError("metric table is not finite, symmetric and with a zero diagonal")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    @staticmethod
+    def from_pairs(n: int, values: Mapping[Pair, float]) -> "Metric":
+        """The metric with ``values[(u, v)]`` on each pair u < v of 0..n-1.
+        Raises ValueError unless the keys are exactly those pairs: none is
+        missing, a self-pair, not canonical or out of range."""
+        pairs = list(all_pairs(n))
+        extra, missing = set(values).difference(pairs), set(pairs).difference(values)
+        if extra or missing:
+            raise ValueError(f"pair {min(extra)} is a self-pair, not canonical or out of range" if extra
+                             else f"missing value for pair {min(missing)}")
+        table = np.zeros((n, n))
+        u, v = np.triu_indices(n, 1)
+        table[u, v] = table[v, u] = [values[p] for p in pairs]
+        return Metric(n, table)
 
     def x(self, u: int, v: int) -> float:
-        return self.values[pair_key(u, v)]
+        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"({u}, {v}) is a self-pair or leaves 0..{self.n - 1}")
+        return float(self.table[u, v])
 
     @staticmethod
     def from_clustering(c: Clustering) -> "Metric":
-        vals = {p: 0.0 if c.together(*p) else 1.0 for p in all_pairs(c.n)}
-        return Metric(c.n, vals)
+        a = np.asarray(c.assignment)
+        return Metric(c.n, (a[:, None] != a).astype(float))
 
     def validate(self, pre: "PreclusteredInstance | None" = None) -> None:
         """Raise ValueError on range, triangle-inequality, or pinning violations."""
-        tol = METRIC_TOL
-        for p in all_pairs(self.n):
-            xv = self.values.get(p)
-            if xv is None:
-                raise ValueError(f"missing value for pair {p}")
-            if not (-tol <= xv <= 1 + tol):
-                raise ValueError(f"x{p} = {xv} outside [0,1]")
-        for (u, v, w) in combinations(range(self.n), 3):
-            xuv, xuw, xvw = self.x(u, v), self.x(u, w), self.x(v, w)
-            if xuv > xuw + xvw + tol or xuw > xuv + xvw + tol or xvw > xuv + xuw + tol:
-                raise ValueError(f"triangle inequality fails on ({u},{v},{w})")
+        tol, table = METRIC_TOL, self.table
+        _raise_at((table < -tol) | (table > 1 + tol), lambda u, v: f"x{(u, v)} = {table[u, v]} outside [0,1]")
+        for w in range(self.n):
+            # x_uv > x_uw + x_wv fails the triangle inequality of u, v and w
+            _raise_at(table > table[:, w, None] + table[w] + tol,
+                      lambda u, v: f"triangle inequality fails on {tuple(sorted((u, v, w)))}")
         if pre is not None:
-            for p in all_pairs(self.n):
-                cls = pre.pair_class[p]
-                if cls == ATOMIC and abs(self.values[p]) > tol:
-                    raise ValueError(f"atomic pair {p} has x = {self.values[p]} != 0")
-                if cls == NON_ADMISSIBLE and abs(self.values[p] - 1.0) > tol:
-                    raise ValueError(f"non-admissible pair {p} has x = {self.values[p]} != 1")
+            for code, target, name in ((ATOMIC, 0.0, "atomic"), (NON_ADMISSIBLE, 1.0, "non-admissible")):
+                _raise_at((pre.pair_class == code) & (abs(table - target) > tol),
+                          lambda u, v: f"{name} pair {(u, v)} has x = {table[u, v]} != {target:g}")
+
+
+def _raise_at(bad: np.ndarray, message) -> None:
+    """Raise ValueError(message(u, v)) for the first pair u < v where the
+    n x n table ``bad`` is set."""
+    hits = np.argwhere(np.triu(bad, 1))
+    if len(hits):
+        raise ValueError(message(*hits[0].tolist()))
 
 
 def fractional_cost(g: SignedGraph, x: Metric) -> float:
-    """LP objective: sum of x over +pairs plus (1 - x) over -pairs."""
+    """LP objective: sum of x over +pairs plus (1 - x) over -pairs, added in
+    pair order."""
     if x.n != g.n:
         raise ValueError("metric and graph vertex sets differ")
-    total = 0.0
-    for p in all_pairs(g.n):
-        xv = x.values[p]
-        total += xv if p in g.plus else 1.0 - xv
-    return total
+    u, v = np.triu_indices(g.n, 1)
+    xv = x.table[u, v]
+    return float(running_sum(np.where(g.plus_table[u, v], xv, 1.0 - xv)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +389,19 @@ def generate_instance(kind: str, n: int, params: Mapping | None, seed: int) -> S
         raise ValueError("n must be at least 1")
     params = dict(params or {})
     rng = np.random.default_rng(seed)
+    u, w = np.triu_indices(n, 1)  # one draw per pair, in pair order
     if kind == "uniform_random":
         p_plus = _probability(params.pop("p_plus", 0.5), "p_plus")
         _reject_extra(params)
-        plus = {p for p in all_pairs(n) if rng.random() < p_plus}
-        return SignedGraph(n, frozenset(plus))
+        plus = rng.random(len(u)) < p_plus
+        return SignedGraph(n, frozenset(zip(u[plus].tolist(), w[plus].tolist())))
     if kind in ("planted_cliques", "adversarial_mix"):
         try:
             sizes = [operator.index(s) for s in params.pop("sizes")]
         except (KeyError, TypeError):
             raise ValueError(f"{kind} needs 'sizes', a list of integer clique sizes") from None
         noise = _probability(params.pop("noise", 0.0), "noise")
-        p_plus = _probability(params.pop("p_plus", 0.5), "p_plus") if kind == "adversarial_mix" else None
+        p_plus = _probability(params.pop("p_plus", 0.5), "p_plus") if kind == "adversarial_mix" else 0.0
         _reject_extra(params)
         if any(s < 1 for s in sizes):
             raise ValueError("clique sizes must be positive")
@@ -374,24 +410,14 @@ def generate_instance(kind: str, n: int, params: Mapping | None, seed: int) -> S
             raise ValueError(f"clique sizes sum to {total}, expected n = {n}")
         if total > n:
             raise ValueError(f"clique sizes sum to {total} > n = {n}")
-        block = [-1] * n
-        v = 0
-        for b, s in enumerate(sizes):
-            for _ in range(s):
-                block[v] = b
-                v += 1
-        plus = set()
-        for (u, w) in all_pairs(n):
-            if block[u] == -1 or block[w] == -1:
-                # free region of the adversarial mix: uniform sign
-                base = rng.random() < p_plus
-            else:
-                base = block[u] == block[w]
-                if rng.random() < noise:
-                    base = not base
-            if base:
-                plus.add((u, w))
-        return SignedGraph(n, frozenset(plus))
+        block = np.full(n, -1)
+        block[:total] = np.repeat(np.arange(len(sizes)), sizes)
+        draw = rng.random(len(u))
+        # the free region of the adversarial mix draws a uniform sign; a
+        # planted pair keeps its block's sign unless noise flips it
+        free = (block[u] == -1) | (block[w] == -1)
+        plus = np.where(free, draw < p_plus, (block[u] == block[w]) != (draw < noise))
+        return SignedGraph(n, frozenset(zip(u[plus].tolist(), w[plus].tolist())))
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -419,10 +445,8 @@ def write_instance(g: SignedGraph, default: str | None = None) -> str:
     if default not in ("+", "-"):
         raise ValueError("default sign must be '+' or '-'")
     lines = [f"n {g.n} default {default}"]
-    for (u, v) in sorted(all_pairs(g.n)):
-        s = g.sign(u, v)
-        if s != default:
-            lines.append(f"{u} {v} {s}")
+    u, v = np.nonzero(np.triu(g.plus_table != (default == "+"), 1))  # the pairs of the other sign
+    lines += [f"{a} {b} {'-' if default == '+' else '+'}" for a, b in zip(u.tolist(), v.tolist())]
     return "\n".join(lines) + "\n"
 
 

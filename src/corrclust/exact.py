@@ -104,10 +104,7 @@ def brute_force_opt_good(g: SignedGraph, pre: PreclusteredInstance) -> tuple[Clu
         raise ValueError(f"n = {g.n} above oracle limit {DEFAULT_LIMIT}")
     members = [sorted(a) for a in pre.all_atoms]
     m = len(members)
-    plus = [0] * g.n
-    for (u, v) in g.plus:
-        plus[u] |= 1 << v
-        plus[v] |= 1 << u
+    plus = (g.plus_table @ (1 << np.arange(g.n))).tolist()  # bitmask of +neighbors
     # conflict[i]: atoms that can never share a cluster with atom i
     atom_of = np.empty(g.n, dtype=np.intp)
     for i, atom in enumerate(members):
@@ -149,7 +146,7 @@ def naive_opt(g: SignedGraph) -> int:
     if g.n > NAIVE_LIMIT:
         raise ValueError(f"n = {g.n} above naive enumeration limit {NAIVE_LIMIT}")
     n = g.n
-    plus = [[u != v and g.is_plus(u, v) for u in range(n)] for v in range(n)]
+    plus = g.plus_table.tolist()
     best = [_INF]
     labels = [0] * n
 

@@ -149,7 +149,8 @@ class LinearProgram:
     def set_params(self, pairs: Sequence[Pair], x: Metric) -> None:
         """Parameter column i is ``pairs[i]``, valued at x."""
         self.param_pairs = list(pairs)
-        self.param_values = [float(x.x(*p)) for p in pairs]
+        u, v = np.array(self.param_pairs, dtype=int).reshape(-1, 2).T
+        self.param_values = x.table[u, v].tolist()
         self._mats = None
 
     # -- rows -----------------------------------------------------------------
@@ -514,7 +515,7 @@ def build_triangle_lp(g: SignedGraph, pre: PreclusteredInstance) -> LinearProgra
                 (rows, short2, -np.ones(3 * t)),
             ],
         )
-    coefs = np.array([1.0 if p in g.plus else -1.0 for p in si.pairs])
+    coefs = np.where(g.plus_table[si.pa, si.pb], 1.0, -1.0)
     lp.set_objective(cols, coefs, constant=float(g.num_minus))
     return lp
 
@@ -525,9 +526,10 @@ def solve_triangle_lp(g: SignedGraph, pre: PreclusteredInstance) -> tuple[Metric
     res = solve(lp)
     if res.status != "optimal":
         raise LPError(f"triangle LP not solvable: {res.status}")
-    vals = clamp_unit(res.values)
-    metric = Metric(g.n, dict(zip(_set_index(g.n).pairs, vals.tolist())))
-    return metric, float(res.objective)
+    si = _set_index(g.n)
+    table = np.zeros((g.n, g.n))
+    table[si.pa, si.pb] = table[si.pb, si.pa] = clamp_unit(res.values)  # column = pair rank
+    return Metric(g.n, table), float(res.objective)
 
 
 # ---------------------------------------------------------------------------
@@ -913,9 +915,14 @@ def integral_set_lift(vprime: Iterable[int], clusters: list[set[int]]) -> np.nda
     """Value vector of the indicator lift of a clustering of V' for the set
     LP on V', in :func:`build_set_lp`'s column order: y_S = 1 and y^s_S = 1
     (for s the cluster's size) where S lies inside one cluster, and the
-    empty sets count clusters (of size s)."""
+    empty sets count clusters (of size s).  Raises ValueError unless the
+    clusters are nonempty and partition a nonempty V'."""
     verts = sorted(vprime)
     n = len(verts)
+    if n == 0:
+        raise ValueError("empty vertex set")
+    if not all(clusters) or sorted(v for c in clusters for v in c) != verts:
+        raise ValueError("clusters do not partition the vertex set")
     si = _set_index(n)
     label = np.empty(n, dtype=int)
     for ci, c in enumerate(clusters):

@@ -15,18 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .core import Pair, PreclusteredInstance, SignedGraph, pair_key
+import numpy as np
+from scipy.sparse.csgraph import connected_components
 
-
-def _frac(x: float) -> Fraction:
-    """Decimal-faithful rational for a parameter given as a float."""
-    return Fraction(str(x))
+from .core import Pair, PreclusteredInstance, SignedGraph
 
 
 def _ratio(x: float) -> tuple[int, int]:
-    f = _frac(x)
+    """Numerator and denominator of the decimal-faithful rational for a
+    parameter given as a float."""
+    f = Fraction(str(x))
     return f.numerator, f.denominator
 
 
@@ -65,41 +64,28 @@ def in_weak_agreement(g: SignedGraph, u: int, v: int, i: int, beta: float) -> bo
     return sym * den < i * num * max(len(nu), len(nv))
 
 
+def _closed_degrees(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n table of closed neighborhoods N_v (the sign table plus the
+    self-loops) and the degrees |N_v| as Python ints, so products with the
+    parameter's numerator and denominator stay exact."""
+    closed = g.plus_table | np.eye(g.n, dtype=bool)
+    return closed, closed.sum(axis=1).astype(object)
+
+
 def atomic_preclustering(g: SignedGraph, params: AgreementParams) -> tuple[frozenset[int], ...]:
-    """Sparsify the +graph and return its size >= 2 components as atoms."""
-    kept: list[Pair] = []
-    lost = [0] * g.n
-    for (u, v) in sorted(g.plus):
-        if in_weak_agreement(g, u, v, 1, params.epsilon_q):
-            kept.append((u, v))
-        else:
-            lost[u] += 1
-            lost[v] += 1
-    lnum, lden = _ratio(params.epsilon_q)
-    light = [lost[v] * lden > lnum * g.degree(v) for v in range(g.n)]
-    surviving = [(u, v) for (u, v) in kept if not (light[u] and light[v])]
-    # connected components of the sparsified graph
-    parent = list(range(g.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (u, v) in surviving:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    comps: dict[int, set[int]] = {}
-    for v in range(g.n):
-        comps.setdefault(find(v), set()).add(v)
-    atoms = [frozenset(c) for c in comps.values() if len(c) >= 2]
-    return tuple(sorted(atoms, key=min))
-
-
-def _degree_similar(du: int, dv: int, num: int, den: int) -> bool:
-    return num * dv <= den * du and num * du <= den * dv
+    """Sparsify the +graph and return its size >= 2 components as atoms: a
+    +pair stays if its ends are in weak agreement (:func:`in_weak_agreement`,
+    i = 1); a vertex that lost more than an epsilon_q share of its degree is
+    light, and a pair of two light vertices goes."""
+    num, den = _ratio(params.epsilon_q)
+    closed, deg = _closed_degrees(g)
+    common = closed.astype(int) @ closed.T  # |N_u & N_v|
+    sym = deg[:, None] + deg - 2 * common  # |N_u ^ N_v|
+    kept = g.plus_table & (sym * den < num * np.maximum(deg[:, None], deg))
+    light = (g.plus_table & ~kept).sum(axis=1) * den > num * deg
+    _, label = connected_components(kept & ~(light[:, None] & light), directed=False)
+    comps = (np.flatnonzero(label == c).tolist() for c in range(label.max(initial=-1) + 1))
+    return tuple(sorted((frozenset(c) for c in comps if len(c) >= 2), key=min))
 
 
 def admissible_edges(
@@ -109,35 +95,23 @@ def admissible_edges(
     enough common neighbors degree-similar to both; then normalized so atom
     members share identical admissible neighborhoods."""
     num, den = _ratio(params.epsilon_q)
-    deg = [g.degree(v) for v in range(g.n)]
-    in_atom = [False] * g.n
-    for a in atoms:
-        for v in a:
-            in_atom[v] = True
-    adm: set[Pair] = set()
-    for (u, v) in combinations(range(g.n), 2):
-        if in_atom[u] and in_atom[v]:
-            continue
-        if not _degree_similar(deg[u], deg[v], num, den):
-            continue
-        common = g.closed_neighborhood(u) & g.closed_neighborhood(v)
-        good = sum(
-            1
-            for w in common
-            if _degree_similar(deg[w], deg[u], num, den) and _degree_similar(deg[w], deg[v], num, den)
-        )
-        if good * den >= num * min(deg[u], deg[v]):
-            adm.add((u, v))
+    closed, deg = _closed_degrees(g)
+    similar = (num * deg <= den * deg[:, None]) & (num * deg[:, None] <= den * deg)
+    linked = (closed & similar).astype(int)  # w in N_u, degree-similar to u
+    good = (linked @ linked.T).astype(object)  # such w shared by u and v
+    in_atom = np.zeros(g.n, dtype=bool)
+    in_atom[[v for a in atoms for v in a]] = True
+    adm = similar & ~(in_atom[:, None] & in_atom) & (good * den >= num * np.minimum(deg[:, None], deg))
+    np.fill_diagonal(adm, False)
     # normalization: a pair (u, y) with u in atom K survives only if every
     # (u', y), u' in K, is admissible.  No admissible pair has both ends in
     # atoms, so each (atom, outside vertex) group stands or falls whole.
-    outside = [y for y in range(g.n) if not in_atom[y]]
     for a in atoms:
-        for y in outside:
-            group = {pair_key(u, y) for u in a}
-            if not group <= adm:
-                adm -= group
-    return frozenset(adm)
+        k = sorted(a)
+        adm[k] &= adm[k].all(axis=0)
+        adm[:, k] = adm[k].T
+    u, v = np.nonzero(np.triu(adm, 1))
+    return frozenset(zip(u.tolist(), v.tolist()))
 
 
 def precluster(g: SignedGraph, params: AgreementParams) -> PreclusteredInstance:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ADMISSIBLE, Metric, PreclusteredInstance, SignedGraph
+from .core import ADMISSIBLE, ATOMIC, Metric, PreclusteredInstance, SignedGraph, running_sum
 from .correlated import ConditionedMarginals, contract_to_representatives, measure_pairwise_error, rt_sample
 from .lp import (
     LiftedSolution,
@@ -26,12 +26,12 @@ from .lp import (
     solve,
 )
 from .round_set import (
-    BudgetLedger,
+    BudgetTables,
     RoundingParams,
     RoundingReport,
     SeparationFound,
     best_of_trials,
-    decide_cluster,
+    budget_tables,
     rounding_trial,
 )
 
@@ -39,45 +39,46 @@ F_PLUS_CONSTANT = 1.515
 MINUS_COEFFICIENT = 2.0
 
 
-def pivot_budget(is_plus: bool, x: float) -> float:
-    """Per-pair LP budget of the pivot scheme: f(x) x with
+def pivot_budget(is_plus, x):
+    """Per-pair LP budget of the pivot scheme, elementwise: f(x) x with
     f(x) = min(1.515 + x, 2) for a +pair, 2 (1 - x) for a -pair."""
-    return min(F_PLUS_CONSTANT + x, 2.0) * x if is_plus else MINUS_COEFFICIENT * (1.0 - x)
+    return np.where(is_plus, np.minimum(F_PLUS_CONSTANT + x, 2.0) * x, MINUS_COEFFICIENT * (1.0 - x))
 
 
-def cleanup(
-    remaining: Iterable[int],
-    g: SignedGraph,
-    pre: PreclusteredInstance,
-    x: Metric,
-    epsilon: float,
-) -> frozenset[int] | None:
+def cleanup(remaining: Iterable[int], pre: PreclusteredInstance, t: BudgetTables) -> frozenset[int] | None:
     """First atom (ascending minimum vertex) whose removal cost ALG_K is at
     most the budget Delta_K it would release; None if there is none."""
     rem = set(remaining)
-    for atom in pre.all_atoms:
-        if not atom <= rem:
-            continue
-        alg, delta = cleanup_quantities(atom, rem, g, pre, x, epsilon)
-        if delta >= alg:
-            return atom
-    return None
+    atoms = [atom for atom in pre.all_atoms if atom <= rem]
+    alg, delta = cleanup_quantities(atoms, rem, pre, t)
+    hits = np.flatnonzero(delta >= alg)
+    return atoms[hits[0]] if hits.size else None
 
 
 def cleanup_quantities(
-    atom: frozenset[int],
-    rem: set[int],
-    g: SignedGraph,
-    pre: PreclusteredInstance,
-    x: Metric,
-    epsilon: float,
-) -> tuple[float, float]:
-    """(ALG_K, Delta_K) for removing ``atom`` as a cluster, both restricted
-    to the remaining vertex set: the cost and the release (pair budgets plus
-    epsilon per admissible pair) that :func:`decide_cluster` would charge."""
-    ledger = BudgetLedger()
-    decide_cluster(g, pre, x, ledger, rem, set(atom), pivot_budget, epsilon)
-    return float(ledger.realized_total), ledger.lp_total + ledger.err_total
+    atoms: list[frozenset[int]], rem: set[int], pre: PreclusteredInstance, t: BudgetTables
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ALG_K, Delta_K) of removing each atom K of ``atoms`` (inside the
+    remaining set) as a cluster: the cost and the release (pair budgets plus
+    epsilon per admissible pair) that :func:`decide_cluster` would charge.
+
+    K's decided pairs are the entries of its (K x remaining) block, less the
+    diagonal and the lower copy of each pair inside K.  Sorted by flat index
+    v n + w (v < w) they come in decide_cluster's ascending order, so each
+    total adds in its order and has its bits.  Atoms of one size give
+    blocks of one shape, and are read as one array."""
+    n = len(t.plus)
+    r = np.array(sorted(rem))
+    alg, delta = np.zeros(len(atoms)), np.zeros(len(atoms))
+    for size in {len(atom) for atom in atoms}:
+        idx = [i for i, atom in enumerate(atoms) if len(atom) == size]
+        k = np.array([sorted(atoms[i]) for i in idx])[:, :, None]
+        keep = (r > k) | (pre.pair_class[k, r] != ATOMIC)  # ATOMIC inside K and on the diagonal
+        key = np.sort((np.minimum(k, r) * n + np.maximum(k, r))[keep].reshape(len(idx), -1), axis=1)
+        # charged: a +pair leaving K, or a -pair inside it
+        alg[idx] = (t.plus.ravel()[key] != (pre.pair_class.ravel()[key] == ATOMIC)).sum(axis=1)
+        delta[idx] = running_sum(t.budget.ravel()[key]) + running_sum(t.err.ravel()[key])
+    return alg, delta
 
 
 def _pivot_marginals(
@@ -99,7 +100,7 @@ def _pivot_marginals(
             continue  # y_pv = 0 by non-admissible pinning; never joins
         atom = groups[rep]
         y = sol.y_of((p, rep))
-        if any(g.is_plus(p, w) for w in atom):
+        if g.plus_table[p, atom].any():
             rt_groups[rep] = atom
         elif y > 0.0:
             indep.append((rep, atom, y))
@@ -123,9 +124,10 @@ def pivot_based_round(
     if res.status == "infeasible":
         raise SeparationFound(res.certificate)
     sol = lifted_from_result(lp, res)
+    tables = budget_tables(g, pre, x, pivot_budget, params.epsilon)
 
     def draw(rem: set[int], rng: np.random.Generator) -> tuple[set[int], dict]:
-        k = cleanup(rem, g, pre, x, params.epsilon)
+        k = cleanup(rem, pre, tables)
         if k is not None:
             return set(k), {"cleanup": sorted(k), "size": len(k)}
         order = sorted(rem)
@@ -147,10 +149,4 @@ def pivot_based_round(
             "pivot": p, "s_minus": s_minus, "s_plus": s_plus, "size": len(cluster), "eps_r": eps_r
         }
 
-    return best_of_trials(
-        params.trials,
-        rng,
-        lambda stream: rounding_trial(
-            "pivot", g, pre, x, params.epsilon, draw, pivot_budget, stream
-        ),
-    )
+    return best_of_trials(params.trials, rng, lambda stream: rounding_trial("pivot", g, tables, draw, stream))

@@ -17,10 +17,9 @@ budget functions.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -31,8 +30,8 @@ from .core import (
     Pair,
     PreclusteredInstance,
     SignedGraph,
-    all_pairs,
     clustering_cost,
+    running_sum,
 )
 from .correlated import (
     ConditionedMarginals,
@@ -82,41 +81,71 @@ class RoundingParams:
             raise ValueError("trials must be at least 1")
 
 
-def lp_budget(is_plus: bool, x: float) -> float:
-    """Per-pair LP budget of the set-based scheme."""
-    return 2 * x / (1 + x) if is_plus else (1 - x) / (1 + x)
+def lp_budget(is_plus, x):
+    """Per-pair LP budget of the set-based scheme, elementwise."""
+    return np.where(is_plus, 2 * x / (1 + x), (1 - x) / (1 + x))
+
+
+class BudgetTables(NamedTuple):
+    """What one rounding call charges, built once per call by
+    :func:`budget_tables`: n x n tables of each pair's sign (True on a
+    +pair), its budget under the scheme and its error budget (epsilon if
+    admissible, else 0.0), the upper-triangular mask that names each pair
+    once, and each vertex's difference budget (None for a scheme without
+    one)."""
+
+    plus: np.ndarray
+    budget: np.ndarray
+    err: np.ndarray
+    upper: np.ndarray
+    vertex: np.ndarray | None
+
+
+def budget_tables(
+    g: SignedGraph,
+    pre: PreclusteredInstance,
+    x: Metric,
+    pair_budget: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    epsilon: float,
+    vertex: np.ndarray | None = None,
+) -> BudgetTables:
+    return BudgetTables(g.plus_table, pair_budget(g.plus_table, x.table), np.where(pre.pair_class == ADMISSIBLE, epsilon, 0.0),
+                        np.triu(np.ones((g.n, g.n), dtype=bool), 1), vertex)
 
 
 class BudgetLedger:
-    """Running budget totals and realized cost, each summed in release
-    order; every pair and vertex releases, and every pair is charged, at
-    most once."""
+    """Running budget totals and realized cost over n vertices, each summed
+    in release order; boolean masks record the released pairs and vertices
+    and the charged pairs, so each is released, or charged, at most once."""
 
-    def __init__(self) -> None:
+    def __init__(self, n: int) -> None:
         self.lp_total = self.err_total = self.diff_total = 0.0
         self.realized_total = 0
-        self._released_pairs: set[Pair] = set()
-        self._released_vertices: set[int] = set()
-        self._charged_pairs: set[Pair] = set()
+        self._released_pairs = np.zeros((n, n), dtype=bool)
+        self._released_vertices = np.zeros(n, dtype=bool)
+        self._charged_pairs = np.zeros((n, n), dtype=bool)
 
-    def release_pair(self, p: Pair, lp_amount: float, err_amount: float) -> None:
-        if p in self._released_pairs:
-            raise LedgerError(f"pair {p} released twice")
-        self._released_pairs.add(p)
-        self.lp_total += lp_amount
-        self.err_total += err_amount
+    def release_pairs(self, mask: np.ndarray, lp_table: np.ndarray, err_table: np.ndarray) -> None:
+        """Release the pairs (v, w) of the upper-triangular ``mask``: their
+        entries of each table join its total in ascending (v, w) order."""
+        _mark_once(self._released_pairs, mask, "released")
+        self.lp_total = float(running_sum(lp_table[mask], self.lp_total))
+        self.err_total = float(running_sum(err_table[mask], self.err_total))
 
-    def release_vertex(self, v: int, amount: float) -> None:
-        if v in self._released_vertices:
-            raise LedgerError(f"vertex {v} released twice")
-        self._released_vertices.add(v)
-        self.diff_total += amount
+    def release_vertices(self, vertices: list[int], amounts: np.ndarray) -> None:
+        """Release ``vertices``, adding ``amounts`` in their order."""
+        mask = np.zeros_like(self._released_vertices)
+        mask[vertices] = True
+        if np.count_nonzero(mask) < len(vertices):
+            raise LedgerError(f"vertices {vertices} repeat one")
+        _mark_once(self._released_vertices, mask, "released")
+        self.diff_total = float(running_sum(amounts, self.diff_total))
 
-    def record_cost(self, p: Pair) -> None:
-        if p in self._charged_pairs:
-            raise LedgerError(f"pair {p} charged twice")
-        self._charged_pairs.add(p)
-        self.realized_total += 1
+    def charge(self, mask: np.ndarray) -> None:
+        """Charge a realized cost of 1 for each pair of the upper-triangular
+        ``mask``."""
+        _mark_once(self._charged_pairs, mask, "charged")
+        self.realized_total += int(np.count_nonzero(mask))
 
     def totals(self) -> dict[str, float]:
         return {
@@ -136,6 +165,16 @@ class BudgetLedger:
         for name, ceiling in ceilings.items():
             if not abs(totals[name] - ceiling) <= 1e-9:
                 raise LedgerError(f"{name} total {totals[name]!r} off its ceiling {ceiling!r}")
+
+
+def _mark_once(seen: np.ndarray, mask: np.ndarray, what: str) -> None:
+    """Set ``seen`` where ``mask`` is set; raise LedgerError naming the first
+    entry that was set already."""
+    again = seen & mask
+    if again.any():
+        first = ", ".join(map(str, np.argwhere(again)[0].tolist()))
+        raise LedgerError(f"{'pair' if seen.ndim == 2 else 'vertex'} {first} {what} twice")
+    seen |= mask
 
 
 @dataclass
@@ -228,75 +267,53 @@ def set_based_cstr_clst(
     return cluster, {"s": s, "u": u, "size": len(cluster)}, m
 
 
-def decide_cluster(
-    g: SignedGraph,
-    pre: PreclusteredInstance,
-    x: Metric,
-    ledger: BudgetLedger,
-    rem: set[int],
-    cluster: set[int],
-    pair_budget: Callable[[bool, float], float],
-    epsilon: float,
-    vertex_budget: Callable[[int], float] | None = None,
-) -> None:
+def decide_cluster(t: BudgetTables, ledger: BudgetLedger, rem: set[int], cluster: set[int]) -> None:
     """Release budgets and charge realized costs for one removed cluster,
     a subset of ``rem``: every remaining pair with an endpoint in the
-    cluster releases its pair budget (plus epsilon if admissible), and with
-    a ``vertex_budget`` every clustered vertex releases its difference
-    budget.  Only those pairs are walked, in ascending order: a clustered v
-    meets every later remaining w, any other v the later cluster members."""
-    remaining, members = sorted(rem), sorted(cluster)
-    for i, v in enumerate(remaining):
-        in_v = v in cluster
-        for w in remaining[i + 1 :] if in_v else members[bisect_right(members, v) :]:
-            in_w = w in cluster
-            p = (v, w)
-            is_plus = p in g.plus
-            adm = pre.pair_class[v, w] == ADMISSIBLE
-            ledger.release_pair(p, pair_budget(is_plus, x.x(v, w)), epsilon if adm else 0.0)
-            if (is_plus and in_v != in_w) or (not is_plus and in_v and in_w):
-                ledger.record_cost(p)
-    if vertex_budget is not None:
-        for v in cluster:
-            ledger.release_vertex(v, vertex_budget(v))
+    cluster releases its pair budget and its error budget, in ascending
+    (v, w) order, and is charged if it is a +pair the cluster splits or a
+    -pair it holds; with vertex budgets every clustered vertex releases its
+    own, in the cluster's iteration order."""
+    in_rem, in_cluster = np.zeros(len(t.plus), dtype=bool), np.zeros(len(t.plus), dtype=bool)
+    in_rem[list(rem)] = True
+    members = list(cluster)
+    in_cluster[members] = True
+    decided = t.upper & (in_cluster[:, None] & in_rem | in_rem[:, None] & in_cluster)
+    ledger.release_pairs(decided, t.budget, t.err)
+    ledger.charge(decided & (t.plus != (in_cluster[:, None] & in_cluster)))
+    if t.vertex is not None:
+        ledger.release_vertices(members, t.vertex[members])
 
 
 def rounding_trial(
     scheme: str,
     g: SignedGraph,
-    pre: PreclusteredInstance,
-    x: Metric,
-    epsilon: float,
+    t: BudgetTables,
     draw: Callable[[set[int], np.random.Generator], tuple[set[int], dict]],
-    pair_budget: Callable[[bool, float], float],
     rng: np.random.Generator,
-    vertex_budget: Callable[[int], float] | None = None,
 ) -> RoundingReport:
     """One run of a scheme: ``draw`` removes clusters until every vertex is
     clustered, each decided by :func:`decide_cluster`, and the ledger is
     reconciled against the closed-form ceilings.  The trial's measured error
     is the largest ``eps_r`` in its trace."""
     rem = set(range(g.n))
-    ledger = BudgetLedger()
+    ledger = BudgetLedger(g.n)
     trace: list[dict] = []
     clusters: list[set[int]] = []
     while rem:
         cluster, rec = draw(rem, rng)
         if not cluster or not cluster <= rem:
             raise RuntimeError(f"drew {sorted(cluster)}, not a nonempty subset of {sorted(rem)}")
-        decide_cluster(g, pre, x, ledger, rem, cluster, pair_budget, epsilon, vertex_budget)
+        decide_cluster(t, ledger, rem, cluster)
         rem -= cluster
         clusters.append(cluster)
         trace.append(rec)
     clustering = Clustering.from_sets(g.n, clusters)
     cost = clustering_cost(g, clustering)
     # a completed run has released every budget exactly once
-    ceilings = {
-        "lp_budget": sum(pair_budget(p in g.plus, x.x(*p)) for p in all_pairs(g.n)),
-        "error_budget": epsilon * len(pre.adm),
-    }
-    if vertex_budget is not None:
-        ceilings["difference_budget"] = sum(vertex_budget(v) for v in range(g.n))
+    ceilings = {"lp_budget": t.budget[t.upper].sum(), "error_budget": t.err[t.upper].sum()}
+    if t.vertex is not None:
+        ceilings["difference_budget"] = t.vertex.sum()
     ledger.reconcile(cost, ceilings)
     eps_r = max((rec.get("eps_r", 0.0) for rec in trace), default=0.0)
     return RoundingReport(scheme, clustering, cost, ledger, eps_r, trace)
@@ -340,16 +357,9 @@ def set_based_round(
         rec["eps_r"] = measure_pairwise_error(m)
         return cluster, rec
 
-    def vertex_budget(v: int) -> float:
-        return 2 * params.epsilon * pre.d_adm(v)
-
-    return best_of_trials(
-        params.trials,
-        rng,
-        lambda stream: rounding_trial(
-            "set", g, pre, x, params.epsilon, draw, lp_budget, stream, vertex_budget
-        ),
-    )
+    d_adm = (pre.pair_class == ADMISSIBLE).sum(axis=1)
+    tables = budget_tables(g, pre, x, lp_budget, params.epsilon, 2 * params.epsilon * d_adm)
+    return best_of_trials(params.trials, rng, lambda stream: rounding_trial("set", g, tables, draw, stream))
 
 
 # ---------------------------------------------------------------------------
@@ -419,18 +429,13 @@ def analyze_cluster_sampler(
             for i, j in upper:
                 ideal = min(1.0, max(0.0, sol.ys_of(s, (verts[i], verts[j], u)) / ysu))
                 err[i, j] += w_su * abs(cl[i, j] - ideal)
-    decided, pair_err = {}, {}
-    e_cost = e_lp = e_err = 0.0
-    for i, j in upper:
-        a, b = verts[i], verts[j]
-        dec = inc[i] + inc[j] - both[i, j]
-        decided[(a, b)] = dec
-        pair_err[(a, b)] = err[i, j]
-        is_plus = (a, b) in g.plus
-        p_wrong = inc[i] + inc[j] - 2 * both[i, j] if is_plus else both[i, j]
-        e_cost += p_wrong
-        e_lp += lp_budget(is_plus, x.x(a, b)) * dec
-        if pre.pair_class[a, b] == ADMISSIBLE:
-            e_err += epsilon * dec
-    e_diff = sum(2 * epsilon * pre.d_adm(v) * inc[i] for i, v in enumerate(verts))
-    return IterationAnalysis(dict(zip(verts, inc.tolist())), decided, pair_err, e_cost, e_lp, e_err, e_diff)
+    i, j = np.triu_indices(n, 1)
+    a, b = np.array(verts)[i], np.array(verts)[j]
+    dec, is_plus = inc[i] + inc[j] - both[i, j], g.plus_table[a, b]
+    e_cost = np.where(is_plus, inc[i] + inc[j] - 2 * both[i, j], both[i, j]).sum()
+    e_lp = (lp_budget(is_plus, x.table[a, b]) * dec).sum()
+    e_err = (epsilon * dec)[pre.pair_class[a, b] == ADMISSIBLE].sum()
+    e_diff = sum(2 * epsilon * pre.d_adm(v) * inc[k] for k, v in enumerate(verts))
+    pairs = list(zip(a.tolist(), b.tolist()))
+    return IterationAnalysis(dict(zip(verts, inc.tolist())), dict(zip(pairs, dec.tolist())),
+                             dict(zip(pairs, err[i, j].tolist())), float(e_cost), float(e_lp), float(e_err), e_diff)

@@ -69,7 +69,7 @@ def test_combined_per_edge_bound():
 def test_certificate_propagates():
     g = SignedGraph(3, frozenset(all_pairs(3)))
     pre = trivial_preclustering(3)
-    x = Metric(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
+    x = Metric.from_pairs(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
     with pytest.raises(SeparationFound) as found:
         combined_round(g, pre, x, RoundingParams(epsilon=0.05, trials=1), np.random.default_rng(0))
     assert found.value.certificate.separates(x)
@@ -181,7 +181,7 @@ def test_full_pipeline_planted_report_digest():
     for s in range(10000, 10006):
         g = generate_instance("planted_cliques", 12, {"sizes": [4, 4, 4], "noise": 0.02}, s)
         x, _ = solve_triangle_lp(g, precluster(g, AgreementParams(0.1)))
-        assert set(x.values.values()) <= {0.0, 1.0}
+        assert set(np.unique(x.table)) <= {0.0, 1.0}
         reports.append(full_pipeline(g, PipelineConfig(trials=2), s))
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert digest == PLANTED_GOLDEN

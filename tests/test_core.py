@@ -48,12 +48,12 @@ def test_cost_triangle_examples():
 
 def test_fractional_cost_examples():
     g = complete_plus(4)
-    x0 = Metric(4, dict.fromkeys(all_pairs(4), 0.0))
+    x0 = Metric.from_pairs(4, dict.fromkeys(all_pairs(4), 0.0))
     assert fractional_cost(g, x0) == 0.0
     gm = SignedGraph(4, frozenset())
-    x1 = Metric(4, dict.fromkeys(all_pairs(4), 1.0))
+    x1 = Metric.from_pairs(4, dict.fromkeys(all_pairs(4), 1.0))
     assert fractional_cost(gm, x1) == 0.0
-    xz = Metric(3, dict.fromkeys(all_pairs(3), 0.0))
+    xz = Metric.from_pairs(3, dict.fromkeys(all_pairs(3), 0.0))
     assert fractional_cost(TRIANGLE_PPM, xz) == 1.0
 
 
@@ -215,15 +215,41 @@ def test_clustering_and_preclustering_files():
 
 
 def test_metric_validation():
-    bad_range = Metric(3, {(0, 1): 1.5, (0, 2): 0.0, (1, 2): 0.0})
+    bad_range = Metric.from_pairs(3, {(0, 1): 1.5, (0, 2): 0.0, (1, 2): 0.0})
     with pytest.raises(ValueError, match="outside"):
         bad_range.validate()
-    bad_tri = Metric(3, {(0, 1): 1.0, (0, 2): 0.0, (1, 2): 0.0})
+    bad_tri = Metric.from_pairs(3, {(0, 1): 1.0, (0, 2): 0.0, (1, 2): 0.0})
     with pytest.raises(ValueError, match="triangle"):
         bad_tri.validate()
     pre = PreclusteredInstance(3, (frozenset({0, 1}),), frozenset({(0, 2), (1, 2)}))
     with pytest.raises(ValueError, match="atomic"):
-        Metric(3, {(0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.5}).validate(pre)
+        Metric.from_pairs(3, {(0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.5}).validate(pre)
+    # the table is checked at construction, so a bad pair never reads as 0.0
+    for values, match in (
+        ({(0, 1): 0.0, (0, 2): 0.0}, "missing value for pair \\(1, 2\\)"),
+        ({(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.0, (1, 1): 0.0}, "\\(1, 1\\) is a self-pair"),
+        ({(0, 1): 0.0, (2, 0): 0.0, (1, 2): 0.0}, "\\(2, 0\\) is a self-pair, not canonical"),
+        ({(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.0, (2, 3): 0.0}, "\\(2, 3\\) .* out of range"),
+        ({(0, 1): 0.0, (0, 2): float("nan"), (1, 2): 0.0}, "not finite"),
+        ({(0, 1): 0.0, (0, 2): float("inf"), (1, 2): 0.0}, "not finite"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            Metric.from_pairs(3, values)
+    for table, match in (
+        (np.zeros((3, 2)), "shape"),
+        (np.triu(np.ones((3, 3)), 1), "symmetric"),
+        (np.eye(3), "zero diagonal"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            Metric(3, table)
+    source = 1.0 - np.eye(3)
+    x = Metric(3, source)
+    source[0, 1] = 0.5  # construction copied the table
+    assert x.x(0, 1) == x.x(1, 0) == 1.0
+    with pytest.raises(ValueError, match="self-pair"):
+        x.x(1, 1)
+    with pytest.raises(ValueError, match="read-only"):
+        x.table[0, 1] = 0.5
 
 
 def test_preclustered_instance_validation():

@@ -76,8 +76,8 @@ def _triangle_grid_opt(g, step=0.05):
     for xab, xac, xbc in product(vals, repeat=3):
         if xab > xac + xbc or xac > xab + xbc or xbc > xab + xac:
             continue
-        m = Metric(3, {(0, 1): xab, (0, 2): xac, (1, 2): xbc})
-        cost = sum(m.values[p] if p in g.plus else 1 - m.values[p] for p in all_pairs(3))
+        m = Metric.from_pairs(3, {(0, 1): xab, (0, 2): xac, (1, 2): xbc})
+        cost = sum(m.x(*p) if p in g.plus else 1 - m.x(*p) for p in all_pairs(3))
         best = min(best, cost)
     return best
 
@@ -97,7 +97,7 @@ def test_triangle_lp():
     # as lifted extraction), so its bytes do not depend on the sign of zero
     g = generate_instance("planted_cliques", 12, {"sizes": [4, 4, 4], "noise": 0.02}, 10001)
     x12, _ = solve_triangle_lp(g, precluster(g, AgreementParams(0.1)))
-    assert not np.signbit(list(x12.values.values())).any()
+    assert not np.signbit(x12.table).any()
 
     # a pinned non-admissible +pair contributes 1 to the optimum
     pre_pin = PreclusteredInstance(3, (), frozenset({(0, 2), (1, 2)}))
@@ -172,7 +172,7 @@ def _lazy_lp(name, lazy_rhs):
     the optimum is u = 1, v = 0.5."""
     lp = LinearProgram(name)
     lp.add_vars(2)
-    lp.set_params([(0, 1)], Metric(2, {(0, 1): lazy_rhs}))
+    lp.set_params([(0, 1)], Metric.from_pairs(2, {(0, 1): lazy_rhs}))
     lp.add_row({0: 1.0, 1: 1.0}, "<", 1.5)
     lp.add_row({0: -1.0}, "<", -0.5)
     one = (np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1))
@@ -276,7 +276,8 @@ def _programs(draw):
     for lo in lb:
         lp.add_vars(1, lb=float(lo), ub=float(lo + draw(st.integers(0, 3))))
     pairs = [(j, j + 1) for j in range(draw(st.integers(0, 2)))]
-    lp.set_params(pairs, Metric(len(pairs) + 1, {p: draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])) for p in pairs}))
+    values = {p: draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])) for p in pairs}
+    lp.set_params(pairs, Metric.from_pairs(len(pairs) + 1, dict.fromkeys(all_pairs(len(pairs) + 1), 0.0) | values))
     params = range(len(pairs))
     small = st.integers(-3, 3).map(float)
     for _ in range(draw(st.integers(1, 5))):
@@ -462,11 +463,27 @@ def test_size_window_boundary_cluster_stays_feasible():
     assert solve(lp).status == "optimal"
 
 
+def test_integral_set_lift_needs_a_partition():
+    # every vertex of V' lies in exactly one nonempty cluster, or no label
+    # is read uninitialised
+    assert integral_set_lift([0, 1], [{0}, {1}]).tolist() == integral_set_lift([1, 0], [{1}, {0}]).tolist()
+    for vprime, clusters in (
+        ([0, 1], [{0}]),  # 1 uncovered
+        ([0, 1], [{0, 1}, {1}]),  # 1 repeated
+        ([0, 1], [{0, 1, 2}]),  # 2 outside V'
+        ([0, 1], [{0, 1}, set()]),  # an empty cluster
+    ):
+        with pytest.raises(ValueError, match="partition"):
+            integral_set_lift(vprime, clusters)
+    with pytest.raises(ValueError, match="empty vertex set"):
+        integral_set_lift([], [])
+
+
 def test_set_lp_two_vertex_all_minus():
     g = SignedGraph(2, frozenset())
     pre = precluster(g, AgreementParams(0.1))
     assert pre.classify_pair(0, 1) == "non_admissible"
-    x = Metric(2, {(0, 1): 1.0})
+    x = Metric.from_pairs(2, {(0, 1): 1.0})
     lp = build_set_lp([0, 1], pre, x, epsilon=0.05)
     res = solve(lp)
     assert res.status == "optimal"
@@ -481,7 +498,7 @@ def test_set_lp_pinning_conflict_certificate():
     pre = precluster(g, AgreementParams(0.1))
     bad = dict.fromkeys(all_pairs(5), 0.0)
     bad[(0, 1)] = 1.0
-    x = Metric(5, bad)
+    x = Metric.from_pairs(5, bad)
     lp = build_set_lp(range(5), pre, x, epsilon=0.05)
     res = solve(lp)
     assert res.status == "infeasible"
@@ -496,7 +513,7 @@ def test_set_lp_pinning_conflict_certificate():
 def test_pivot_lp_triangle_violation_certificate():
     g = SignedGraph(3, frozenset(all_pairs(3)))
     pre = trivial_preclustering(3)
-    x = Metric(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
+    x = Metric.from_pairs(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
     lp = build_pivot_lp(g, pre, x)
     res = solve(lp)
     assert res.status == "infeasible"
@@ -514,7 +531,7 @@ def test_pivot_lp_half_triangle_interval():
     # pair cap); endpoints derived by hand from the small polytope
     g = SignedGraph(3, frozenset(all_pairs(3)))
     pre = trivial_preclustering(3)
-    x = Metric(3, dict.fromkeys(all_pairs(3), 0.5))
+    x = Metric.from_pairs(3, dict.fromkeys(all_pairs(3), 0.5))
     lp = build_pivot_lp(g, pre, x)
     i = _set_index(3).rank[0, 1, 2]  # the pivot LP's column = set rank
     lp.set_objective([i], [1.0])
@@ -537,7 +554,7 @@ def test_pivot_lp_triple_interval_on_clustering_mixtures():
         parts = [Metric.from_clustering(Clustering.from_assignment(rng.integers(0, 3, n).tolist()))
                  for _ in range(3)]
         w = rng.dirichlet(np.ones(3))
-        x = Metric(n, {e: float(sum(wi * c.x(*e) for wi, c in zip(w, parts))) for e in all_pairs(n)})
+        x = Metric.from_pairs(n, {e: float(sum(wi * c.x(*e) for wi, c in zip(w, parts))) for e in all_pairs(n)})
         lp = build_pivot_lp(SignedGraph(n, frozenset()), trivial_preclustering(n), x)
         for a, b, c in combinations(range(n), 3):
             p, q, r = 1 - x.x(a, b), 1 - x.x(a, c), 1 - x.x(b, c)
@@ -589,7 +606,7 @@ def test_lp_dump():
     assert write_lp_text(lp) == "# dump: 1 rows, 2 vars\n1 c0 + -2 c1 <= 3\n0 <= c0 <= 1\nc1 == 0.5\n"
     # lifted columns are named by set, decoded from the layout
     g = SignedGraph(3, frozenset({(0, 1)}))
-    x = Metric(3, {(0, 1): 0.0, (0, 2): 1.0, (1, 2): 1.0})
+    x = Metric.from_pairs(3, {(0, 1): 0.0, (0, 2): 1.0, (1, 2): 1.0})
     lines = write_lp_text(build_set_lp([0, 2], trivial_preclustering(3), x, 0.05)).splitlines()
     assert lines[5:7] == ["1 y[0,2] <= 0", "-1 y[0,2] <= 0.2"]  # (4) y_uv <= 1 - x_uv, and (7)
     assert lines[-12:-8] == ["0 <= y[] <= 2", "y[0] == 1", "y[2] == 1", "0 <= y[0,2] <= 1"]

@@ -112,7 +112,7 @@ def _infeasible_set_lp():
     pre = precluster(g, AgreementParams(0.1))
     bad = dict.fromkeys(all_pairs(5), 0.0)
     bad[(0, 1)] = 1.0
-    return build_set_lp(range(5), pre, Metric(5, bad), epsilon=0.05)
+    return build_set_lp(range(5), pre, Metric.from_pairs(5, bad), epsilon=0.05)
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +223,7 @@ def _sweep():
     that put cluster sizes on and off the size-window boundary."""
     rng = np.random.default_rng(3)
     atoms = PreclusteredInstance(6, (frozenset({0, 1, 2}),), frozenset({(0, 3), (1, 3), (2, 3), (3, 4)}))
-    yield atoms, Metric(6, dict.fromkeys(all_pairs(6), 0.5)), [[0, 1, 2, 3, 4, 5], [0, 1, 3], [1, 2, 4, 5], [3]]
+    yield atoms, Metric.from_pairs(6, dict.fromkeys(all_pairs(6), 0.5)), [[0, 1, 2, 3, 4, 5], [0, 1, 3], [1, 2, 4, 5], [3]]
     for seed, (kind, n, params) in enumerate([
         ("uniform_random", 1, None), ("uniform_random", 2, None), ("uniform_random", 5, None),
         ("planted_cliques", 7, {"sizes": [3, 4], "noise": 0.05}),
@@ -231,7 +231,7 @@ def _sweep():
     ]):
         g = generate_instance(kind, n, params, seed)
         pre = precluster(g, AgreementParams(0.3))
-        x = Metric(n, {p: float(rng.choice([0.0, 0.5, 1.0, rng.random()])) for p in all_pairs(n)})
+        x = Metric.from_pairs(n, {p: float(rng.choice([0.0, 0.5, 1.0, rng.random()])) for p in all_pairs(n)})
         subsets = [list(range(n))] + [sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
                                       for _ in range(2)]
         yield pre, x, subsets

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -173,3 +175,61 @@ def test_normalization_gives_uniform_atom_neighborhoods():
                 nb = set(np.flatnonzero(pre.pair_class[v] == ADMISSIBLE).tolist())
                 assert base is None or nb == base
                 base = nb
+
+
+def _per_pair_preclustering(g, eps_q):
+    """Reference: the preclustering walked pair by pair in Python integers,
+    with plain union-find components."""
+    f = Fraction(str(eps_q))
+    num, den = f.numerator, f.denominator
+    deg = [g.degree(v) for v in range(g.n)]
+    kept = [(u, v) for (u, v) in sorted(g.plus) if in_weak_agreement(g, u, v, 1, eps_q)]
+    lost = [sum(1 for w in g.plus_neighbors(v) if (min(v, w), max(v, w)) not in kept) for v in range(g.n)]
+    light = [lost[v] * den > num * deg[v] for v in range(g.n)]
+    parent = list(range(g.n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for (u, v) in kept:
+        if not (light[u] and light[v]):
+            parent[max(find(u), find(v))] = min(find(u), find(v))
+    comps = {}
+    for v in range(g.n):
+        comps.setdefault(find(v), set()).add(v)
+    atoms = tuple(sorted((frozenset(c) for c in comps.values() if len(c) >= 2), key=min))
+    in_atom = {v for a in atoms for v in a}
+
+    def similar(a, b):
+        return num * deg[b] <= den * deg[a] and num * deg[a] <= den * deg[b]
+
+    adm = {
+        (u, v)
+        for (u, v) in all_pairs(g.n)
+        if not (u in in_atom and v in in_atom) and similar(u, v)
+        and sum(1 for w in g.closed_neighborhood(u) & g.closed_neighborhood(v) if similar(w, u) and similar(w, v)) * den
+        >= num * min(deg[u], deg[v])
+    }
+    for a in atoms:
+        for y in set(range(g.n)) - in_atom:
+            group = {(min(u, y), max(u, y)) for u in a}
+            if not group <= adm:
+                adm -= group
+    return atoms, frozenset(adm)
+
+
+def test_table_preclustering_matches_a_per_pair_walk():
+    # the sign-table preclustering compares in exact integers: 1e-18 and a
+    # 17-digit epsilon_q have denominators whose products with the degrees
+    # overflow int64 at these sizes
+    cases = [("planted_cliques", 12, {"sizes": [4, 4, 4], "noise": 0.02}), ("uniform_random", 10, None),
+             ("adversarial_mix", 13, {"sizes": [5, 5], "noise": 0.02}), ("planted_cliques", 96, {"sizes": [40, 32, 24], "noise": 0.05})]
+    for kind, n, params in cases:
+        for seed in range(3):
+            g = generate_instance(kind, n, params, seed)
+            for eps_q in (0.1, 0.3, 1e-18, 0.12345678901234568):
+                atoms, adm = _per_pair_preclustering(g, eps_q)
+                pre = precluster(g, AgreementParams(eps_q))
+                assert (pre.proper_atoms, pre.adm) == (atoms, adm), (kind, n, seed, eps_q)

@@ -19,7 +19,7 @@ from corrclust.round_pivot import (
     pivot_based_round,
     pivot_budget,
 )
-from corrclust.round_set import BudgetLedger, RoundingParams, SeparationFound, decide_cluster
+from corrclust.round_set import BudgetLedger, RoundingParams, SeparationFound, budget_tables, decide_cluster
 
 
 def test_f_plus_shape():
@@ -38,7 +38,7 @@ def test_f_plus_shape():
 def test_all_minus_singletons_via_cleanup():
     g = SignedGraph(5, frozenset())
     pre = precluster(g, AgreementParams(0.1))
-    x = Metric(5, dict.fromkeys(all_pairs(5), 1.0))
+    x = Metric.from_pairs(5, dict.fromkeys(all_pairs(5), 1.0))
     rep = pivot_based_round(g, pre, x, RoundingParams(epsilon=0.05, trials=1), np.random.default_rng(0))
     assert rep.cost == 0
     assert rep.clustering.num_clusters == 5
@@ -48,7 +48,7 @@ def test_all_minus_singletons_via_cleanup():
 def test_all_plus_k4_single_cluster():
     g = SignedGraph(4, frozenset(all_pairs(4)))
     pre = precluster(g, AgreementParams(0.1))
-    x = Metric(4, dict.fromkeys(all_pairs(4), 0.0))
+    x = Metric.from_pairs(4, dict.fromkeys(all_pairs(4), 0.0))
     rep = pivot_based_round(g, pre, x, RoundingParams(epsilon=0.05, trials=1), np.random.default_rng(1))
     assert rep.cost == 0
     assert rep.clustering.num_clusters == 1
@@ -59,21 +59,22 @@ def test_cleanup_examples():
     # isolated singleton with no +edges is removable
     g = SignedGraph(3, frozenset())
     pre = precluster(g, AgreementParams(0.1))
-    x = Metric(3, dict.fromkeys(all_pairs(3), 1.0))
-    assert cleanup({0, 1, 2}, g, pre, x, eps) == frozenset({0})
+    x = Metric.from_pairs(3, dict.fromkeys(all_pairs(3), 1.0))
+    assert cleanup({0, 1, 2}, pre, budget_tables(g, pre, x, pivot_budget, eps)) == frozenset({0})
     # all-+ clique atom with zero internal distance and no outside edges
     g2 = SignedGraph(4, frozenset(all_pairs(4)))
     pre2 = precluster(g2, AgreementParams(0.1))
-    x2 = Metric(4, dict.fromkeys(all_pairs(4), 0.0))
-    assert cleanup({0, 1, 2, 3}, g2, pre2, x2, eps) == frozenset({0, 1, 2, 3})
+    x2 = Metric.from_pairs(4, dict.fromkeys(all_pairs(4), 0.0))
+    assert cleanup({0, 1, 2, 3}, pre2, budget_tables(g2, pre2, x2, pivot_budget, eps)) == frozenset({0, 1, 2, 3})
     # a singleton with one +neighbor at distance 0 and no admissible pairs
     # pays 1 but releases nothing
     g3 = SignedGraph(2, frozenset({(0, 1)}))
     pre3 = PreclusteredInstance(2, (), frozenset())
-    x3 = Metric(2, {(0, 1): 0.0})
-    alg, delta = cleanup_quantities(frozenset({0}), {0, 1}, g3, pre3, x3, eps)
-    assert (alg, delta) == (1.0, 0.0)
-    assert cleanup({0, 1}, g3, pre3, x3, eps) is None
+    x3 = Metric.from_pairs(2, {(0, 1): 0.0})
+    t3 = budget_tables(g3, pre3, x3, pivot_budget, eps)
+    alg, delta = cleanup_quantities([frozenset({0})], {0, 1}, pre3, t3)
+    assert (alg.tolist(), delta.tolist()) == ([1.0], [0.0])
+    assert cleanup({0, 1}, pre3, t3) is None
 
 
 def test_cleanup_soundness():
@@ -84,17 +85,69 @@ def test_cleanup_soundness():
         pre = precluster(g, AgreementParams(0.1))
         x, _ = solve_triangle_lp(g, pre)
         eps = 0.05
+        tables = budget_tables(g, pre, x, pivot_budget, eps)
         rem = set(range(7))
-        k = cleanup(rem, g, pre, x, eps)
+        k = cleanup(rem, pre, tables)
         if k is None:
             continue
-        alg, delta = cleanup_quantities(k, rem, g, pre, x, eps)
-        led = BudgetLedger()
-        decide_cluster(g, pre, x, led, rem, set(k), pivot_budget, eps)
+        (alg,), (delta,) = cleanup_quantities([k], rem, pre, tables)
+        led = BudgetLedger(7)
+        decide_cluster(tables, led, rem, set(k))
         assert led.realized_total == pytest.approx(alg)
         released = led.lp_total + led.err_total
         assert released == pytest.approx(delta, abs=1e-9)
         assert delta >= alg
+
+
+def _replayed_cleanup(rem, pre, tables):
+    """Reference cleanup: (ALG_K, Delta_K) of every whole atom by replaying
+    decide_cluster on a fresh ledger, and the first atom with Delta_K >= ALG_K."""
+    atoms = [atom for atom in pre.all_atoms if atom <= rem]
+    quantities = []
+    for atom in atoms:
+        led = BudgetLedger(pre.n)
+        decide_cluster(tables, led, rem, set(atom))
+        quantities.append((float(led.realized_total), led.lp_total + led.err_total))
+    first = next((atom for atom, (alg, delta) in zip(atoms, quantities) if delta >= alg), None)
+    return atoms, quantities, first
+
+
+def _worst_case(n):
+    # every atom is evaluated and none qualifies: x = 0 on +pairs, 1 on -pairs
+    g = generate_instance("uniform_random", n, None, 1)
+    pre = precluster(g, AgreementParams(0.1))
+    return g, pre, Metric(n, np.where(g.plus_table, 0.0, 1.0 - np.eye(n)))
+
+
+def test_cleanup_matches_a_replay_of_decide_cluster():
+    # the block read gives each atom's quantities with the bits of a replay
+    # of decide_cluster, so cleanup picks the same atom
+    rng = np.random.default_rng(11)
+    cases = [_worst_case(40)]
+    for seed in range(12):
+        kind, n, params = (
+            ("uniform_random", 8, None),
+            ("planted_cliques", 9, {"sizes": [4, 3, 2], "noise": 0.05}),
+            ("adversarial_mix", 10, {"sizes": [4, 3], "noise": 0.05}),
+        )[seed % 3]
+        g = generate_instance(kind, n, params, seed)
+        pre = precluster(g, AgreementParams(0.1))
+        # fractional distances, so the order of each sum shows in its bits
+        upper = np.triu(rng.choice([0.0, 0.25, 0.5, 1.0, rng.random()], size=(n, n)), 1)
+        cases.append((g, pre, Metric(n, upper + upper.T)))
+    hits = 0
+    for g, pre, x in cases:
+        tables = budget_tables(g, pre, x, pivot_budget, 0.05)
+        rem = set(range(g.n))
+        while rem:
+            atoms, quantities, first = _replayed_cleanup(rem, pre, tables)
+            alg, delta = cleanup_quantities(atoms, rem, pre, tables)
+            assert list(zip(alg.tolist(), delta.tolist())) == quantities
+            assert cleanup(rem, pre, tables) == first
+            hits += first is not None
+            rem -= first or pre.atom_of(int(rng.choice(sorted(rem))))
+    assert cleanup(set(range(40)), cases[0][1], budget_tables(*cases[0], pivot_budget, 0.05)) is None
+    assert hits >= 5
 
 
 def test_membership_marginals_exact():
@@ -191,7 +244,7 @@ def test_full_run_cost_within_guarantee_bound_random():
 def test_infeasible_metric_returns_certificate():
     g = SignedGraph(3, frozenset(all_pairs(3)))
     pre = trivial_preclustering(3)
-    x = Metric(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
+    x = Metric.from_pairs(3, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0})
     with pytest.raises(SeparationFound) as found:
         pivot_based_round(g, pre, x, RoundingParams(epsilon=0.05, trials=1), np.random.default_rng(0))
     assert found.value.certificate.separates(x)

@@ -25,6 +25,7 @@ from corrclust.round_set import (
     RoundingParams,
     SeparationFound,
     analyze_cluster_sampler,
+    budget_tables,
     decide_cluster,
     lp_budget,
     set_based_cstr_clst,
@@ -61,37 +62,48 @@ def test_integral_metric_reproduces_clustering():
 def test_all_minus_gives_singletons():
     g = SignedGraph(6, frozenset())
     pre = precluster(g, AgreementParams(0.1))
-    x = Metric(6, dict.fromkeys(all_pairs(6), 1.0))
+    x = Metric.from_pairs(6, dict.fromkeys(all_pairs(6), 1.0))
     rep = set_based_round(g, pre, x, RoundingParams(epsilon=0.05, trials=1), np.random.default_rng(1))
     assert rep.cost == 0
     assert rep.clustering.num_clusters == 6
 
 
+def _pairs_mask(n, pairs):
+    mask = np.zeros((n, n), dtype=bool)
+    mask[tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)] = True
+    return mask
+
+
 def test_ledger_at_most_once():
-    led = BudgetLedger()
-    led.release_pair((0, 1), 0.5, 0.05)
-    with pytest.raises(RuntimeError, match="twice"):
-        led.release_pair((0, 1), 0.5, 0.05)
-    led.release_vertex(3, 0.2)
-    with pytest.raises(RuntimeError, match="twice"):
-        led.release_vertex(3, 0.2)
-    led.record_cost((0, 1))
+    table = np.full((4, 4), 0.5)
+    led = BudgetLedger(4)
+    led.release_pairs(_pairs_mask(4, [(0, 1)]), table, table)
+    with pytest.raises(RuntimeError, match="pair 0, 1 released twice"):
+        led.release_pairs(_pairs_mask(4, [(1, 2), (0, 1)]), table, table)
+    led.release_vertices([3], np.array([0.2]))
+    with pytest.raises(RuntimeError, match="vertex 3 released twice"):
+        led.release_vertices([2, 3], np.array([0.2, 0.2]))
+    with pytest.raises(RuntimeError, match="repeat"):
+        led.release_vertices([1, 1], np.array([0.2, 0.2]))
+    led.charge(_pairs_mask(4, [(0, 1)]))
     with pytest.raises(RuntimeError, match="charged twice"):
-        led.record_cost((0, 1))
+        led.charge(_pairs_mask(4, [(0, 1)]))
 
 
 def test_ledger_totals_are_ordered_running_sums():
-    # each total adds its amounts left to right in release order: with 1e16
-    # first, the 1.0 is absorbed, which a compensated sum would keep
+    # each total adds its amounts left to right in release order, across
+    # calls: with 1e16 first, the 1.0 is absorbed, which a compensated or
+    # pairwise sum would keep
     pairs = [((0, 1), 1e16, 0.05), ((0, 2), 1.0, 0.0), ((1, 2), -1e16, 0.05), ((2, 3), 0.25, 0.05)]
     vertices = [(0, 1e16), (1, 1.0), (2, -1e16)]
-    led = BudgetLedger()
-    for p, lp_amount, err_amount in pairs:
-        led.release_pair(p, lp_amount, err_amount)
-    for v, amount in vertices:
-        led.release_vertex(v, amount)
-    led.record_cost((0, 1))
-    led.record_cost((2, 3))
+    lp_table, err_table = np.zeros((4, 4)), np.zeros((4, 4))
+    for (v, w), lp_amount, err_amount in pairs:
+        lp_table[v, w], err_table[v, w] = lp_amount, err_amount
+    led = BudgetLedger(4)
+    for part in (pairs[:2], pairs[2:]):
+        led.release_pairs(_pairs_mask(4, [p for p, _, _ in part]), lp_table, err_table)
+    led.release_vertices([v for v, _ in vertices], np.array([a for _, a in vertices]))
+    led.charge(_pairs_mask(4, [(0, 1), (2, 3)]))
     assert led.lp_total == reduce(add, [a for _, a, _ in pairs], 0.0) == 0.25
     assert led.err_total == reduce(add, [e for _, _, e in pairs], 0.0)
     assert led.diff_total == reduce(add, [a for _, a in vertices], 0.0) == 0.0
@@ -102,47 +114,53 @@ def test_ledger_totals_are_ordered_running_sums():
 
 
 class _CallLog(BudgetLedger):
-    """A ledger that also logs every release and charge, in call order."""
+    """A ledger that also logs the pairs and amounts of every release and
+    charge, in the order the ledger adds them."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, n):
+        super().__init__(n)
         self.calls = []
 
-    def release_pair(self, p, lp_amount, err_amount):
-        self.calls.append(("release", p, lp_amount, err_amount))
-        super().release_pair(p, lp_amount, err_amount)
+    def release_pairs(self, mask, lp_table, err_table):
+        pairs = [tuple(p) for p in np.argwhere(mask).tolist()]
+        self.calls.append(("release", pairs, lp_table[mask].tolist(), err_table[mask].tolist()))
+        super().release_pairs(mask, lp_table, err_table)
 
-    def record_cost(self, p):
-        self.calls.append(("charge", p))
-        super().record_cost(p)
+    def charge(self, mask):
+        self.calls.append(("charge", [tuple(p) for p in np.argwhere(mask).tolist()]))
+        super().charge(mask)
 
 
 def test_decide_cluster_walks_the_pairs_of_a_full_scan():
-    # the walk visits only pairs with an endpoint in the cluster, and must
-    # release and charge exactly the pairs a scan of every remaining pair
-    # would, in the same order
+    # decide_cluster must release and charge exactly the pairs a scan of
+    # every remaining pair would, with the same amounts, in the same order
     rng = np.random.default_rng(7)
     for seed in range(8):
         n = int(rng.integers(4, 10))
         g = generate_instance("uniform_random", n, None, seed)
         pre = precluster(g, AgreementParams(0.1))
         x, _ = solve_triangle_lp(g, pre)
+        tables = budget_tables(g, pre, x, lp_budget, 0.05)
         for _ in range(4):
             rem = {v for v in range(n) if rng.random() < 0.8} or {0}
             cluster = {v for v in rem if rng.random() < 0.4} or {min(rem)}
-            expected = []
+            pairs, lp_amounts, err_amounts, charged = [], [], [], []
             for v, w in combinations(sorted(rem), 2):
                 in_v, in_w = v in cluster, w in cluster
                 if not (in_v or in_w):
                     continue
                 is_plus = (v, w) in g.plus
-                eps = 0.05 if pre.pair_class[v, w] == ADMISSIBLE else 0.0
-                expected.append(("release", (v, w), lp_budget(is_plus, x.x(v, w)), eps))
+                pairs.append((v, w))
+                lp_amounts.append(float(lp_budget(is_plus, x.x(v, w))))
+                err_amounts.append(0.05 if pre.pair_class[v, w] == ADMISSIBLE else 0.0)
                 if (is_plus and in_v != in_w) or (not is_plus and in_v and in_w):
-                    expected.append(("charge", (v, w)))
-            log = _CallLog()
-            decide_cluster(g, pre, x, log, rem, cluster, lp_budget, 0.05)
+                    charged.append((v, w))
+            log = _CallLog(n)
+            decide_cluster(tables, log, rem, cluster)
+            expected = [("release", pairs, lp_amounts, err_amounts), ("charge", charged)]
             assert log.calls == expected, (seed, sorted(rem), sorted(cluster))
+            assert log.lp_total == reduce(add, lp_amounts, 0.0)
+            assert log.err_total == reduce(add, err_amounts, 0.0)
 
 
 def test_ledger_totals_match_closed_forms():
@@ -321,7 +339,7 @@ def test_infeasible_extension_returns_certificate():
     pre = precluster(g, AgreementParams(0.1))
     bad = dict.fromkeys(all_pairs(5), 0.0)
     bad[(0, 1)] = 1.0  # contradicts the atomic pin
-    x = Metric(5, bad)
+    x = Metric.from_pairs(5, bad)
     with pytest.raises(SeparationFound) as found:
         set_based_round(g, pre, x, RoundingParams(epsilon=0.05, trials=2), np.random.default_rng(0))
     assert found.value.certificate.separates(x)
@@ -341,7 +359,7 @@ def test_ledger_errors_survive_python_O():
         from corrclust.round_set import BudgetLedger, LedgerError, RoundingParams, set_based_round
 
         print("optimize", sys.flags.optimize)
-        BudgetLedger.record_cost = lambda self, p: None
+        BudgetLedger.charge = lambda self, mask: None
         g = SignedGraph(3, frozenset({(0, 1), (0, 2)}))  # every clustering costs >= 1
         pre = precluster(g, AgreementParams(0.1))
         x, _ = solve_triangle_lp(g, pre)

@@ -57,3 +57,19 @@ def test_no_np_clip_in_package():
         and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
     ]
     assert found == []
+
+
+def test_rounding_reads_tables_not_pairs():
+    # the rounding layer reads the metric, sign and budget tables with
+    # masks; it walks no pair list and builds no pair key
+    rounding = {"round_set.py", "round_pivot.py", "combine.py"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name in rounding
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("all_pairs", "pair_key")
+    ]
+    assert len(rounding & {path.name for path in SOURCES}) == 3
+    assert found == []
