@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .core import Pair, PreclusteredInstance, SignedGraph
 
@@ -83,9 +82,11 @@ def atomic_preclustering(g: SignedGraph, params: AgreementParams) -> tuple[froze
     sym = deg[:, None] + deg - 2 * common  # |N_u ^ N_v|
     kept = g.plus_table & (sym * den < num * np.maximum(deg[:, None], deg))
     light = (g.plus_table & ~kept).sum(axis=1) * den > num * deg
-    _, label = connected_components(kept & ~(light[:, None] & light), directed=False)
-    comps = (np.flatnonzero(label == c).tolist() for c in range(label.max(initial=-1) + 1))
-    return tuple(sorted((frozenset(c) for c in comps if len(c) >= 2), key=min))
+    # path doubling: reach ends as the closure, each row its vertex's component
+    reach = kept & ~(light[:, None] & light) | np.eye(g.n, dtype=bool)
+    while ((grown := reach @ reach) != reach).any():
+        reach = grown
+    return tuple(sorted({frozenset(np.flatnonzero(row).tolist()) for row in reach if row.sum() >= 2}, key=min))
 
 
 def admissible_edges(
