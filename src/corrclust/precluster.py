@@ -81,7 +81,7 @@ def atomic_preclustering(g: SignedGraph, params: AgreementParams) -> tuple[froze
     common = closed.astype(int) @ closed.T  # |N_u & N_v|
     sym = deg[:, None] + deg - 2 * common  # |N_u ^ N_v|
     kept = g.plus_table & (sym * den < num * np.maximum(deg[:, None], deg))
-    light = (g.plus_table & ~kept).sum(axis=1) * den > num * deg
+    light = (g.plus_table & ~kept).sum(axis=1).astype(object) * den > num * deg
     # path doubling: reach ends as the closure, each row its vertex's component
     reach = kept & ~(light[:, None] & light) | np.eye(g.n, dtype=bool)
     while ((grown := reach @ reach) != reach).any():

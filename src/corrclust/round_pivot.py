@@ -40,9 +40,9 @@ MINUS_COEFFICIENT = 2.0
 
 
 def pivot_budget(is_plus, x):
-    """Per-pair LP budget of the pivot scheme, elementwise: f(x) x with
-    f(x) = min(1.515 + x, 2) for a +pair, 2 (1 - x) for a -pair."""
-    return np.where(is_plus, np.minimum(F_PLUS_CONSTANT + x, 2.0) * x, MINUS_COEFFICIENT * (1.0 - x))
+    """Per-pair LP budget of the pivot scheme, elementwise, a numpy scalar on
+    scalar input: min(1.515 + x, 2) x for a +pair, 2 (1 - x) for a -pair."""
+    return np.where(is_plus, np.minimum(F_PLUS_CONSTANT + x, 2.0) * x, MINUS_COEFFICIENT * (1.0 - x))[()]
 
 
 def cleanup(remaining: Iterable[int], pre: PreclusteredInstance, t: BudgetTables) -> frozenset[int] | None:

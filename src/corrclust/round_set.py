@@ -82,8 +82,8 @@ class RoundingParams:
 
 
 def lp_budget(is_plus, x):
-    """Per-pair LP budget of the set-based scheme, elementwise."""
-    return np.where(is_plus, 2 * x / (1 + x), (1 - x) / (1 + x))
+    """Per-pair LP budget of the set-based scheme, elementwise; a numpy scalar on scalar input."""
+    return np.where(is_plus, 2 * x / (1 + x), (1 - x) / (1 + x))[()]
 
 
 class BudgetTables(NamedTuple):
@@ -357,8 +357,7 @@ def set_based_round(
         rec["eps_r"] = measure_pairwise_error(m)
         return cluster, rec
 
-    d_adm = (pre.pair_class == ADMISSIBLE).sum(axis=1)
-    tables = budget_tables(g, pre, x, lp_budget, params.epsilon, 2 * params.epsilon * d_adm)
+    tables = budget_tables(g, pre, x, lp_budget, params.epsilon, 2 * params.epsilon * np.array(pre._adm_degree))
     return best_of_trials(params.trials, rng, lambda stream: rounding_trial("set", g, tables, draw, stream))
 
 
@@ -432,9 +431,9 @@ def analyze_cluster_sampler(
     i, j = np.triu_indices(n, 1)
     a, b = np.array(verts)[i], np.array(verts)[j]
     dec, is_plus = inc[i] + inc[j] - both[i, j], g.plus_table[a, b]
-    e_cost = np.where(is_plus, inc[i] + inc[j] - 2 * both[i, j], both[i, j]).sum()
-    e_lp = (lp_budget(is_plus, x.table[a, b]) * dec).sum()
-    e_err = (epsilon * dec)[pre.pair_class[a, b] == ADMISSIBLE].sum()
+    e_cost = running_sum(np.where(is_plus, inc[i] + inc[j] - 2 * both[i, j], both[i, j]))
+    e_lp = running_sum(lp_budget(is_plus, x.table[a, b]) * dec)
+    e_err = running_sum((epsilon * dec)[pre.pair_class[a, b] == ADMISSIBLE])
     e_diff = sum(2 * epsilon * pre.d_adm(v) * inc[k] for k, v in enumerate(verts))
     pairs = list(zip(a.tolist(), b.tolist()))
     return IterationAnalysis(dict(zip(verts, inc.tolist())), dict(zip(pairs, dec.tolist())),

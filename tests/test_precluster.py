@@ -226,10 +226,14 @@ def test_table_preclustering_matches_a_per_pair_walk():
     # overflow int64 at these sizes
     cases = [("planted_cliques", 12, {"sizes": [4, 4, 4], "noise": 0.02}), ("uniform_random", 10, None),
              ("adversarial_mix", 13, {"sizes": [5, 5], "noise": 0.02}), ("planted_cliques", 96, {"sizes": [40, 32, 24], "noise": 0.05})]
-    for kind, n, params in cases:
-        for seed in range(3):
-            g = generate_instance(kind, n, params, seed)
-            for eps_q in (0.1, 0.3, 1e-18, 0.12345678901234568):
-                atoms, adm = _per_pair_preclustering(g, eps_q)
-                pre = precluster(g, AgreementParams(eps_q))
-                assert (pre.proper_atoms, pre.adm) == (atoms, adm), (kind, n, seed, eps_q)
+    graphs = [(kind, n, seed, generate_instance(kind, n, params, seed)) for kind, n, params in cases for seed in range(3)]
+    # (0, 1) share the +neighbors 2..11, each of which also has a private
+    # +neighbor in 12..21: (0, 1) is kept and each end loses 10 pairs, so
+    # the lightness product 10 * 10**18 is past int64 at epsilon_q = 1e-18
+    plus = {(0, 1)} | {(v, w) for v in (0, 1) for w in range(2, 12)} | {(w, w + 10) for w in range(2, 12)}
+    graphs.append(("lost_ten", 22, None, SignedGraph(22, frozenset(plus))))
+    for kind, n, seed, g in graphs:
+        for eps_q in (0.1, 0.3, 1e-18, 0.12345678901234568):
+            atoms, adm = _per_pair_preclustering(g, eps_q)
+            pre = precluster(g, AgreementParams(eps_q))
+            assert (pre.proper_atoms, pre.adm) == (atoms, adm), (kind, n, seed, eps_q)
